@@ -2,7 +2,7 @@
 
 Implements exactly the operations needed for dense networks with ELU
 activations, inverted dropout, row normalization, gradient reversal,
-squared / binary cross-entropy losses and an RBF two-sample statistic.
+binary cross-entropy loss and an RBF two-sample statistic.
 Forward values are plain numpy arrays; each `Tensor` keeps
 vector-Jacobian callbacks to its parents so `backward` can replay the
 graph once in reverse topological order.
@@ -169,20 +169,8 @@ def gather_rows(a, idx) -> Tensor:
     return Tensor(a.value[idx], [(a, vjp)])
 
 
-def squared_loss(pred, target) -> Tensor:
-    """Mean of (pred - target)^2."""
-    pred = astensor(pred)
-    target_value = astensor(target).value
-    if pred.value.shape != target_value.shape:
-        raise ValueError(
-            f"shape mismatch: pred {pred.value.shape} vs target {target_value.shape}"
-        )
-    diff = pred.value - target_value
-    n = max(diff.size, 1)
-    return Tensor((diff * diff).sum() / n, [(pred, lambda g: g * (2.0 / n) * diff)])
-
-
-def _expit(z: np.ndarray) -> np.ndarray:
+def expit(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid, evaluated without overflow on either tail."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -205,7 +193,7 @@ def bce_loss(logits, labels) -> Tensor:
         raise ValueError("labels must be 0 or 1")
     n = max(z.size, 1)
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return Tensor(per.sum() / n, [(logits, lambda g: g * (_expit(z) - y) / n)])
+    return Tensor(per.sum() / n, [(logits, lambda g: g * (expit(z) - y) / n)])
 
 
 def backward(loss: Tensor) -> None:

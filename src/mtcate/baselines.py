@@ -1,22 +1,21 @@
-"""Baseline CATE estimators (per-arm least squares, TARNet, CFR-MMD) crossed
-with the three missing-treatment strategies: delete rows, impute labels, or
-reweight observed rows by inverse observedness probability."""
+"""Baseline CATE estimators (per-arm least squares, TARNet, CFR-MMD) and the
+three missing-treatment strategies they are crossed with: delete rows,
+impute labels, or reweight observed rows by inverse observedness
+probability. `harness.fit_method` pairs a strategy with an estimator."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import mtrnet
-from .autodiff import mmd2_rbf
+from .autodiff import expit
 from .data import Dataset
 from .errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
 from .nn import AdamState, adam_step
 
 STRATEGIES = ("delete", "impute", "reweight")
-ESTIMATORS = ("ols", "tarnet", "cfrmmd")
 
 PROPENSITY_CLAMP = (0.01, 0.99)
 
@@ -45,13 +44,7 @@ class ObservednessModel:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x) - self.feat_mean) / self.feat_scale
-        logits = z @ self.weights + self.bias
-        p = np.empty_like(logits)
-        pos = logits >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-        ez = np.exp(logits[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        return np.clip(p, self.clamp[0], self.clamp[1])
+        return np.clip(expit(z @ self.weights + self.bias), self.clamp[0], self.clamp[1])
 
 
 def _fit_logistic(x: np.ndarray, labels: np.ndarray, config: LogisticConfig) -> ObservednessModel:
@@ -71,13 +64,7 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, config: LogisticConfig) -> 
     state_w = AdamState.like(w)
     state_b = AdamState.like(b)
     for _ in range(config.iterations):
-        logits = z @ w + b[0]
-        p = np.empty_like(logits)
-        pos = logits >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-        ez = np.exp(logits[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        resid = (p - labels) / n
+        resid = (expit(z @ w + b[0]) - labels) / n
         adam_step(w, z.T @ resid, state_w, config.learning_rate)
         adam_step(b, np.array([resid.sum()]), state_b, config.learning_rate)
     return ObservednessModel(w, float(b[0]), mean, scale, config.clamp)
@@ -107,13 +94,12 @@ def _as_complete(data: Dataset, t: np.ndarray) -> Dataset:
     )
 
 
-def apply_strategy(data: Dataset, strategy: str, seed: int = 0):
+def apply_strategy(data: Dataset, strategy: str):
     """Turn a missing-treatment dataset into (complete dataset, row weights).
 
     delete: keep r=1 rows, unit weights. impute: fill missing t by
     thresholding p(T=1|x) at 0.5 (ties treat), unit weights. reweight: keep
-    r=1 rows weighted by 1 / clamp(p(R=1|x)). `seed` is accepted for
-    interface parity; all three strategies are deterministic."""
+    r=1 rows weighted by 1 / clamp(p(R=1|x)). All three are deterministic."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if data.n_observed() == 0:
@@ -150,12 +136,9 @@ class OlsModel:
     beta0: np.ndarray  # intercept first
     beta1: np.ndarray
 
-    def predict_outcome(self, x: np.ndarray, t: int) -> np.ndarray:
-        beta = (self.beta0, self.beta1)[t]
-        return beta[0] + np.asarray(x) @ beta[1:]
-
     def predict_cate(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_outcome(x, 1) - self.predict_outcome(x, 0)
+        x = np.asarray(x)
+        return (self.beta1[0] + x @ self.beta1[1:]) - (self.beta0[0] + x @ self.beta0[1:])
 
 
 def ols_fit(data: Dataset, weights=None) -> OlsModel:
@@ -190,10 +173,6 @@ def ols_fit(data: Dataset, weights=None) -> OlsModel:
     return OlsModel(betas[0], betas[1])
 
 
-def ols_predict_cate(model: OlsModel, x: np.ndarray) -> np.ndarray:
-    return model.predict_cate(x)
-
-
 # ---------------------------------------------------------------------------
 # Neural baselines
 
@@ -210,64 +189,3 @@ def cfrmmd_train(data: Dataset, weights, config: mtrnet.MTRNetConfig):
     representations, jointly minimized; config.alpha is the penalty weight."""
     cfg = replace(config, alpha=0.0, beta=0.0)
     return mtrnet.train(data, cfg, row_weights=weights, mmd_weight=config.alpha)
-
-
-def mmd_rbf_squared(a: np.ndarray, b: np.ndarray, bandwidth: float) -> float:
-    """Biased V-statistic of squared MMD with an RBF kernel."""
-    return float(mmd2_rbf(np.asarray(a, dtype=np.float64),
-                          np.asarray(b, dtype=np.float64), bandwidth).value)
-
-
-# ---------------------------------------------------------------------------
-# Baseline naming and specs
-
-_ESTIMATOR_LABEL = {"ols": "OLS", "tarnet": "TARNet", "cfrmmd": "CFRMMD"}
-_STRATEGY_LABEL = {"delete": "del", "impute": "imp", "reweight": "rew"}
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    estimator: str
-    strategy: str
-    config: mtrnet.MTRNetConfig = field(default_factory=mtrnet.MTRNetConfig)
-
-    def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    @property
-    def name(self) -> str:
-        return f"{_ESTIMATOR_LABEL[self.estimator]}_{_STRATEGY_LABEL[self.strategy]}"
-
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "strategy": self.strategy,
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BaselineSpec":
-        return cls(
-            estimator=d["estimator"],
-            strategy=d["strategy"],
-            config=mtrnet.MTRNetConfig.from_dict(d.get("config", {})),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def fit_baseline(spec: BaselineSpec, data: Dataset):
-    """Apply the missing-data strategy, then fit the estimator on the
-    resulting complete data. Returns an object with .predict_cate."""
-    complete, weights = apply_strategy(data, spec.strategy, seed=spec.config.seed)
-    if spec.estimator == "ols":
-        return ols_fit(complete, weights)
-    if spec.estimator == "tarnet":
-        model, _ = tarnet_train(complete, weights, spec.config)
-    else:
-        model, _ = cfrmmd_train(complete, weights, spec.config)
-    return model

@@ -82,10 +82,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
-    method = harness.canonical_method(cfg["method"])
-    net_config = mtrnet.MTRNetConfig.from_dict(
-        {**mtrnet.MTRNetConfig().to_dict(), **cfg.get("config", {})}
-    )
+    spec = harness.MethodSpec.from_dict({"name": cfg["method"], "config": cfg.get("config", {})})
+    method, net_config = spec.name, spec.base_config
     if args.seed is not None:
         net_config = replace(net_config, seed=args.seed)
     d = _dataset_from_config(cfg["data"], None)
@@ -97,10 +95,10 @@ def cmd_train(args) -> int:
     wanted = list(cfg.get("metrics", ())) or metricsmod.available_metrics(d)
     report = metricsmod.evaluate_predictions(
         d, fitted.predict_cate(d.x), wanted,
-        metadata={"method": harness.METHOD_LABELS[method], "seed": net_config.seed},
+        metadata={"method": harness.METHODS[method].label, "seed": net_config.seed},
     )
     (out / "report.json").write_text(report.to_json() + "\n")
-    print(f"trained {harness.METHOD_LABELS[method]}; wrote {out / 'model.json'}")
+    print(f"trained {harness.METHODS[method].label}; wrote {out / 'model.json'}")
     return 0
 
 

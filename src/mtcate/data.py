@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import expit
 from .errors import CsvParseError, TooFewRowsError
 
 OPTIONAL_COLUMNS = ("y0", "y1", "tau", "e", "t_true")
@@ -108,25 +109,6 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
         np.concatenate([a.x, b.x]), np.concatenate([a.t, b.t]),
         np.concatenate([a.r, b.r]), np.concatenate([a.y, b.y]), **kw,
     )
-
-
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if a.n != b.n or a.d != b.d:
-        return False
-    if not (
-        np.array_equal(a.x, b.x)
-        and np.array_equal(a.t, b.t, equal_nan=True)
-        and np.array_equal(a.r, b.r)
-        and np.array_equal(a.y, b.y)
-    ):
-        return False
-    for name in OPTIONAL_COLUMNS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if (va is None) != (vb is None):
-            return False
-        if va is not None and not np.array_equal(va, vb):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +211,6 @@ class SyntheticDGPSpec:
         )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def generate(spec: SyntheticDGPSpec) -> Dataset:
     """Draw a fully observed dataset (r = 1 everywhere) with ground truth attached."""
     spec.validate()
@@ -251,7 +224,7 @@ def generate(spec: SyntheticDGPSpec) -> Dataset:
     if spec.rct:
         p_treat = np.full(spec.n, 0.5)
     else:
-        p_treat = _sigmoid(x @ np.asarray(spec.propensity, dtype=np.float64))
+        p_treat = expit(x @ np.asarray(spec.propensity, dtype=np.float64))
     t = (rng.random(spec.n) < p_treat).astype(np.float64)
     mu0 = spec.outcome0.evaluate(x)
     mu1 = spec.outcome1.evaluate(x)
@@ -289,23 +262,19 @@ class MissingnessSpec:
         return cls(m=float(d["m"]), q=float(d["q"]), seed=int(d.get("seed", 0)))
 
 
-def missingness_probability(x_row: np.ndarray, column_means: np.ndarray, q: float) -> float:
-    """Probability that the treatment label of this row goes missing.
+def missingness_probabilities(x: np.ndarray, column_means: np.ndarray, q: float) -> np.ndarray:
+    """Per-row probability that the treatment label goes missing.
 
     Closed form of the per-covariate multiply-then-normalize scheme: with
     a = #{j: x_j > mean_j}, p_m = q^a (1-q)^(d-a) / (q^a (1-q)^(d-a) +
     (1-q)^a q^(d-a)). Evaluated as sigmoid((2a-d) logit(q)) so large d
     cannot underflow.
     """
-    return float(missingness_probabilities(np.atleast_2d(x_row), column_means, q)[0])
-
-
-def missingness_probabilities(x: np.ndarray, column_means: np.ndarray, q: float) -> np.ndarray:
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0,1), got {q}")
     a = (np.asarray(x) > np.asarray(column_means)).sum(axis=1)
     d = np.asarray(x).shape[1]
-    return _sigmoid((2.0 * a - d) * np.log(q / (1.0 - q)))
+    return expit((2.0 * a - d) * np.log(q / (1.0 - q)))
 
 
 def apply_missingness(data: Dataset, spec: MissingnessSpec) -> Dataset:

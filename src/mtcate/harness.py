@@ -12,41 +12,44 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines, data as datamod, metrics as metricsmod, mtrnet
-from .baselines import BaselineSpec
 from .data import Dataset, MissingnessSpec, SyntheticDGPSpec
 from .errors import AllFailedError, ExperimentFailedError
 from .metrics import EvalReport
 from .mtrnet import MTRNetConfig
 
-METHOD_LABELS = {
-    "mtrnet": "MTRNet",
-    "ols_del": "OLS_del", "ols_imp": "OLS_imp", "ols_rew": "OLS_rew",
-    "tarnet_del": "TARNet_del", "tarnet_imp": "TARNet_imp", "tarnet_rew": "TARNet_rew",
-    "cfrmmd_del": "CFRMMD_del", "cfrmmd_imp": "CFRMMD_imp", "cfrmmd_rew": "CFRMMD_rew",
+class Method(NamedTuple):
+    label: str  # name used in result files and reports
+    estimator: str  # mtrnet | ols | tarnet | cfrmmd
+    strategy: str | None  # baselines.apply_strategy name; MTRNet handles missing labels itself
+
+
+# The one method table: canonical lowercase key -> Method.
+METHODS = {
+    "mtrnet": Method("MTRNet", "mtrnet", None),
+    "ols_del": Method("OLS_del", "ols", "delete"),
+    "ols_imp": Method("OLS_imp", "ols", "impute"),
+    "ols_rew": Method("OLS_rew", "ols", "reweight"),
+    "tarnet_del": Method("TARNet_del", "tarnet", "delete"),
+    "tarnet_imp": Method("TARNet_imp", "tarnet", "impute"),
+    "tarnet_rew": Method("TARNet_rew", "tarnet", "reweight"),
+    "cfrmmd_del": Method("CFRMMD_del", "cfrmmd", "delete"),
+    "cfrmmd_imp": Method("CFRMMD_imp", "cfrmmd", "impute"),
+    "cfrmmd_rew": Method("CFRMMD_rew", "cfrmmd", "reweight"),
 }
-_STRATEGY_BY_SUFFIX = {"del": "delete", "imp": "impute", "rew": "reweight"}
 
 
 def canonical_method(name: str) -> str:
     key = name.lower()
-    if key not in METHOD_LABELS:
-        raise ValueError(f"unknown method {name!r}; known: {sorted(METHOD_LABELS)}")
+    if key not in METHODS:
+        raise ValueError(f"unknown method {name!r}; known: {sorted(METHODS)}")
     return key
-
-
-def method_parts(name: str):
-    """('mtrnet', None) or (estimator, strategy) for baseline names."""
-    key = canonical_method(name)
-    if key == "mtrnet":
-        return "mtrnet", None
-    estimator, suffix = key.split("_")
-    return estimator, _STRATEGY_BY_SUFFIX[suffix]
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -97,15 +100,31 @@ PAPER_GRIDS = {
 PRESETS = {"desk": DESK_GRIDS, "paper": PAPER_GRIDS}
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(MTRNetConfig))
+# the seed is derived per run, so a grid may vary every other field
+_GRID_KEYS = _CONFIG_KEYS - {"seed"}
+
+
+def _check_keys(keys, allowed, where: str) -> None:
+    unknown = sorted(set(keys) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    name: str  # canonical lowercase method key
+    name: str  # method key, canonicalized on construction
     grid: tuple = ()  # tuple of override dicts, or a {param: values} mapping
     base_config: MTRNetConfig = field(default_factory=MTRNetConfig)
 
+    def __post_init__(self):
+        object.__setattr__(self, "name", canonical_method(self.name))
+        points = self.grid if isinstance(self.grid, (list, tuple)) else [self.grid or {}]
+        _check_keys([k for point in points for k in point], _GRID_KEYS, f"{self.name} grid")
+
     @property
     def label(self) -> str:
-        return METHOD_LABELS[self.name]
+        return METHODS[self.name].label
 
     def grid_points(self) -> list[dict]:
         # expanded lazily: the full tuning preset is huge and only the
@@ -121,15 +140,16 @@ class MethodSpec:
     @classmethod
     def from_dict(cls, d: dict, preset: str = "desk") -> "MethodSpec":
         name = canonical_method(d["name"])
-        estimator, _ = method_parts(name)
         grid = d.get("grid")
         if grid is None:
-            grid = PRESETS[preset][estimator]
+            grid = PRESETS[preset][METHODS[name].estimator]
         if isinstance(grid, list):
             grid = tuple(dict(g) for g in grid)
         elif grid is None:
             grid = ({},)
-        base = MTRNetConfig.from_dict({**MTRNetConfig().to_dict(), **d.get("config", {})})
+        config = d.get("config", {})
+        _check_keys(config, _CONFIG_KEYS, f"{name} config")
+        base = MTRNetConfig.from_dict({**MTRNetConfig().to_dict(), **config})
         return cls(name=name, grid=grid, base_config=base)
 
 
@@ -195,14 +215,19 @@ class ExperimentConfig:
 
 def fit_method(name: str, config: MTRNetConfig, train_data: Dataset):
     """Fit one method on (possibly missing-treatment) training data; returns
-    an object exposing predict_cate."""
-    estimator, strategy = method_parts(name)
-    if estimator == "mtrnet":
+    an object exposing predict_cate. A baseline first makes the data complete
+    with its strategy, then fits its estimator on the result. Callees are
+    looked up on their modules at call time, where a tracer can wrap them."""
+    method = METHODS[canonical_method(name)]
+    if method.estimator == "mtrnet":
         model, _ = mtrnet.train(train_data, config)
         return model
-    return baselines.fit_baseline(
-        BaselineSpec(estimator=estimator, strategy=strategy, config=config), train_data
-    )
+    complete, weights = baselines.apply_strategy(train_data, method.strategy)
+    if method.estimator == "ols":
+        return baselines.ols_fit(complete, weights)
+    fit = baselines.tarnet_train if method.estimator == "tarnet" else baselines.cfrmmd_train
+    model, _ = fit(complete, weights, config)
+    return model
 
 
 def selection_score(model, val_data: Dataset, selection_metric: str) -> float:
@@ -264,7 +289,7 @@ class RunResult:
         # reproducible under a fixed master seed
         return {
             "method": self.method,
-            "method_label": METHOD_LABELS[self.method],
+            "method_label": METHODS[self.method].label,
             "run_index": self.run_index,
             "seed": self.seed,
             "hyperparameters": self.hyperparameters,
@@ -318,7 +343,7 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
     report = metricsmod.evaluate_predictions(
         test, model.predict_cate(test.x), wanted,
         metadata={
-            "method": METHOD_LABELS[method.name],
+            "method": method.label,
             "run_index": run_index,
             "seed": seed,
             "selection_metric": selection,
@@ -398,7 +423,7 @@ def aggregate(results) -> list[dict]:
     for (method, metric, split), values in sorted(cells.items()):
         arr = np.asarray(values)
         rows.append({
-            "method": METHOD_LABELS[method],
+            "method": METHODS[method].label,
             "metric": metric,
             "domain": split,
             "mean": float(arr.mean()),

@@ -13,8 +13,6 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 
-SPLITS = ("overall", "t_observed", "t_missing")
-
 
 def pehe_true(tau_hat: np.ndarray, tau: np.ndarray) -> float:
     """Mean squared error against the true CATE (before the square root)."""
@@ -38,11 +36,13 @@ def pehe_observed(tau_hat: np.ndarray, y1: np.ndarray, y0: np.ndarray) -> float:
 def policy_risk(tau_hat: np.ndarray, y: np.ndarray, t: np.ndarray, e: np.ndarray) -> float:
     """1 - value of the policy "treat iff tau_hat > 0", estimated on the
     randomized subset (e=1). Ties tau_hat == 0 map to "do not treat"."""
+    if e is None:
+        raise MetricUnavailableError("policy risk needs a randomized-subset flag")
     tau_hat = np.asarray(tau_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     e = np.asarray(e)
-    if e is None or not np.any(e == 1):
+    if not np.any(e == 1):
         raise StratumEmptyError("randomized subset")
     rand = e == 1
     pi = tau_hat > 0.0
@@ -110,21 +110,6 @@ class EvalReport:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, s: str) -> "EvalReport":
-        d = json.loads(s)
-        return cls(metrics=d["metrics"], counts=d["counts"], metadata=d["metadata"])
-
-    def csv_rows(self, method: str, dataset: str) -> list[list]:
-        rows = []
-        for name in sorted(self.metrics):
-            vals = self.metrics[name]
-            rows.append(
-                [method, dataset, name]
-                + [("" if vals[s] is None else repr(vals[s])) for s in SPLITS]
-            )
-        return rows
-
 
 def _metric_on_subset(metric: str, data: Dataset, tau_hat: np.ndarray) -> float | None:
     if data.n == 0:
@@ -139,8 +124,6 @@ def _metric_on_subset(metric: str, data: Dataset, tau_hat: np.ndarray) -> float 
         return float(np.sqrt(pehe_observed(tau_hat, data.y1, data.y0)))
     if metric == "policy_risk":
         t = data.t_true if data.t_true is not None else data.t
-        if data.e is None:
-            raise MetricUnavailableError("policy risk needs a randomized-subset flag")
         return policy_risk(tau_hat, data.y, t, data.e)
     if metric == "pehe_nn":
         return pehe_nn(tau_hat, data.x, data.t, data.y)

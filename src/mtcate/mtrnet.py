@@ -362,12 +362,6 @@ def predict_outcomes(model: MTRNetModel, x):
     return f0.value[:, 0], f1.value[:, 0]
 
 
-def predict_outcome(model: MTRNetModel, x, t: int) -> np.ndarray:
-    if t not in (0, 1):
-        raise ValueError(f"t must be 0 or 1, got {t}")
-    return predict_outcomes(model, x)[t]
-
-
 def predict_cate(model: MTRNetModel, x) -> np.ndarray:
     f0, f1 = predict_outcomes(model, x)
     return f1 - f0

@@ -131,30 +131,6 @@ class TabularModel:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class FunctionFamilySpec:
-    """The sup-norm unit ball as critic family, with the scale constant that
-    puts every normalized pointwise loss inside it."""
-
-    b: float  # max over (x, t) of the expected pointwise loss
-
-    @classmethod
-    def from_model(cls, world: DiscreteWorld, model: TabularModel) -> "FunctionFamilySpec":
-        table = loss_table(world, model)
-        return cls(b=float(table.max()))
-
-
-def loss_point(world: DiscreteWorld, model: TabularModel, x_index: int, t: int) -> float:
-    """Expected squared loss of the arm-t prediction at covariate point x."""
-    if not 0 <= x_index < world.k:
-        raise ValueError(f"x_index {x_index} outside world of size {world.k}")
-    if t not in (0, 1):
-        raise ValueError(f"t must be 0 or 1, got {t}")
-    values, probs = (world.y0_values, world.y0_probs) if t == 0 else (world.y1_values, world.y1_probs)
-    pred = model.f(t)[x_index]
-    return float(((values[x_index] - pred) ** 2) @ probs[x_index])
-
-
 def loss_table(world: DiscreteWorld, model: TabularModel) -> np.ndarray:
     """(K, 2) table of expected pointwise losses."""
     out = np.empty((world.k, 2))
@@ -354,22 +330,28 @@ class BoundReport:
         return _aligned_table("inequality slacks", self.slacks)
 
 
+def final_bound_rhs(e: EpsTerms, b: float, ipm_treatment: float, ipm_missingness: float) -> float:
+    """The end-to-end right-hand side of the bound chain."""
+    return 2.0 * (
+        e.f_r1_t1 + e.f_r1_t0 + b * ipm_treatment
+        + 2.0 * e.v * b * ipm_missingness - 4.0 * e.sigma2_y
+    )
+
+
 def check_bounds(world: DiscreteWorld, model: TabularModel) -> BoundReport:
     """Inequality slacks (right side minus left side, nonnegative when the
     bound holds) for each link of the chain and for the end-to-end bound."""
     e = eps_terms(world, model)
     ipms = representation_ipms(world, model)
-    b = FunctionFamilySpec.from_model(world, model).b
+    # scale that puts every pointwise loss inside the sup-norm unit ball
+    b = float(loss_table(world, model).max())
     u = e.u_observed
 
     total_loss_rhs = 2.0 * (e.f + e.cf - 4.0 * e.sigma2_y)
     observed_rhs = 2.0 * (
         e.f_r1 + e.cf_r1 + 2.0 * e.v * b * ipms["missingness"] - 4.0 * e.sigma2_y
     )
-    final_rhs = 2.0 * (
-        e.f_r1_t1 + e.f_r1_t0 + b * ipms["treatment"]
-        + 2.0 * e.v * b * ipms["missingness"] - 4.0 * e.sigma2_y
-    )
+    final_rhs = final_bound_rhs(e, b, ipms["treatment"], ipms["missingness"])
     slacks = {
         "pehe_vs_total_loss": total_loss_rhs - e.pehe,
         "total_loss_vs_observed_domain": observed_rhs - total_loss_rhs,
@@ -380,15 +362,6 @@ def check_bounds(world: DiscreteWorld, model: TabularModel) -> BoundReport:
         "pehe_vs_final_bound": final_rhs - e.pehe,
     }
     return BoundReport(slacks=slacks, ipms=ipms, b=b, terms=e)
-
-
-def final_bound_rhs(e: EpsTerms, b: float, ipm_treatment: float, ipm_missingness: float) -> float:
-    """The end-to-end right-hand side, exposed so its monotonicity in each
-    IPM can be checked directly."""
-    return 2.0 * (
-        e.f_r1_t1 + e.f_r1_t0 + b * ipm_treatment
-        + 2.0 * e.v * b * ipm_missingness - 4.0 * e.sigma2_y
-    )
 
 
 # ---------------------------------------------------------------------------

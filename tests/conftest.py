@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from mtcate.autodiff import Tensor, backward, bce_loss, elu, mul, squared_loss, unit_normalize_rows
+from mtcate.autodiff import Tensor, add, asum, backward, bce_loss, elu, mul, unit_normalize_rows
+from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
+from mtcate.harness import ExperimentConfig, MethodSpec
+from mtcate.mtrnet import MTRNetConfig
 from mtcate.nn import dense_forward, dropout_mask, init_dense
 
 
@@ -81,12 +84,58 @@ def random_network_loss(rng):
             if masks[i] is not None:
                 h = mul(h, masks[i])
         out = dense_forward(out_layer, h)
-        return bce_loss(out, target) if use_bce else squared_loss(out, target.value)
+        if use_bce:
+            return bce_loss(out, target)
+        diff = add(out, mul(target, -1.0))
+        return mul(asum(mul(diff, diff)), 1.0 / n)  # mean squared error
 
     tensors = [x]
     for layer in layers + [out_layer]:
         tensors.extend([layer.weights, layer.bias])
     return loss_fn, tensors
+
+
+# ---------------------------------------------------------------------------
+# The calibrated trend workload: the acceptance gate's headline experiment,
+# also run at q=0.5 as a shift-free control in test_harness.
+
+TREND_DIM = 10
+
+
+def trend_dgp():
+    d = TREND_DIM
+    rho = 0.15
+    mixing = (1.0 - rho) * np.eye(d) + rho * np.ones((d, d)) / np.sqrt(d)
+    base = np.array([0.6, -0.6, 0.6, -0.6, 0.6, -0.6, 0.6, -0.6, 0.6, -0.6])
+    effect = np.array([0.8, -0.8, 0.5, -0.5, 0.3, -0.3, 0.0, 0.0, 0.0, 0.0])
+    ones = tuple([1.0] * d)
+    return SyntheticDGPSpec(
+        n=2000, d=d, propensity=tuple([0.4] * d),
+        outcome0=OutcomeSpec(kind="piecewise", intercept=0.0, linear=tuple(base),
+                             jump=4.0, jump_direction=ones, jump_threshold=2.5),
+        outcome1=OutcomeSpec(kind="piecewise", intercept=1.0, linear=tuple(base + effect),
+                             jump=4.0, jump_direction=ones, jump_threshold=2.5),
+        noise_sd=0.3, mixing=tuple(tuple(row) for row in mixing), seed=0,
+    )
+
+
+def trend_config(m: float) -> ExperimentConfig:
+    net = MTRNetConfig(rep_layer_size=32, hyp_layer_size=32, iterations=600,
+                       batch_size=150, learning_rate=1e-3, dropout_rate=0.1,
+                       l2_lambda=1e-4)
+    return ExperimentConfig(
+        dgp=trend_dgp(), csv_path=None,
+        missingness=MissingnessSpec(m=m, q=0.9),
+        methods=(
+            MethodSpec("mtrnet",
+                       grid=({"alpha": 1.0, "beta": 8.0}, {"alpha": 1.0, "beta": 15.0}),
+                       base_config=net),
+            MethodSpec("tarnet_del",
+                       grid=({"learning_rate": 1e-3}, {"learning_rate": 3e-3}),
+                       base_config=net),
+        ),
+        num_runs=10, master_seed=20260810, metrics=("sqrt_pehe",),
+    )
 
 
 @pytest.fixture

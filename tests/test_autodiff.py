@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mtcate.autodiff import (
     Tensor, add, asum, backward, bce_loss, elu, exp, gather_rows, grad_reverse,
-    matmul, mmd2_rbf, mul, squared_loss, transpose, unit_normalize_rows,
+    matmul, mmd2_rbf, mul, transpose, unit_normalize_rows,
 )
 from conftest import max_rel_grad_error
 
@@ -83,18 +83,6 @@ def test_grad_reverse_scale_zero_blocks_gradient():
     x = Tensor(np.array([[1.0, 2.0]]))
     backward(asum(grad_reverse(x, 0.0)))
     assert np.array_equal(x.grad, np.zeros((1, 2)))
-
-
-def test_squared_loss_examples():
-    assert float(squared_loss(Tensor(np.array([1.0, 2.0])), np.array([1.0, 2.0])).value) == 0.0
-    assert float(squared_loss(Tensor(np.array([1.0, 3.0])), np.array([0.0, 1.0])).value) == pytest.approx(2.5)
-    pred = np.array([0.3, -1.2, 4.0])
-    assert float(squared_loss(Tensor(pred + 0.7), pred).value) == pytest.approx(0.49)
-
-
-def test_squared_loss_length_mismatch():
-    with pytest.raises(ValueError):
-        squared_loss(Tensor(np.zeros(3)), np.zeros(2))
 
 
 def test_bce_loss_examples():

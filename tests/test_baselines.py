@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtcate.autodiff import mmd2_rbf
 from mtcate.baselines import (
-    BaselineSpec, apply_strategy, cfrmmd_train, fit_baseline, fit_observedness,
-    fit_treatment_classifier, mmd_rbf_squared, ols_fit, ols_predict_cate,
+    apply_strategy, cfrmmd_train, fit_observedness, fit_treatment_classifier, ols_fit,
     tarnet_train,
 )
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
+from mtcate.harness import MethodSpec, fit_method
 from mtcate.mtrnet import MTRNetConfig, train as mtrnet_train, _rep_forward
 
 
@@ -176,7 +179,7 @@ def test_ols_exact_linear_recovery():
     model = ols_fit(data)
     x_new = np.random.default_rng(1).standard_normal((50, 4))
     expected = 1.0 + x_new @ (beta1 - beta0)
-    assert np.allclose(ols_predict_cate(model, x_new), expected, atol=1e-8)
+    assert np.allclose(model.predict_cate(x_new), expected, atol=1e-8)
 
 
 def test_ols_identical_arms_zero_cate():
@@ -241,7 +244,7 @@ def shifted_arms_dataset(n, seed):
 
 def arm_mmd(model, data):
     rep = _rep_forward(model, data.x, train_mode=False, rng=None).value
-    return mmd_rbf_squared(rep[data.t == 0], rep[data.t == 1], bandwidth=1.0)
+    return float(mmd2_rbf(rep[data.t == 0], rep[data.t == 1], bandwidth=1.0).value)
 
 
 def test_cfrmmd_penalty_reduces_representation_imbalance():
@@ -270,22 +273,22 @@ def test_cfrmmd_deterministic_per_seed():
 
 def test_mmd_identical_samples_is_zero():
     a = np.random.default_rng(0).standard_normal((30, 2))
-    assert mmd_rbf_squared(a, a, 1.0) <= 1e-12
-    assert mmd_rbf_squared(np.zeros((1, 1)), np.zeros((1, 1)), 1.0) <= 1e-12
+    assert mmd2_rbf(a, a, 1.0).value <= 1e-12
+    assert mmd2_rbf(np.zeros((1, 1)), np.zeros((1, 1)), 1.0).value <= 1e-12
 
 
 def test_mmd_separated_samples():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((200, 1))
     b = rng.standard_normal((200, 1)) + 10.0
-    assert mmd_rbf_squared(a, b, 1.0) > 0.5
+    assert mmd2_rbf(a, b, 1.0).value > 0.5
 
 
 def test_mmd_symmetry():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((50, 3))
     b = rng.standard_normal((60, 3)) + 0.3
-    assert abs(mmd_rbf_squared(a, b, 0.7) - mmd_rbf_squared(b, a, 0.7)) <= 1e-12
+    assert abs(mmd2_rbf(a, b, 0.7).value - mmd2_rbf(b, a, 0.7).value) <= 1e-12
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
@@ -293,7 +296,7 @@ def test_mmd_symmetry():
 @settings(max_examples=40, deadline=None)
 def test_mmd_nonnegative(na, nb, d, bandwidth, seed):
     rng = np.random.default_rng(seed)
-    value = mmd_rbf_squared(rng.standard_normal((na, d)), rng.standard_normal((nb, d)), bandwidth)
+    value = mmd2_rbf(rng.standard_normal((na, d)), rng.standard_normal((nb, d)), bandwidth).value
     assert value >= -1e-12
 
 
@@ -302,27 +305,21 @@ def test_mmd_nonnegative(na, nb, d, bandwidth, seed):
 
 
 def test_baseline_spec_names_and_json():
-    spec = BaselineSpec(estimator="cfrmmd", strategy="reweight")
-    assert spec.name == "CFRMMD_rew"
-    assert BaselineSpec(estimator="ols", strategy="delete").name == "OLS_del"
-    clone = BaselineSpec.from_dict(
-        __import__("json").loads(spec.to_json())
-    )
+    spec = MethodSpec.from_dict({"name": "CFRMMD_rew", "grid": [{"alpha": 2.0}]})
+    assert spec.name == "cfrmmd_rew" and spec.label == "CFRMMD_rew"
+    assert MethodSpec("ols_del").label == "OLS_del"
+    clone = MethodSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert clone == spec
 
 
 def test_baseline_spec_rejects_unknown():
     with pytest.raises(ValueError):
-        BaselineSpec(estimator="forest", strategy="delete")
+        MethodSpec("forest_del")
 
 
 def test_fit_baseline_end_to_end():
     data = masked_dataset(n=150, seed=16)
-    fitted = fit_baseline(
-        BaselineSpec(estimator="ols", strategy="reweight"), data
-    )
+    fitted = fit_method("ols_rew", small_config(), data)
     assert np.isfinite(fitted.predict_cate(data.x)).all()
-    fitted = fit_baseline(
-        BaselineSpec(estimator="tarnet", strategy="delete", config=small_config()), data
-    )
+    fitted = fit_method("tarnet_del", small_config(), data)
     assert np.isfinite(fitted.predict_cate(data.x)).all()

@@ -109,6 +109,16 @@ def test_cli_failure_emits_json_error(tmp_path, capsys):
     assert "error" in payload and payload["error"]["message"]
 
 
+def test_train_rejects_typo_config_key(tmp_path, capsys):
+    config = write_json(tmp_path / "train.json", {
+        "method": "tarnet_del", "config": {"learnin_rate": 0.1},
+        "data": {"synthetic": dgp_dict(), "missingness": {"m": 0.3, "q": 0.6}},
+    })
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "fit")]) != 0
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and "learnin_rate" in error["message"]
+
+
 def test_sweep_m_command(tmp_path):
     config = write_json(tmp_path / "exp.json", {
         "data": {"synthetic": dgp_dict(n=150, seed=8)},

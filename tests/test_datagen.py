@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mtcate.data import (
     Dataset, MissingnessSpec, OutcomeSpec, SyntheticDGPSpec, apply_missingness,
-    concat, datasets_equal, generate, load_csv, missingness_probabilities,
-    missingness_probability, save_csv, split,
+    OPTIONAL_COLUMNS, concat, generate, load_csv, missingness_probabilities, save_csv,
+    split,
 )
 from mtcate.errors import CsvParseError, TooFewRowsError
 
@@ -54,6 +54,14 @@ def test_outcome_families_evaluate():
     assert pw.evaluate(-x)[0] == 0.0
 
 
+def assert_same_dataset(a, b):
+    for name in ("x", "t", "r", "y") + OPTIONAL_COLUMNS:
+        va, vb = getattr(a, name), getattr(b, name)
+        assert (va is None) == (vb is None), name
+        if va is not None:
+            assert np.array_equal(va, vb, equal_nan=(name == "t")), name
+
+
 # ---------------------------------------------------------------------------
 # Missingness probabilities
 
@@ -65,11 +73,11 @@ def test_missingness_probability_symmetric_q():
 
 
 def test_missingness_probability_one_covariate_above():
-    assert missingness_probability(np.array([1.0]), np.array([0.0]), 0.8) == pytest.approx(0.8)
+    assert missingness_probabilities(np.array([[1.0]]), np.array([0.0]), 0.8)[0] == pytest.approx(0.8)
 
 
 def test_missingness_probability_balanced_coordinates():
-    p = missingness_probability(np.array([1.0, -1.0]), np.zeros(2), 0.73)
+    p = missingness_probabilities(np.array([[1.0, -1.0]]), np.zeros(2), 0.73)[0]
     assert p == pytest.approx(0.5)
 
 
@@ -108,8 +116,7 @@ def test_missingness_swap_symmetry(a, q):
     row_a = np.where(np.arange(d) < a, 1.0, -1.0)
     row_b = np.where(np.arange(d) < d - a, 1.0, -1.0)
     means = np.zeros(d)
-    pa = missingness_probability(row_a, means, q)
-    pb = missingness_probability(row_b, means, q)
+    pa, pb = missingness_probabilities(np.stack([row_a, row_b]), means, q)
     assert abs(pa + pb - 1.0) <= 1e-12
 
 
@@ -147,7 +154,7 @@ def test_apply_missingness_extreme_shift_probability():
     # all five covariates above their means, q = 0.9
     q = 0.9
     expected = 0.9**5 / (0.9**5 + 0.1**5)
-    p = missingness_probability(np.ones(5), np.zeros(5), q)
+    p = missingness_probabilities(np.ones((1, 5)), np.zeros(5), q)[0]
     assert p == pytest.approx(expected, abs=1e-12)
     assert p > 0.9999
 
@@ -188,7 +195,7 @@ def test_split_deterministic():
     a = split(d, seed=9)
     b = split(d, seed=9)
     for part_a, part_b in zip(a, b):
-        assert datasets_equal(part_a, part_b)
+        assert_same_dataset(part_a, part_b)
 
 
 def test_split_too_few_rows():
@@ -230,7 +237,7 @@ def test_csv_roundtrip_random_dataset(tmp_path):
     )
     path = tmp_path / "d.csv"
     save_csv(d, path)
-    assert datasets_equal(load_csv(path), d)
+    assert_same_dataset(load_csv(path), d)
 
 
 def test_csv_roundtrip_without_optional_columns(tmp_path):
@@ -240,7 +247,7 @@ def test_csv_roundtrip_without_optional_columns(tmp_path):
     )
     path = tmp_path / "d.csv"
     save_csv(d, path)
-    assert datasets_equal(load_csv(path), d)
+    assert_same_dataset(load_csv(path), d)
 
 
 def test_csv_observed_row_with_empty_t_is_an_error(tmp_path):

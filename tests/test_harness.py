@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import trend_config
 from mtcate import data as dm, harness
 from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
 from mtcate.errors import AllFailedError, ExperimentFailedError
 from mtcate.harness import (
-    ExperimentConfig, MethodSpec, RunResult, aggregate, canonical_method,
-    cross_validate, derive_seed, expand_grid, method_parts, read_results_jsonl,
-    run_experiment, sweep_m, write_results, write_sweep,
+    METHODS, ExperimentConfig, MethodSpec, RunResult, aggregate, canonical_method,
+    cross_validate, derive_seed, expand_grid, read_results_jsonl, run_experiment,
+    sweep_m, write_results, write_sweep,
 )
 from mtcate.metrics import EvalReport
 from mtcate.mtrnet import MTRNetConfig
@@ -39,8 +42,9 @@ def experiment_config(methods, num_runs=2, master_seed=7, n=200):
 
 def test_method_name_handling():
     assert canonical_method("TARNet_del") == "tarnet_del"
-    assert method_parts("OLS_rew") == ("ols", "reweight")
-    assert method_parts("mtrnet") == ("mtrnet", None)
+    assert METHODS[canonical_method("OLS_rew")] == ("OLS_rew", "ols", "reweight")
+    assert METHODS["mtrnet"] == ("MTRNet", "mtrnet", None)
+    assert len(METHODS) == 10  # MTRNet plus 3 estimators x 3 strategies
     with pytest.raises(ValueError):
         canonical_method("causal_forest")
 
@@ -65,6 +69,26 @@ def test_experiment_config_json_roundtrip():
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))])
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("method, bad_key", [
+    ({"name": "tarnet_del", "grid": [{"learnin_rate": 0.1}]}, "learnin_rate"),
+    ({"name": "tarnet_del", "grid": {"learning_rate": [0.1], "seed": [1, 2]}}, "seed"),
+    ({"name": "mtrnet", "config": {"alpah": 2.0}}, "alpah"),
+])
+def test_typo_hyperparameter_key_fails_at_load(method, bad_key):
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))]).to_dict()
+    cfg["methods"].append(method)
+    with pytest.raises(ValueError, match=bad_key):
+        ExperimentConfig.from_dict(cfg)
+
+
+def test_typo_hyperparameter_key_never_reaches_run_experiment():
+    with pytest.raises(ValueError, match="learnin_rate"):
+        run_experiment(experiment_config([
+            MethodSpec("ols_del", grid=({},)),
+            MethodSpec("tarnet_del", grid=({"learnin_rate": 0.1},), base_config=tiny_net_config()),
+        ]), log=None)
 
 
 def test_cross_validate_singleton_grid():
@@ -255,18 +279,28 @@ def test_parallel_jobs_match_sequential():
     assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
 
+def test_parallel_jobs_match_sequential_neural():
+    # every neural family, each spec crossing the pool as a to_dict/from_dict round trip
+    cfg = experiment_config([
+        MethodSpec("mtrnet", grid=({"alpha": 0.5, "beta": 2.0},), base_config=tiny_net_config()),
+        MethodSpec("tarnet_rew", grid=({},), base_config=tiny_net_config()),
+        MethodSpec("cfrmmd_imp", grid={"alpha": [1.0]}, base_config=tiny_net_config()),
+    ], num_runs=2)
+    seq, seq_failures = run_experiment(cfg, jobs=1, log=None)
+    par, par_failures = run_experiment(cfg, jobs=2, log=None)
+    assert seq_failures == par_failures == []
+    assert len(seq) == 6
+    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+
+
 def test_sweep_m_shift_free_control():
     """Without a covariate shift (q=0.5) the two methods stay close; the
     strong shift is what opens the missing-domain gap. Scaled to 3 runs of
     the calibrated setup."""
-    import sys
-    sys.path.insert(0, "tests")
-    from test_acceptance import trend_config
-    from dataclasses import replace as dc_replace
 
     def mean_gap(q):
         cfg = trend_config(0.5)
-        cfg = dc_replace(cfg, missingness=MissingnessSpec(m=0.5, q=q), num_runs=3)
+        cfg = replace(cfg, missingness=MissingnessSpec(m=0.5, q=q), num_runs=3)
         rows = sweep_m(cfg, [0.5, 0.7], log=None)
         gaps = []
         for m in (0.5, 0.7):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 from mtcate.metrics import (
-    EvalReport, domain_split_eval, evaluate_predictions, pehe_nn, pehe_observed,
+    domain_split_eval, evaluate_predictions, pehe_nn, pehe_observed,
     pehe_true, policy_risk,
 )
 
@@ -76,6 +77,11 @@ def test_policy_risk_missing_stratum_is_an_error():
     y = np.ones(3)
     with pytest.raises(StratumEmptyError):
         policy_risk(tau_hat, y, t, np.ones(3))
+
+
+def test_policy_risk_without_randomized_flag_is_unavailable():
+    with pytest.raises(MetricUnavailableError):
+        policy_risk(np.ones(3), np.ones(3), np.array([1.0, 0.0, 1.0]), None)
 
 
 @given(st.data())
@@ -186,11 +192,9 @@ def test_overall_lies_between_split_values_for_mean_metrics():
         assert lo - 1e-12 <= vals["overall"] <= hi + 1e-12
 
 
-def test_report_json_roundtrip_and_csv_rows():
+def test_report_json_roundtrip():
     data = toy_dataset([1, 0], [0.0, 0.0])
     report = evaluate_predictions(data, np.zeros(2), ["pehe", "sqrt_pehe"], {"method": "x"})
-    again = EvalReport.from_json(report.to_json())
-    assert again.metrics == report.metrics
-    rows = report.csv_rows("OLS_del", "synthetic")
-    assert rows[0][:3] == ["OLS_del", "synthetic", "pehe"]
-    assert len(rows) == 2
+    again = json.loads(report.to_json())
+    assert again == {"metrics": report.metrics, "counts": report.counts,
+                     "metadata": {"method": "x"}}

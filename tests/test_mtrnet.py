@@ -9,7 +9,7 @@ from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, TrainingDivergedError
 from mtcate.mtrnet import (
     MTRNetConfig, TrainingBatch, compute_weights, forward_losses, init_model,
-    model_from_dict, model_to_dict, predict_cate, predict_outcome, train,
+    model_from_dict, model_to_dict, predict_cate, predict_outcomes, train,
     training_step, _rep_forward,
 )
 from mtcate.nn import AdamState, adam_step, dense_forward
@@ -309,10 +309,8 @@ def test_predict_cate_zero_for_identical_heads():
 def test_predict_cate_is_definitionally_head_difference():
     model = init_model(small_config(seed=12), 3)
     x = np.random.default_rng(2).standard_normal((7, 3))
-    assert np.array_equal(
-        predict_cate(model, x),
-        predict_outcome(model, x, 1) - predict_outcome(model, x, 0),
-    )
+    f0, f1 = predict_outcomes(model, x)
+    assert np.array_equal(predict_cate(model, x), f1 - f0)
 
 
 def test_predict_repeatable():
@@ -326,8 +324,9 @@ def test_predict_zero_weight_heads_return_bias():
     set_constant_head(model.h0, -1.5)
     set_constant_head(model.h1, 2.0)
     x = np.random.default_rng(4).standard_normal((6, 3))
-    assert np.allclose(predict_outcome(model, x, 0), -1.5)
-    assert np.allclose(predict_outcome(model, x, 1), 2.0)
+    f0, f1 = predict_outcomes(model, x)
+    assert np.allclose(f0, -1.5)
+    assert np.allclose(f1, 2.0)
     assert np.allclose(predict_cate(model, x), 3.5)
 
 
@@ -349,12 +348,13 @@ def test_predict_hand_built_one_unit_model():
         return v if v > 0 else math.exp(v) - 1.0
 
     x = np.array([[1.0], [-3.0]])
+    pred0, pred1 = predict_outcomes(model, x)
     for i, xv in enumerate([1.0, -3.0]):
         s = math.copysign(1.0, elu1(2.0 * xv + 0.5))  # one-unit rows normalize to +-1
         f0 = 3.0 * elu1(1.0 * s) + 1.0
         f1 = 2.0 * elu1(-1.0 * s + 0.5)
-        assert predict_outcome(model, x, 0)[i] == pytest.approx(f0, rel=1e-12)
-        assert predict_outcome(model, x, 1)[i] == pytest.approx(f1, rel=1e-12)
+        assert pred0[i] == pytest.approx(f0, rel=1e-12)
+        assert pred1[i] == pytest.approx(f1, rel=1e-12)
         assert predict_cate(model, x)[i] == pytest.approx(f1 - f0, rel=1e-12)
 
 
@@ -362,8 +362,6 @@ def test_predict_dimension_mismatch():
     model = init_model(small_config(), 3)
     with pytest.raises(ValueError):
         predict_cate(model, np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        predict_outcome(model, np.zeros((2, 3)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtcate.theory import (
     DiscreteWorld, TabularModel, check_bounds, check_decompositions, eps_terms,
-    final_bound_rhs, ipm_supnorm, loss_point, random_model, random_world,
+    final_bound_rhs, ipm_supnorm, loss_table, random_model, random_world,
     representation_ipms, run_world_sweep,
 )
 
@@ -20,27 +20,18 @@ def two_point_world(p_t1=(0.3, 0.7), p_r1=(0.6, 0.4)):
 def test_loss_point_examples():
     world = two_point_world()
     model = TabularModel(phi=[0, 1], h0=[1.0, 1.0], h1=[0.0, 0.0])
+    table = loss_table(world, model)
     # deterministic Y0 = 1 at x0, prediction 1 -> 0
-    assert loss_point(world, model, 0, 0) == 0.0
+    assert table[0, 0] == 0.0
     # Y0 uniform on {0,2} at x1, prediction 1 -> 1
-    assert loss_point(world, model, 1, 0) == pytest.approx(1.0)
+    assert table[1, 0] == pytest.approx(1.0)
 
 
 def test_loss_point_at_conditional_mean_equals_variance():
     world = two_point_world()
     m1 = world.mean_outcome(1)
     model = TabularModel(phi=[1, 0], h0=[0.0, 0.0], h1=[m1[1], m1[0]])
-    for k in range(2):
-        assert loss_point(world, model, k, 1) == pytest.approx(world.var_outcome(1)[k])
-
-
-def test_loss_point_validates_arguments():
-    world = two_point_world()
-    model = TabularModel(phi=[0, 1], h0=[0.0, 0.0], h1=[0.0, 0.0])
-    with pytest.raises(ValueError):
-        loss_point(world, model, 5, 0)
-    with pytest.raises(ValueError):
-        loss_point(world, model, 0, 2)
+    assert loss_table(world, model)[:, 1] == pytest.approx(world.var_outcome(1))
 
 
 def test_perfect_model_has_zero_pehe():
