@@ -1,12 +1,6 @@
-"""Missing-fraction sweep on the calibrated hard synthetic benchmark.
-
-Both treatment assignment and treatment observedness load on a common
-covariate factor, the response surfaces share a large step deep inside the
-poorly observed region, and the true effect lives on balanced contrast
-directions. Deletion-based training picks the step up asymmetrically across
-arms and extrapolates it into the missing-treatment domain; the balanced
-representation does not. Writes the long-format sweep CSV plus per-run
-results for each missing fraction.
+"""Missing-fraction sweep of the calibrated trend workload (`mtcate.trend`):
+MTRNet against TARNet with deletion. Writes the long-format sweep CSV plus
+per-run results for each missing fraction.
 
 Usage:
     python scripts/run_trend_experiment.py --out results/trend \
@@ -19,44 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
-from mtcate.harness import ExperimentConfig, MethodSpec, run_experiment, write_results, write_sweep, aggregate
-from mtcate.mtrnet import MTRNetConfig
-
-
-def shifted_factor_dgp(n=2000, d=10, rho=0.15):
-    mixing = (1.0 - rho) * np.eye(d) + rho * np.ones((d, d)) / np.sqrt(d)
-    base = np.array([0.6, -0.6] * (d // 2))
-    effect = np.zeros(d)
-    effect[:6] = [0.8, -0.8, 0.5, -0.5, 0.3, -0.3]
-    ones = tuple([1.0] * d)
-    return SyntheticDGPSpec(
-        n=n, d=d, propensity=tuple([0.4] * d),
-        outcome0=OutcomeSpec(kind="piecewise", intercept=0.0, linear=tuple(base),
-                             jump=4.0, jump_direction=ones, jump_threshold=2.5),
-        outcome1=OutcomeSpec(kind="piecewise", intercept=1.0, linear=tuple(base + effect),
-                             jump=4.0, jump_direction=ones, jump_threshold=2.5),
-        noise_sd=0.3, mixing=tuple(tuple(row) for row in mixing), seed=0,
-    )
+from mtcate.harness import run_experiment, write_results, write_sweep, aggregate
+from mtcate.trend import trend_config
 
 
 def build_config(m, runs, seed):
-    net = MTRNetConfig(rep_layer_size=32, hyp_layer_size=32, iterations=600,
-                       batch_size=150, learning_rate=1e-3, dropout_rate=0.1,
-                       l2_lambda=1e-4)
-    return ExperimentConfig(
-        dgp=shifted_factor_dgp(), csv_path=None,
-        missingness=MissingnessSpec(m=m, q=0.9),
-        methods=(
-            MethodSpec("mtrnet",
-                       grid=({"alpha": 1.0, "beta": 8.0}, {"alpha": 1.0, "beta": 15.0}),
-                       base_config=net),
-            MethodSpec("tarnet_del",
-                       grid=({"learning_rate": 1e-3}, {"learning_rate": 3e-3}),
-                       base_config=net),
-        ),
-        num_runs=runs, master_seed=seed, metrics=("sqrt_pehe",),
-    )
+    return trend_config(m, num_runs=runs, master_seed=seed)
 
 
 def main():

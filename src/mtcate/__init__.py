@@ -8,6 +8,7 @@ Library layout:
   metrics         PEHE variants, policy risk, domain-split reports
   theory          exact identity/bound checks on finite discrete worlds
   harness / cli   seeded experiment orchestration
+  trend           the calibrated missing-domain trend workload
 """
 
 __version__ = "0.1.0"

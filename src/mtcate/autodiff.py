@@ -33,25 +33,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
 
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -13,6 +13,10 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 
+# float64 elements of one (own rows, opposite-arm rows, d) difference block in
+# the nearest-neighbour search, so its memory grows linearly with the rows
+NN_BLOCK_ELEMENTS = 1 << 20
+
 
 def pehe_true(tau_hat: np.ndarray, tau: np.ndarray) -> float:
     """Mean squared error against the true CATE (before the square root)."""
@@ -74,9 +78,14 @@ def nn_surrogate_effects(x: np.ndarray, t: np.ndarray, y: np.ndarray):
         raise DegenerateArmError("need both arms among observed-treatment rows")
     surrogates = np.empty(obs.size)
     for arm, own, opp in ((1.0, idx1, idx0), (0.0, idx0, idx1)):
-        diff = xo[own][:, None, :] - xo[opp][None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        j = opp[np.argmin(d2, axis=1)]  # argmin keeps the lowest index on ties
+        x_opp = xo[opp]
+        rows = max(1, NN_BLOCK_ELEMENTS // max(x_opp.size, 1))
+        nearest = np.empty(own.size, dtype=np.intp)
+        for start in range(0, own.size, rows):
+            diff = xo[own[start:start + rows]][:, None, :] - x_opp[None, :, :]
+            d2 = (diff * diff).sum(axis=2)
+            nearest[start:start + rows] = np.argmin(d2, axis=1)  # lowest index on ties
+        j = opp[nearest]
         surrogates[own] = (1.0 - 2.0 * arm) * (yo[j] - yo[own])
     return obs, surrogates
 

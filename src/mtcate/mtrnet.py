@@ -5,13 +5,14 @@ h0/h1, a treatment discriminator and an observedness discriminator. The
 discriminators descend on their own cross-entropy losses while the
 representation ascends on them through a gradient-reversal node, which
 pushes the representation towards being uninformative of both treatment
-and missingness. The same engine also trains the TARNet and CFR-MMD
-baselines (adversaries off, optional per-row weights / kernel penalty).
+and missingness. A discriminator whose weight (alpha, beta) is 0 is not
+built, so the same engine trains the TARNet and CFR-MMD baselines as the
+adversary-free subset of the network (optional per-row weights / kernel
+penalty).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -191,87 +192,58 @@ def _head_forward(layers, z, drop: float, rng) -> Tensor:
     return dense_forward(layers[-1], z)
 
 
-@dataclass
-class _Forward:
-    outcome: Tensor
-    treatment: Tensor
-    missingness: Tensor
-    rep_obs: Tensor
-    arm0: np.ndarray  # positions of control rows within the observed block
-    arm1: np.ndarray
-    n_o: int
-    u: float
+def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng=None,
+                  iteration: int = 0, mmd_weight: float | None = None,
+                  mmd_bandwidth: float | None = None) -> dict:
+    """One Adam update on outcome + l2_lambda*L2 + alpha*L_T + beta*L_R
+    (+ mmd_weight*MMD^2 between the arms' representations).
 
+    A discriminator is built only when its weight is positive: it descends
+    on its cross-entropy while the representation ascends on it through a
+    gradient-reversal node. Only parameters the objective reaches are
+    updated, so with alpha = beta = 0 the discriminators keep their values
+    and Adam state. Returns the pre-update value of every term built."""
+    cfg = model.config
+    if mmd_weight and mmd_bandwidth is None:
+        raise ValueError("mmd_weight given without a bandwidth")
+    if rng is None:
+        rng = _default_rng(cfg)
+    rep = _rep_forward(model, batch.x, train_mode=True, rng=rng)
 
-def _forward(model: MTRNetModel, batch: TrainingBatch, train_mode: bool, rng) -> _Forward:
-    drop = model.config.dropout_rate if train_mode else 0.0
-    rep = _rep_forward(model, batch.x, train_mode, rng)
-
-    w, u, n_o = compute_weights(batch.t, batch.r)
+    w, _, n_o = compute_weights(batch.t, batch.r)
     obs = np.flatnonzero(batch.r == 1)
     t_obs = batch.t[obs]
     y_obs = batch.y[obs]
     if batch.row_weights is not None:
         w = w * np.asarray(batch.row_weights, dtype=np.float64)[obs]
-    arm0 = np.flatnonzero(t_obs == 0.0)
-    arm1 = np.flatnonzero(t_obs == 1.0)
-
     rep_obs = gather_rows(rep, obs)
+    arms = (np.flatnonzero(t_obs == 0.0), np.flatnonzero(t_obs == 1.0))
     terms = []
-    for arm, layers in ((arm0, model.h0), (arm1, model.h1)):
-        pred = _head_forward(layers, gather_rows(rep_obs, arm), drop, rng)
+    for arm, layers in zip(arms, (model.h0, model.h1)):
+        pred = _head_forward(layers, gather_rows(rep_obs, arm), cfg.dropout_rate, rng)
         diff = add(pred, Tensor(-y_obs[arm][:, None]))
         terms.append(asum(mul(mul(diff, diff), Tensor(w[arm][:, None]))))
     outcome = mul(add(terms[0], terms[1]), 1.0 / n_o)
+    record = {"iteration": iteration, "outcome": float(outcome.value)}
 
-    adv = grad_reverse(rep, 1.0)
-    logit_t = dense_forward(model.k_t, gather_rows(adv, obs))
-    treatment = bce_loss(logit_t, Tensor(t_obs[:, None]))
-    logit_r = dense_forward(model.k_r, adv)
-    missingness = bce_loss(logit_r, Tensor(batch.r.astype(np.float64)[:, None]))
-    return _Forward(outcome, treatment, missingness, rep_obs, arm0, arm1, n_o, u)
-
-
-def forward_losses(model: MTRNetModel, batch: TrainingBatch, train_mode: bool, rng=None):
-    """(weighted outcome loss, treatment BCE over observed rows, observedness
-    BCE over all rows) for one batch; dropout is active iff train_mode."""
-    if rng is None:
-        rng = _default_rng(model.config)
-    fw = _forward(model, batch, train_mode, rng)
-    return fw.outcome, fw.treatment, fw.missingness
-
-
-def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng=None,
-                  iteration: int = 0, mmd_weight: float | None = None,
-                  mmd_bandwidth: float | None = None) -> dict:
-    """One adversarial update. The representation descends on the outcome
-    loss and ascends on alpha*L_T + beta*L_R (gradient reversal); the
-    hypothesis heads additionally feel the L2 penalty; the discriminators
-    descend on their own losses. Everything updates via Adam."""
-    cfg = model.config
-    if rng is None:
-        rng = _default_rng(cfg)
-    fw = _forward(model, batch, train_mode=True, rng=rng)
-
-    total = fw.outcome
+    total = outcome
     if cfg.l2_lambda > 0:
         total = add(total, mul(l2_penalty(model.hypothesis_weights()), cfg.l2_lambda))
-    total = add(total, mul(fw.treatment, cfg.alpha))
-    total = add(total, mul(fw.missingness, cfg.beta))
-    record = {
-        "iteration": iteration,
-        "outcome": float(fw.outcome.value),
-        "treatment_bce": float(fw.treatment.value),
-        "missingness_bce": float(fw.missingness.value),
-    }
+    if cfg.alpha > 0 or cfg.beta > 0:
+        adv = grad_reverse(rep, 1.0)
+    if cfg.alpha > 0:
+        logit_t = dense_forward(model.k_t, gather_rows(adv, obs))
+        treatment = bce_loss(logit_t, Tensor(t_obs[:, None]))
+        total = add(total, mul(treatment, cfg.alpha))
+        record["treatment_bce"] = float(treatment.value)
+    if cfg.beta > 0:
+        logit_r = dense_forward(model.k_r, adv)
+        missingness = bce_loss(logit_r, Tensor(batch.r.astype(np.float64)[:, None]))
+        total = add(total, mul(missingness, cfg.beta))
+        record["missingness_bce"] = float(missingness.value)
     if mmd_weight:
-        if mmd_bandwidth is None:
-            raise ValueError("mmd_weight given without a bandwidth")
-        mmd = mmd2_rbf(
-            gather_rows(fw.rep_obs, fw.arm0),
-            gather_rows(fw.rep_obs, fw.arm1),
-            mmd_bandwidth,
-        )
+        mmd = mmd2_rbf(gather_rows(rep_obs, arms[0]), gather_rows(rep_obs, arms[1]),
+                       mmd_bandwidth)
         total = add(total, mul(mmd, mmd_weight))
         record["mmd2"] = float(mmd.value)
     record["total"] = float(total.value)
@@ -279,9 +251,13 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng=None,
     if not np.isfinite(record["total"]):
         raise TrainingDivergedError(iteration)
 
+    params = model.parameters()
+    for tensor in params.values():
+        tensor.grad = None  # never apply a gradient left by an earlier graph
     backward(total)
-    for name, tensor in model.parameters().items():
-        adam_step(tensor.value, tensor.grad, model.adam[name], cfg.learning_rate)
+    for name, tensor in params.items():
+        if tensor.grad is not None:
+            adam_step(tensor.value, tensor.grad, model.adam[name], cfg.learning_rate)
     return record
 
 
@@ -397,12 +373,3 @@ def model_from_dict(d: dict) -> MTRNetModel:
     model.adam = {name: AdamState.like(t.value) for name, t in model.parameters().items()}
     return model
 
-
-def save_model(model: MTRNetModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-
-
-def load_model(path) -> MTRNetModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -21,10 +21,6 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.value.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.value.shape[0]
-
 
 def init_dense(rng: np.random.Generator, n_out: int, n_in: int) -> DenseLayer:
     """Zero bias, weights uniform in +-sqrt(6/(fan_in+fan_out))."""

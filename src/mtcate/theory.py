@@ -17,7 +17,6 @@ when observedness and treatment are marginally independent; we expose both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,21 +84,6 @@ class DiscreteWorld:
         means = self.mean_outcome(t)
         return np.array([float(((v - m) ** 2) @ p) for v, p, m in zip(values, probs, means)])
 
-    def to_dict(self) -> dict:
-        return {
-            "p_x": self.p_x.tolist(),
-            "p_t1": self.p_t1.tolist(),
-            "p_r1": self.p_r1.tolist(),
-            "y0_values": [v.tolist() for v in self.y0_values],
-            "y0_probs": [v.tolist() for v in self.y0_probs],
-            "y1_values": [v.tolist() for v in self.y1_values],
-            "y1_probs": [v.tolist() for v in self.y1_probs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscreteWorld":
-        return cls(**d)
-
 
 @dataclass
 class TabularModel:
@@ -122,13 +106,6 @@ class TabularModel:
     def f(self, t: int) -> np.ndarray:
         """Predictions indexed by covariate point."""
         return (self.h0, self.h1)[t][self.phi]
-
-    def to_dict(self) -> dict:
-        return {"phi": self.phi.tolist(), "h0": self.h0.tolist(), "h1": self.h1.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TabularModel":
-        return cls(**d)
 
 
 def loss_table(world: DiscreteWorld, model: TabularModel) -> np.ndarray:
@@ -164,11 +141,6 @@ class EpsTerms:
     v: float
     u_observed: float
     u_marginal: float
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["sigma2_parts"] = dict(self.sigma2_parts)
-        return d
 
 
 def eps_terms(world: DiscreteWorld, model: TabularModel) -> EpsTerms:
@@ -269,35 +241,20 @@ def representation_ipms(world: DiscreteWorld, model: TabularModel) -> dict:
 # Identity and bound checks
 
 
-def _aligned_table(title: str, rows: dict) -> str:
-    width = max(len(k) for k in rows)
-    lines = [title]
-    lines += [f"  {k.ljust(width)}  {v:+.3e}" for k, v in rows.items()]
-    return "\n".join(lines)
-
-
 @dataclass
 class DecompositionReport:
     residuals: dict
-    terms: EpsTerms
 
     @property
     def max_abs_residual(self) -> float:
         return max(abs(v) for v in self.residuals.values())
 
-    def to_json(self) -> str:
-        return json.dumps({"residuals": self.residuals}, sort_keys=True)
 
-    def table(self) -> str:
-        return _aligned_table("identity residuals", self.residuals)
-
-
-def check_decompositions(world: DiscreteWorld, model: TabularModel) -> DecompositionReport:
+def check_decompositions(e: EpsTerms) -> DecompositionReport:
     """Equality residuals: the observedness mixture split of the factual and
     counterfactual losses, the arm mixture split inside the observed domain
     (arm share u = p(T=0|R=1)), and the variance split relating each loss to
     its mean-prediction error."""
-    e = eps_terms(world, model)
     u = e.u_observed
     residuals = {
         "factual_by_observedness": e.f - ((1.0 - e.v) * e.f_r1 + e.v * e.f_r0),
@@ -309,7 +266,7 @@ def check_decompositions(world: DiscreteWorld, model: TabularModel) -> Decomposi
         "counterfactual_variance_split": e.mean_sq_cf
         - (e.cf - e.sigma2_parts["y1|t0"] - e.sigma2_parts["y0|t1"]),
     }
-    return DecompositionReport(residuals=residuals, terms=e)
+    return DecompositionReport(residuals=residuals)
 
 
 @dataclass
@@ -317,17 +274,10 @@ class BoundReport:
     slacks: dict
     ipms: dict
     b: float
-    terms: EpsTerms
 
     @property
     def min_slack(self) -> float:
         return min(self.slacks.values())
-
-    def to_json(self) -> str:
-        return json.dumps({"slacks": self.slacks, "ipms": self.ipms, "b": self.b}, sort_keys=True)
-
-    def table(self) -> str:
-        return _aligned_table("inequality slacks", self.slacks)
 
 
 def final_bound_rhs(e: EpsTerms, b: float, ipm_treatment: float, ipm_missingness: float) -> float:
@@ -338,10 +288,10 @@ def final_bound_rhs(e: EpsTerms, b: float, ipm_treatment: float, ipm_missingness
     )
 
 
-def check_bounds(world: DiscreteWorld, model: TabularModel) -> BoundReport:
+def check_bounds(world: DiscreteWorld, model: TabularModel, e: EpsTerms) -> BoundReport:
     """Inequality slacks (right side minus left side, nonnegative when the
-    bound holds) for each link of the chain and for the end-to-end bound."""
-    e = eps_terms(world, model)
+    bound holds) for each link of the chain and for the end-to-end bound;
+    `e` is eps_terms(world, model)."""
     ipms = representation_ipms(world, model)
     # scale that puts every pointwise loss inside the sup-norm unit ball
     b = float(loss_table(world, model).max())
@@ -361,7 +311,7 @@ def check_bounds(world: DiscreteWorld, model: TabularModel) -> BoundReport:
         "observed_domain_vs_arm_split": final_rhs - observed_rhs,
         "pehe_vs_final_bound": final_rhs - e.pehe,
     }
-    return BoundReport(slacks=slacks, ipms=ipms, b=b, terms=e)
+    return BoundReport(slacks=slacks, ipms=ipms, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +383,9 @@ def run_world_sweep(num_worlds: int, seed: int = 0, max_points: int = 5,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 808, i]))
         world = random_world(rng, max_points=max_points, max_support=max_support)
         model = random_model(rng, world.k)
-        dec = check_decompositions(world, model)
-        bnd = check_bounds(world, model)
+        e = eps_terms(world, model)
+        dec = check_decompositions(e)
+        bnd = check_bounds(world, model, e)
         max_res = max(max_res, dec.max_abs_residual)
         min_slack = min(min_slack, bnd.min_slack)
         if dec.max_abs_residual > residual_tolerance:

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from mtcate.autodiff import Tensor, add, asum, backward, bce_loss, elu, mul, unit_normalize_rows
-from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
-from mtcate.harness import ExperimentConfig, MethodSpec
-from mtcate.mtrnet import MTRNetConfig
 from mtcate.nn import dense_forward, dropout_mask, init_dense
 
 
@@ -93,49 +90,6 @@ def random_network_loss(rng):
     for layer in layers + [out_layer]:
         tensors.extend([layer.weights, layer.bias])
     return loss_fn, tensors
-
-
-# ---------------------------------------------------------------------------
-# The calibrated trend workload: the acceptance gate's headline experiment,
-# also run at q=0.5 as a shift-free control in test_harness.
-
-TREND_DIM = 10
-
-
-def trend_dgp():
-    d = TREND_DIM
-    rho = 0.15
-    mixing = (1.0 - rho) * np.eye(d) + rho * np.ones((d, d)) / np.sqrt(d)
-    base = np.array([0.6, -0.6, 0.6, -0.6, 0.6, -0.6, 0.6, -0.6, 0.6, -0.6])
-    effect = np.array([0.8, -0.8, 0.5, -0.5, 0.3, -0.3, 0.0, 0.0, 0.0, 0.0])
-    ones = tuple([1.0] * d)
-    return SyntheticDGPSpec(
-        n=2000, d=d, propensity=tuple([0.4] * d),
-        outcome0=OutcomeSpec(kind="piecewise", intercept=0.0, linear=tuple(base),
-                             jump=4.0, jump_direction=ones, jump_threshold=2.5),
-        outcome1=OutcomeSpec(kind="piecewise", intercept=1.0, linear=tuple(base + effect),
-                             jump=4.0, jump_direction=ones, jump_threshold=2.5),
-        noise_sd=0.3, mixing=tuple(tuple(row) for row in mixing), seed=0,
-    )
-
-
-def trend_config(m: float) -> ExperimentConfig:
-    net = MTRNetConfig(rep_layer_size=32, hyp_layer_size=32, iterations=600,
-                       batch_size=150, learning_rate=1e-3, dropout_rate=0.1,
-                       l2_lambda=1e-4)
-    return ExperimentConfig(
-        dgp=trend_dgp(), csv_path=None,
-        missingness=MissingnessSpec(m=m, q=0.9),
-        methods=(
-            MethodSpec("mtrnet",
-                       grid=({"alpha": 1.0, "beta": 8.0}, {"alpha": 1.0, "beta": 15.0}),
-                       base_config=net),
-            MethodSpec("tarnet_del",
-                       grid=({"learning_rate": 1e-3}, {"learning_rate": 3e-3}),
-                       base_config=net),
-        ),
-        num_runs=10, master_seed=20260810, metrics=("sqrt_pehe",),
-    )
 
 
 @pytest.fixture

@@ -19,7 +19,8 @@ from mtcate.data import (
 from mtcate.harness import ExperimentConfig, MethodSpec, run_experiment
 from mtcate.mtrnet import MTRNetConfig, compute_weights, train as mtrnet_train
 from mtcate.theory import run_world_sweep
-from conftest import max_rel_grad_error, random_network_loss, trend_config
+from mtcate.trend import trend_config
+from conftest import max_rel_grad_error, random_network_loss
 
 
 def criterion(name: str, ok: bool, detail: str = ""):

@@ -12,7 +12,7 @@ from mtcate.baselines import (
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
 from mtcate.harness import MethodSpec, fit_method
-from mtcate.mtrnet import MTRNetConfig, train as mtrnet_train, _rep_forward
+from mtcate.mtrnet import MTRNetConfig, init_model, train as mtrnet_train, _rep_forward
 
 
 def masked_dataset(n=120, d=3, seed=0, miss_rate=0.3, separable_r=False):
@@ -234,6 +234,22 @@ def test_cfrmmd_zero_penalty_matches_tarnet():
         assert np.array_equal(cfr.parameters()[name].value, tar.parameters()[name].value)
 
 
+def test_neural_baselines_leave_discriminators_untouched():
+    data = masked_dataset(n=100, seed=17)
+    cfg = small_config(seed=23, dropout_rate=0.2, alpha=2.0, beta=3.0)
+    fresh = init_model(cfg, data.d)
+    for fit in (tarnet_train, cfrmmd_train):
+        model, history = fit(data, np.ones(data.n), cfg)
+        for head in ("k_t", "k_r"):
+            for part in ("weights", "bias"):
+                after = getattr(getattr(model, head), part).value
+                assert np.array_equal(after, getattr(getattr(fresh, head), part).value)
+            assert model.adam[f"{head}.w"].step == model.adam[f"{head}.b"].step == 0
+        assert model.adam["phi.0.w"].step == cfg.iterations
+        assert all("treatment_bce" not in h and "missingness_bce" not in h for h in history)
+    assert "mmd2" in history[0]
+
+
 def shifted_arms_dataset(n, seed):
     rng = np.random.default_rng(seed)
     t = (rng.random(n) < 0.5).astype(float)
@@ -317,7 +333,7 @@ def test_baseline_spec_rejects_unknown():
         MethodSpec("forest_del")
 
 
-def test_fit_baseline_end_to_end():
+def test_fit_method_end_to_end():
     data = masked_dataset(n=150, seed=16)
     fitted = fit_method("ols_rew", small_config(), data)
     assert np.isfinite(fitted.predict_cate(data.x)).all()

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import trend_config
 from mtcate import data as dm, harness
 from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
 from mtcate.errors import AllFailedError, ExperimentFailedError
@@ -14,6 +13,7 @@ from mtcate.harness import (
 )
 from mtcate.metrics import EvalReport
 from mtcate.mtrnet import MTRNetConfig
+from mtcate.trend import trend_config
 
 
 def linear_dgp(n=200, d=3, seed=0, noise=0.0):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtcate import metrics
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 from mtcate.metrics import (
-    domain_split_eval, evaluate_predictions, pehe_nn, pehe_observed,
-    pehe_true, policy_risk,
+    domain_split_eval, evaluate_predictions, nn_surrogate_effects, pehe_nn,
+    pehe_observed, pehe_true, policy_risk,
 )
 
 
@@ -131,6 +132,24 @@ def test_pehe_nn_invariant_to_constant_covariate_shift():
     y = rng.standard_normal(30)
     tau_hat = rng.standard_normal(30)
     assert pehe_nn(tau_hat, x, t, y) == pytest.approx(pehe_nn(tau_hat, x + 7.5, t, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("block_elements", [1, 50, 10**9])
+def test_nn_surrogates_blocked_search_matches_brute_force(monkeypatch, block_elements):
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 3, size=(40, 2)).astype(float)  # many exact duplicates
+    t = (rng.random(40) < 0.5).astype(float)
+    t[rng.random(40) < 0.2] = np.nan
+    y = rng.standard_normal(40)
+    monkeypatch.setattr(metrics, "NN_BLOCK_ELEMENTS", block_elements)
+    obs, surrogates = nn_surrogate_effects(x, t, y)
+    expected = []
+    for i in obs:
+        opp = [j for j in obs if t[j] == 1.0 - t[i]]
+        d2 = [float(((x[i] - x[j]) ** 2).sum()) for j in opp]
+        j = opp[d2.index(min(d2))]  # first minimum: lowest row index
+        expected.append((1.0 - 2.0 * t[i]) * (y[j] - y[i]))
+    assert np.array_equal(surrogates, expected)
 
 
 # ---------------------------------------------------------------------------

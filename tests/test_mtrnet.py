@@ -8,9 +8,9 @@ from mtcate.autodiff import backward, bce_loss
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, TrainingDivergedError
 from mtcate.mtrnet import (
-    MTRNetConfig, TrainingBatch, compute_weights, forward_losses, init_model,
-    model_from_dict, model_to_dict, predict_cate, predict_outcomes, train,
-    training_step, _rep_forward,
+    MTRNetConfig, TrainingBatch, compute_weights, init_model, model_from_dict,
+    model_to_dict, predict_cate, predict_outcomes, train, training_step,
+    _rep_forward,
 )
 from mtcate.nn import AdamState, adam_step, dense_forward
 from mtcate.autodiff import gather_rows
@@ -45,17 +45,21 @@ def param_snapshot(model):
     return {name: t.value.copy() for name, t in model.parameters().items()}
 
 
+def shape(layer):
+    return layer.weights.value.shape
+
+
 # ---------------------------------------------------------------------------
 # Architecture
 
 
 def test_init_model_architecture_shapes():
     model = init_model(MTRNetConfig(rep_layer_size=50, hyp_layer_size=50, seed=1), 25)
-    assert [(l.out_dim, l.in_dim) for l in model.phi] == [(50, 25), (50, 50), (50, 50)]
+    assert [shape(l) for l in model.phi] == [(50, 25), (50, 50), (50, 50)]
     for head in (model.h0, model.h1):
-        assert [(l.out_dim, l.in_dim) for l in head] == [(50, 50), (50, 50), (50, 50), (1, 50)]
-    assert (model.k_t.out_dim, model.k_t.in_dim) == (1, 50)
-    assert (model.k_r.out_dim, model.k_r.in_dim) == (1, 50)
+        assert [shape(l) for l in head] == [(50, 50), (50, 50), (50, 50), (1, 50)]
+    assert shape(model.k_t) == (1, 50)
+    assert shape(model.k_r) == (1, 50)
 
 
 def test_init_model_deterministic_per_seed():
@@ -67,7 +71,7 @@ def test_init_model_deterministic_per_seed():
 
 def test_init_model_one_unit_representation():
     model = init_model(small_config(rep_layer_size=1), 3)
-    assert model.phi[-1].out_dim == 1
+    assert shape(model.phi[-1]) == (1, 1)
     assert np.isfinite(predict_cate(model, np.zeros((2, 3)))).all()
 
 
@@ -122,7 +126,8 @@ def test_compute_weights_sum_to_observed_count(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Losses
+# Losses (a training step records each term before updating; with dropout 0
+# that is the loss of the model as passed in)
 
 
 def set_constant_head(head, value):
@@ -142,8 +147,7 @@ def test_forward_losses_zero_when_heads_match_targets():
         r=np.ones(6, dtype=int),
         y=np.full(6, 2.5),
     )
-    outcome, _, _ = forward_losses(model, batch, train_mode=False)
-    assert float(outcome.value) == 0.0
+    assert training_step(model, batch)["outcome"] == 0.0
 
 
 def test_forward_losses_uninformative_observedness_head():
@@ -156,8 +160,7 @@ def test_forward_losses_uninformative_observedness_head():
         r=np.array([1, 1, 0, 0]),
         y=np.zeros(4),
     )
-    _, _, missingness = forward_losses(model, batch, train_mode=False)
-    assert float(missingness.value) == pytest.approx(math.log(2.0))
+    assert training_step(model, batch)["missingness_bce"] == pytest.approx(math.log(2.0))
 
 
 def test_forward_losses_single_arm_batch_rejected():
@@ -167,7 +170,7 @@ def test_forward_losses_single_arm_batch_rejected():
         r=np.array([1, 1, 0]), y=np.zeros(3),
     )
     with pytest.raises(DegenerateArmError):
-        forward_losses(model, batch, train_mode=False)
+        training_step(model, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +197,22 @@ def test_adversary_heads_send_no_gradient_when_off():
             assert np.array_equal(p1[name], p2[name]), name
 
 
+def test_stale_discriminator_gradient_is_not_applied():
+    data = toy_data(n=64, seed=2)
+    model = init_model(small_config(alpha=0.0, beta=0.0), data.d)
+    before = param_snapshot(model)
+    for layer in (model.k_t, model.k_r):
+        layer.weights.grad = np.ones_like(layer.weights.value)
+        layer.bias.grad = np.ones_like(layer.bias.value)
+    record = training_step(model, dataset_batch(data))
+    after = param_snapshot(model)
+    for name in ("k_t.w", "k_t.b", "k_r.w", "k_r.b"):
+        assert np.array_equal(after[name], before[name]), name
+        assert model.adam[name].step == 0
+    assert not np.array_equal(after["phi.0.w"], before["phi.0.w"])
+    assert set(record) == {"iteration", "outcome", "total"}
+
+
 def test_one_step_descends_outcome_loss():
     wins = 0
     for trial in range(20):
@@ -201,9 +220,8 @@ def test_one_step_descends_outcome_loss():
         batch = dataset_batch(data)
         cfg = small_config(seed=trial, learning_rate=1e-4)
         model = init_model(cfg, data.d)
-        before = float(forward_losses(model, batch, train_mode=False)[0].value)
-        training_step(model, batch, rng=np.random.default_rng(trial))
-        after = float(forward_losses(model, batch, train_mode=False)[0].value)
+        before = training_step(model, batch)["outcome"]
+        after = training_step(model, batch)["outcome"]
         wins += after < before
     assert wins >= 18
 
@@ -235,11 +253,10 @@ def test_gradient_reversal_pushes_representation_to_increase_adversary_loss():
         cfg = small_config(seed=trial, alpha=0.0, beta=50.0, learning_rate=1e-4)
         model = init_model(cfg, data.d)
         k_r_before = (model.k_r.weights.value.copy(), model.k_r.bias.value.copy())
-        before = float(forward_losses(model, batch, train_mode=False)[2].value)
-        training_step(model, batch, rng=np.random.default_rng(trial))
+        before = training_step(model, batch)["missingness_bce"]
         model.k_r.weights.value[:] = k_r_before[0]
         model.k_r.bias.value[:] = k_r_before[1]
-        after = float(forward_losses(model, batch, train_mode=False)[2].value)
+        after = training_step(model, batch)["missingness_bce"]
         ascents += after >= before
     assert ascents >= 40
 
