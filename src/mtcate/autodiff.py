@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+NORM_EPS = 1e-8
+
 
 class Tensor:
     """A node of the computation graph wrapping a float64 ndarray."""
@@ -99,36 +101,32 @@ def exp(a) -> Tensor:
     return Tensor(out_value, [(a, lambda g: g * out_value)])
 
 
-def elu(a, alpha: float = 1.0) -> Tensor:
-    """Elementwise x if x > 0 else alpha*(exp(x) - 1)."""
-    if not alpha > 0:
-        raise ValueError(f"elu alpha must be positive, got {alpha}")
+def elu(a) -> Tensor:
+    """Elementwise x if x > 0 else exp(x) - 1 (ELU at alpha = 1)."""
     a = astensor(a)
     v = a.value
     pos = v > 0
-    out_value = np.where(pos, v, alpha * np.expm1(v))
-    deriv = np.where(pos, 1.0, alpha * np.exp(np.minimum(v, 0.0)))
+    out_value = np.where(pos, v, np.expm1(v))
+    deriv = np.where(pos, 1.0, np.exp(np.minimum(v, 0.0)))
     return Tensor(out_value, [(a, lambda g: g * deriv)])
 
 
-def grad_reverse(a, scale: float = 1.0) -> Tensor:
-    """Identity forward; multiplies the backward gradient by -scale."""
+def grad_reverse(a) -> Tensor:
+    """Identity forward; negates the backward gradient."""
     a = astensor(a)
-    return Tensor(a.value, [(a, lambda g: np.asarray(g) * (-scale))])
+    return Tensor(a.value, [(a, lambda g: -np.asarray(g))])
 
 
-def unit_normalize_rows(a, eps: float = 1e-8) -> Tensor:
-    """Scale each row to Euclidean norm 1; rows shorter than eps are divided by eps."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def unit_normalize_rows(a) -> Tensor:
+    """Scale each row to Euclidean norm 1; rows shorter than NORM_EPS are divided by NORM_EPS."""
     a = astensor(a)
     v = a.value
     if v.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {v.shape}")
     norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, eps)
+    denom = np.maximum(norms, NORM_EPS)
     out_value = v / denom
-    big = norms >= eps
+    big = norms >= NORM_EPS
 
     def vjp(g):
         g = np.asarray(g)

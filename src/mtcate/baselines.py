@@ -17,18 +17,13 @@ from .nn import AdamState, adam_step
 
 STRATEGIES = ("delete", "impute", "reweight")
 
-PROPENSITY_CLAMP = (0.01, 0.99)
-
 
 # ---------------------------------------------------------------------------
 # Logistic classifier (shared by imputation and reweighting)
 
-
-@dataclass(frozen=True)
-class LogisticConfig:
-    iterations: int = 400
-    learning_rate: float = 0.1
-    clamp: tuple[float, float] = PROPENSITY_CLAMP
+LOGISTIC_ITERATIONS = 400
+LOGISTIC_LEARNING_RATE = 0.1
+PROPENSITY_CLAMP = (0.01, 0.99)
 
 
 @dataclass
@@ -40,14 +35,13 @@ class ObservednessModel:
     bias: float
     feat_mean: np.ndarray
     feat_scale: np.ndarray
-    clamp: tuple[float, float] = PROPENSITY_CLAMP
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x) - self.feat_mean) / self.feat_scale
-        return np.clip(expit(z @ self.weights + self.bias), self.clamp[0], self.clamp[1])
+        return np.clip(expit(z @ self.weights + self.bias), *PROPENSITY_CLAMP)
 
 
-def _fit_logistic(x: np.ndarray, labels: np.ndarray, config: LogisticConfig) -> ObservednessModel:
+def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
     labels = np.asarray(labels, dtype=np.float64)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0/1")
@@ -63,22 +57,22 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, config: LogisticConfig) -> 
     b = np.zeros(1)
     state_w = AdamState.like(w)
     state_b = AdamState.like(b)
-    for _ in range(config.iterations):
+    for _ in range(LOGISTIC_ITERATIONS):
         resid = (expit(z @ w + b[0]) - labels) / n
-        adam_step(w, z.T @ resid, state_w, config.learning_rate)
-        adam_step(b, np.array([resid.sum()]), state_b, config.learning_rate)
-    return ObservednessModel(w, float(b[0]), mean, scale, config.clamp)
+        adam_step(w, z.T @ resid, state_w, LOGISTIC_LEARNING_RATE)
+        adam_step(b, np.array([resid.sum()]), state_b, LOGISTIC_LEARNING_RATE)
+    return ObservednessModel(w, float(b[0]), mean, scale)
 
 
-def fit_observedness(data: Dataset, config: LogisticConfig = LogisticConfig()) -> ObservednessModel:
+def fit_observedness(data: Dataset) -> ObservednessModel:
     """p(R=1 | x) classifier; requires both observed and missing rows."""
-    return _fit_logistic(data.x, data.r.astype(np.float64), config)
+    return _fit_logistic(data.x, data.r.astype(np.float64))
 
 
-def fit_treatment_classifier(data: Dataset, config: LogisticConfig = LogisticConfig()) -> ObservednessModel:
+def fit_treatment_classifier(data: Dataset) -> ObservednessModel:
     """p(T=1 | x, R=1) classifier fit on the observed-treatment rows."""
     obs = data.r == 1
-    return _fit_logistic(data.x[obs], data.t[obs], config)
+    return _fit_logistic(data.x[obs], data.t[obs])
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
+def _experiment_config(args) -> harness.ExperimentConfig:
     cfg_dict = _load_json(args.config)
     if args.preset:
         cfg_dict["preset"] = args.preset
     if args.seed is not None:
         cfg_dict["master_seed"] = args.seed
-    config = harness.ExperimentConfig.from_dict(cfg_dict)
+    return harness.ExperimentConfig.from_dict(cfg_dict)
+
+
+def cmd_experiment(args) -> int:
+    config = _experiment_config(args)
     results, failures = harness.run_experiment(config, jobs=args.jobs)
     label = "synthetic" if config.dgp is not None else Path(config.csv_path).name
     harness.write_results(args.out, results, failures, dataset_label=label)
@@ -129,12 +133,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sweep_m(args) -> int:
-    cfg_dict = _load_json(args.config)
-    if args.preset:
-        cfg_dict["preset"] = args.preset
-    if args.seed is not None:
-        cfg_dict["master_seed"] = args.seed
-    config = harness.ExperimentConfig.from_dict(cfg_dict)
+    config = _experiment_config(args)
     m_values = [float(v) for v in args.m.split(",")]
     rows = harness.sweep_m(config, m_values, jobs=args.jobs)
     harness.write_sweep(args.out, rows)

@@ -10,14 +10,15 @@ to estimators.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .autodiff import expit
-from .errors import CsvParseError, TooFewRowsError
+from .errors import CsvParseError, TooFewRowsError, check_keys
 
 OPTIONAL_COLUMNS = ("y0", "y1", "tau", "e", "t_true")
+SPLIT_FRACTIONS = (0.70, 0.20, 0.10)  # train, validation, test
 
 
 @dataclass
@@ -151,6 +152,7 @@ class OutcomeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OutcomeSpec":
+        check_keys(d, [f.name for f in fields(cls)], "outcome")
         return cls(
             kind=d["kind"],
             intercept=float(d.get("intercept", 0.0)),
@@ -197,6 +199,7 @@ class SyntheticDGPSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticDGPSpec":
+        check_keys(d, [f.name for f in fields(cls)], "synthetic")
         mixing = d.get("mixing")
         return cls(
             n=int(d["n"]),
@@ -259,6 +262,7 @@ class MissingnessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MissingnessSpec":
+        check_keys(d, [f.name for f in fields(cls)], "missingness")
         return cls(m=float(d["m"]), q=float(d["q"]), seed=int(d.get("seed", 0)))
 
 
@@ -312,16 +316,14 @@ def apply_missingness(data: Dataset, spec: MissingnessSpec) -> Dataset:
 # Splitting
 
 
-def split(data: Dataset, fractions=(0.70, 0.20, 0.10), seed: int = 0):
-    """Disjoint uniform random (train, validation, test) partition."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+def split(data: Dataset, seed: int = 0):
+    """Disjoint uniform random (train, validation, test) partition in SPLIT_FRACTIONS."""
     if data.n < 10:
         raise TooFewRowsError(f"need at least 10 rows to split, got {data.n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 303]))
     perm = rng.permutation(data.n)
-    n_train = int(round(fractions[0] * data.n))
-    n_val = int(round(fractions[1] * data.n))
+    n_train = int(round(SPLIT_FRACTIONS[0] * data.n))
+    n_val = int(round(SPLIT_FRACTIONS[1] * data.n))
     n_test = data.n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise TooFewRowsError(f"split sizes degenerate: {(n_train, n_val, n_test)}")

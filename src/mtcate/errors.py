@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the unknown-key check shared across the package."""
+
+
+def check_keys(keys, allowed, where: str) -> None:
+    """Raise a ValueError naming any key of a loaded config that is not allowed."""
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 class DegenerateArmError(ValueError):

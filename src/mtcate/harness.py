@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, data as datamod, metrics as metricsmod, mtrnet
 from .data import Dataset, MissingnessSpec, SyntheticDGPSpec
-from .errors import AllFailedError, ExperimentFailedError
+from .errors import AllFailedError, ExperimentFailedError, check_keys
 from .metrics import EvalReport
 from .mtrnet import MTRNetConfig
 
@@ -105,12 +105,6 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(MTRNetConfig))
 _GRID_KEYS = _CONFIG_KEYS - {"seed"}
 
 
-def _check_keys(keys, allowed, where: str) -> None:
-    unknown = sorted(set(keys) - allowed)
-    if unknown:
-        raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     name: str  # method key, canonicalized on construction
@@ -120,7 +114,7 @@ class MethodSpec:
     def __post_init__(self):
         object.__setattr__(self, "name", canonical_method(self.name))
         points = self.grid if isinstance(self.grid, (list, tuple)) else [self.grid or {}]
-        _check_keys([k for point in points for k in point], _GRID_KEYS, f"{self.name} grid")
+        check_keys([k for point in points for k in point], _GRID_KEYS, f"{self.name} grid")
 
     @property
     def label(self) -> str:
@@ -139,6 +133,7 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict, preset: str = "desk") -> "MethodSpec":
+        check_keys(d, ("name", "grid", "config"), "method")
         name = canonical_method(d["name"])
         grid = d.get("grid")
         if grid is None:
@@ -148,7 +143,7 @@ class MethodSpec:
         elif grid is None:
             grid = ({},)
         config = d.get("config", {})
-        _check_keys(config, _CONFIG_KEYS, f"{name} config")
+        check_keys(config, _CONFIG_KEYS, f"{name} config")
         base = MTRNetConfig.from_dict({**MTRNetConfig().to_dict(), **config})
         return cls(name=name, grid=grid, base_config=base)
 
@@ -188,10 +183,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        check_keys(d, ("data", "missingness", "methods", "num_runs", "master_seed",
+                       "metrics", "preset"), "experiment config")
         preset = d.get("preset", "desk")
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}")
         src = d["data"]
+        check_keys(src, ("synthetic", "csv"), "data")
         dgp = SyntheticDGPSpec.from_dict(src["synthetic"]) if "synthetic" in src else None
         csv_path = src.get("csv")
         miss = d.get("missingness")

@@ -25,9 +25,6 @@ from .data import Dataset
 from .errors import DegenerateArmError, TrainingDivergedError
 from .nn import AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, l2_penalty
 
-ELU_ALPHA = 1.0
-NORM_EPS = 1e-8
-
 # SeedSequence domain tags so model init / batching / dropout use
 # independent streams even when other components share the integer seed.
 _INIT_STREAM = 404
@@ -170,29 +167,25 @@ def compute_weights(t, r):
     return w, u, n_o
 
 
-def _default_rng(config: MTRNetConfig):
-    return np.random.default_rng(np.random.SeedSequence([config.seed, _DROPOUT_STREAM]))
-
-
 def _rep_forward(model: MTRNetModel, x, train_mode: bool, rng) -> Tensor:
     drop = model.config.dropout_rate if train_mode else 0.0
     h = astensor(x)
     for layer in model.phi:
-        h = elu(dense_forward(layer, h), ELU_ALPHA)
+        h = elu(dense_forward(layer, h))
         if drop > 0:
             h = mul(h, dropout_mask(h.shape, drop, rng))
-    return unit_normalize_rows(h, NORM_EPS)
+    return unit_normalize_rows(h)
 
 
 def _head_forward(layers, z, drop: float, rng) -> Tensor:
     for layer in layers[:-1]:
-        z = elu(dense_forward(layer, z), ELU_ALPHA)
+        z = elu(dense_forward(layer, z))
         if drop > 0:
             z = mul(z, dropout_mask(z.shape, drop, rng))
     return dense_forward(layers[-1], z)
 
 
-def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng=None,
+def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Generator,
                   iteration: int = 0, mmd_weight: float | None = None,
                   mmd_bandwidth: float | None = None) -> dict:
     """One Adam update on outcome + l2_lambda*L2 + alpha*L_T + beta*L_R
@@ -206,8 +199,6 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng=None,
     cfg = model.config
     if mmd_weight and mmd_bandwidth is None:
         raise ValueError("mmd_weight given without a bandwidth")
-    if rng is None:
-        rng = _default_rng(cfg)
     rep = _rep_forward(model, batch.x, train_mode=True, rng=rng)
 
     w, _, n_o = compute_weights(batch.t, batch.r)
@@ -230,7 +221,7 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng=None,
     if cfg.l2_lambda > 0:
         total = add(total, mul(l2_penalty(model.hypothesis_weights()), cfg.l2_lambda))
     if cfg.alpha > 0 or cfg.beta > 0:
-        adv = grad_reverse(rep, 1.0)
+        adv = grad_reverse(rep)
     if cfg.alpha > 0:
         logit_t = dense_forward(model.k_t, gather_rows(adv, obs))
         treatment = bce_loss(logit_t, Tensor(t_obs[:, None]))

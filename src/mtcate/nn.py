@@ -9,6 +9,10 @@ import numpy as np
 
 from .autodiff import Tensor, add, astensor, asum, matmul, mul, transpose
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class DenseLayer:
@@ -40,16 +44,13 @@ def dense_forward(layer: DenseLayer, x) -> Tensor:
     return add(matmul(x, transpose(layer.weights)), layer.bias)
 
 
-def dropout_mask(shape, rate: float, rng) -> np.ndarray:
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: Bernoulli(1-rate) keep decisions scaled by 1/(1-rate).
 
-    `rng` is an integer seed or a numpy Generator. The mask is a plain
-    constant array, so applying it is just an elementwise multiply.
+    The mask is a plain constant array, so applying it is just an elementwise multiply.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
@@ -61,13 +62,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def like(cls, param: np.ndarray, **kwargs) -> "AdamState":
-        return cls(np.zeros_like(param), np.zeros_like(param), **kwargs)
+    def like(cls, param: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(param), np.zeros_like(param))
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
@@ -78,11 +76,11 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
             f"shape mismatch: param {param.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    param -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return param
 
 

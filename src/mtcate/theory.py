@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
+TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
+
 
 @dataclass
 class DiscreteWorld:
@@ -141,6 +144,7 @@ class EpsTerms:
     v: float
     u_observed: float
     u_marginal: float
+    b: float  # largest pointwise loss: puts every loss inside the sup-norm unit ball
 
 
 def eps_terms(world: DiscreteWorld, model: TabularModel) -> EpsTerms:
@@ -195,6 +199,7 @@ def eps_terms(world: DiscreteWorld, model: TabularModel) -> EpsTerms:
         sigma2_y=sigma2_y, sigma2_y0=sigma2_y0, sigma2_y1=sigma2_y1,
         sigma2_parts=parts, mean_sq_f=mean_sq_f, mean_sq_cf=mean_sq_cf,
         v=world.v, u_observed=world.u_observed, u_marginal=world.u_marginal,
+        b=float(l.max()),
     )
 
 
@@ -273,18 +278,17 @@ def check_decompositions(e: EpsTerms) -> DecompositionReport:
 class BoundReport:
     slacks: dict
     ipms: dict
-    b: float
 
     @property
     def min_slack(self) -> float:
         return min(self.slacks.values())
 
 
-def final_bound_rhs(e: EpsTerms, b: float, ipm_treatment: float, ipm_missingness: float) -> float:
+def final_bound_rhs(e: EpsTerms, ipm_treatment: float, ipm_missingness: float) -> float:
     """The end-to-end right-hand side of the bound chain."""
     return 2.0 * (
-        e.f_r1_t1 + e.f_r1_t0 + b * ipm_treatment
-        + 2.0 * e.v * b * ipm_missingness - 4.0 * e.sigma2_y
+        e.f_r1_t1 + e.f_r1_t0 + e.b * ipm_treatment
+        + 2.0 * e.v * e.b * ipm_missingness - 4.0 * e.sigma2_y
     )
 
 
@@ -293,33 +297,30 @@ def check_bounds(world: DiscreteWorld, model: TabularModel, e: EpsTerms) -> Boun
     bound holds) for each link of the chain and for the end-to-end bound;
     `e` is eps_terms(world, model)."""
     ipms = representation_ipms(world, model)
-    # scale that puts every pointwise loss inside the sup-norm unit ball
-    b = float(loss_table(world, model).max())
     u = e.u_observed
 
     total_loss_rhs = 2.0 * (e.f + e.cf - 4.0 * e.sigma2_y)
     observed_rhs = 2.0 * (
-        e.f_r1 + e.cf_r1 + 2.0 * e.v * b * ipms["missingness"] - 4.0 * e.sigma2_y
+        e.f_r1 + e.cf_r1 + 2.0 * e.v * e.b * ipms["missingness"] - 4.0 * e.sigma2_y
     )
-    final_rhs = final_bound_rhs(e, b, ipms["treatment"], ipms["missingness"])
+    final_rhs = final_bound_rhs(e, ipms["treatment"], ipms["missingness"])
     slacks = {
         "pehe_vs_total_loss": total_loss_rhs - e.pehe,
         "total_loss_vs_observed_domain": observed_rhs - total_loss_rhs,
         "counterfactual_vs_factual_arms": (
-            u * e.f_r1_t1 + (1.0 - u) * e.f_r1_t0 + b * ipms["treatment"] - e.cf_r1
+            u * e.f_r1_t1 + (1.0 - u) * e.f_r1_t0 + e.b * ipms["treatment"] - e.cf_r1
         ),
         "observed_domain_vs_arm_split": final_rhs - observed_rhs,
         "pehe_vs_final_bound": final_rhs - e.pehe,
     }
-    return BoundReport(slacks=slacks, ipms=ipms, b=b)
+    return BoundReport(slacks=slacks, ipms=ipms)
 
 
 # ---------------------------------------------------------------------------
 # Random worlds and sweeps
 
 
-def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int = 4,
-                 value_scale: float = 2.0) -> DiscreteWorld:
+def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int = 4) -> DiscreteWorld:
     k = int(rng.integers(2, max_points + 1))
     p_x = rng.dirichlet(np.ones(k))
     p_t1 = rng.uniform(0.05, 0.95, size=k)
@@ -329,7 +330,7 @@ def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int
         values, probs = [], []
         for _ in range(k):
             size = int(rng.integers(1, max_support + 1))
-            values.append(np.sort(rng.uniform(-value_scale, value_scale, size=size)))
+            values.append(np.sort(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=size)))
             probs.append(rng.dirichlet(np.ones(size)))
         return values, probs
 
@@ -338,11 +339,11 @@ def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int
     return DiscreteWorld(p_x, p_t1, p_r1, y0_values, y0_probs, y1_values, y1_probs)
 
 
-def random_model(rng: np.random.Generator, k: int, value_scale: float = 2.0) -> TabularModel:
+def random_model(rng: np.random.Generator, k: int) -> TabularModel:
     return TabularModel(
         phi=rng.permutation(k),
-        h0=rng.uniform(-value_scale, value_scale, size=k),
-        h1=rng.uniform(-value_scale, value_scale, size=k),
+        h0=rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
+        h1=rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
     )
 
 
@@ -371,8 +372,7 @@ class SweepSummary:
 
 
 def run_world_sweep(num_worlds: int, seed: int = 0, max_points: int = 5,
-                    max_support: int = 4, residual_tolerance: float = 1e-10,
-                    slack_tolerance: float = 1e-10) -> SweepSummary:
+                    max_support: int = 4) -> SweepSummary:
     """Exhaustively check the identities and the bound chain on randomly
     drawn worlds and models; per-world seeds derive from the master seed."""
     max_res = 0.0
@@ -388,12 +388,12 @@ def run_world_sweep(num_worlds: int, seed: int = 0, max_points: int = 5,
         bnd = check_bounds(world, model, e)
         max_res = max(max_res, dec.max_abs_residual)
         min_slack = min(min_slack, bnd.min_slack)
-        if dec.max_abs_residual > residual_tolerance:
+        if dec.max_abs_residual > TOLERANCE:
             res_viol += 1
-        if bnd.min_slack < -slack_tolerance:
+        if bnd.min_slack < -TOLERANCE:
             slack_viol += 1
     return SweepSummary(
         num_worlds=num_worlds, max_abs_residual=max_res, min_slack=min_slack,
         residual_violations=res_viol, slack_violations=slack_viol,
-        residual_tolerance=residual_tolerance, slack_tolerance=slack_tolerance,
+        residual_tolerance=TOLERANCE, slack_tolerance=TOLERANCE,
     )

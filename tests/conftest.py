@@ -72,12 +72,12 @@ def random_network_loss(rng):
     def loss_fn():
         h = x
         for i, layer in enumerate(layers):
-            h = elu(dense_forward(layer, h), 1.0)
+            h = elu(dense_forward(layer, h))
             # normalize before dropout: a fully dropped-out narrow row would
             # sit inside the eps guard, where finite differences cannot
             # resolve the (correct, huge) analytic gradient
             if i == normalize_at:
-                h = unit_normalize_rows(h, 1e-8)
+                h = unit_normalize_rows(h)
             if masks[i] is not None:
                 h = mul(h, masks[i])
         out = dense_forward(out_layer, h)

@@ -12,7 +12,7 @@ from conftest import max_rel_grad_error
 
 
 def test_elu_values():
-    out = elu(Tensor(np.array([[0.0, 1.0, -1.0]])), 1.0).value
+    out = elu(Tensor(np.array([[0.0, 1.0, -1.0]]))).value
     assert out[0, 0] == 0.0
     assert out[0, 1] == 1.0
     assert out[0, 2] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
@@ -20,42 +20,29 @@ def test_elu_values():
 
 def test_elu_continuous_at_zero():
     for v in (1e-9, -1e-9):
-        assert abs(elu(Tensor(np.array([[v]])), 1.0).value.item()) < 2e-9
+        assert abs(elu(Tensor(np.array([[v]]))).value.item()) < 2e-9
 
 
 def test_elu_derivative_approaches_alpha_below_one_above():
     for v, expected in ((-1e-9, 1.0), (1e-9, 1.0), (-2.0, math.exp(-2.0))):
         x = Tensor(np.array([[v]]))
-        backward(asum(elu(x, 1.0)))
+        backward(asum(elu(x)))
         assert x.grad.item() == pytest.approx(expected, rel=1e-6)
-
-
-def test_elu_derivative_with_nonunit_alpha():
-    # below zero the slope tends to alpha, above zero it is exactly one
-    for v, expected in ((-1e-9, 0.7), (1e-9, 1.0)):
-        x = Tensor(np.array([[v]]))
-        backward(asum(elu(x, 0.7)))
-        assert x.grad.item() == pytest.approx(expected, rel=1e-6)
-
-
-def test_elu_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        elu(Tensor(np.zeros((1, 1))), 0.0)
 
 
 def test_unit_normalize_rows_345():
-    out = unit_normalize_rows(Tensor(np.array([[3.0, 4.0]])), 1e-8).value
+    out = unit_normalize_rows(Tensor(np.array([[3.0, 4.0]]))).value
     assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
 
 
 def test_unit_normalize_rows_idempotent_on_unit_rows():
     row = np.array([[1.0 / math.sqrt(2), -1.0 / math.sqrt(2)]])
-    out = unit_normalize_rows(Tensor(row), 1e-8).value
+    out = unit_normalize_rows(Tensor(row)).value
     assert np.allclose(out, row, atol=1e-12)
 
 
 def test_unit_normalize_rows_eps_guard():
-    out = unit_normalize_rows(Tensor(np.zeros((2, 3))), 1e-8).value
+    out = unit_normalize_rows(Tensor(np.zeros((2, 3)))).value
     assert np.array_equal(out, np.zeros((2, 3)))
 
 
@@ -64,25 +51,19 @@ def test_unit_normalize_rows_norm_one(values):
     row = np.array([values])
     if np.linalg.norm(row) < 1e-8:
         return
-    out = unit_normalize_rows(Tensor(row), 1e-8).value
+    out = unit_normalize_rows(Tensor(row)).value
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_grad_reverse_forward_is_bitwise_identity():
     x = np.random.default_rng(0).standard_normal((4, 3))
-    assert np.array_equal(grad_reverse(Tensor(x), 2.5).value, x)
+    assert np.array_equal(grad_reverse(Tensor(x)).value, x)
 
 
 def test_grad_reverse_backward_negates():
     x = Tensor(np.array([[1.0, 2.0]]))
-    backward(asum(grad_reverse(x, 1.0)))
+    backward(asum(grad_reverse(x)))
     assert np.array_equal(x.grad, -np.ones((1, 2)))
-
-
-def test_grad_reverse_scale_zero_blocks_gradient():
-    x = Tensor(np.array([[1.0, 2.0]]))
-    backward(asum(grad_reverse(x, 0.0)))
-    assert np.array_equal(x.grad, np.zeros((1, 2)))
 
 
 def test_bce_loss_examples():
@@ -142,9 +123,9 @@ def test_gradients_match_finite_differences_on_random_ops(case):
 
     def loss_fn():
         h = add(matmul(a, b), c)
-        h = elu(h, 1.0)
+        h = elu(h)
         h = gather_rows(h, idx)
-        h = unit_normalize_rows(h, 1e-8)
+        h = unit_normalize_rows(h)
         return asum(mul(exp(mul(h, 0.3)), transpose(Tensor(np.ones((2, 5))))))
 
     assert max_rel_grad_error(loss_fn, [a, b, c]) < 1e-4

@@ -119,6 +119,16 @@ def test_train_rejects_typo_config_key(tmp_path, capsys):
     assert error["type"] == "ValueError" and "learnin_rate" in error["message"]
 
 
+def test_experiment_rejects_typo_config_key(tmp_path, capsys):
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict()}, "missingness": {"m": 0.3, "q": 0.6},
+        "methods": [{"name": "ols_del"}], "num_run": 2,
+    })
+    assert cli.main(["experiment", "--config", config, "--out", str(tmp_path / "x")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and "'num_run'" in error["message"]
+
+
 def test_sweep_m_command(tmp_path):
     config = write_json(tmp_path / "exp.json", {
         "data": {"synthetic": dgp_dict(n=150, seed=8)},

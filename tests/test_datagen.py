@@ -204,12 +204,6 @@ def test_split_too_few_rows():
         split(d)
 
 
-def test_split_rejects_bad_fractions():
-    d = generate(linear_spec(n=50))
-    with pytest.raises(ValueError):
-        split(d, fractions=(0.5, 0.2, 0.2))
-
-
 def test_concat_roundtrips_split():
     d = generate(linear_spec(n=40))
     train, val, _ = split(d, seed=1)

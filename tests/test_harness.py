@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +81,24 @@ def test_typo_hyperparameter_key_fails_at_load(method, bad_key):
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))]).to_dict()
     cfg["methods"].append(method)
     with pytest.raises(ValueError, match=bad_key):
+        ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("block, bad_key", [
+    ((), "num_run"),
+    (("data",), "cvs"),
+    (("data", "synthetic"), "noise_SD"),
+    (("data", "synthetic", "outcome0"), "jmp"),
+    (("missingness",), "Q"),
+    (("methods", 0), "gird"),
+])
+def test_typo_config_key_fails_at_load(block, bad_key):
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))]).to_dict()
+    target = cfg
+    for key in block:
+        target = target[key]
+    target[bad_key] = 1.0
+    with pytest.raises(ValueError, match=re.escape(repr([bad_key]))):
         ExperimentConfig.from_dict(cfg)
 
 

@@ -41,6 +41,11 @@ def dataset_batch(data):
     return TrainingBatch(data.x, data.t, data.r, data.y)
 
 
+def step(model, batch, **kwargs):
+    """One training step; small_config has dropout 0, so the generator draws nothing."""
+    return training_step(model, batch, rng=np.random.default_rng(0), **kwargs)
+
+
 def param_snapshot(model):
     return {name: t.value.copy() for name, t in model.parameters().items()}
 
@@ -137,7 +142,7 @@ def set_constant_head(head, value):
     head[-1].bias.value[:] = value
 
 
-def test_forward_losses_zero_when_heads_match_targets():
+def test_step_record_zero_when_heads_match_targets():
     model = init_model(small_config(), 3)
     set_constant_head(model.h0, 2.5)
     set_constant_head(model.h1, 2.5)
@@ -147,10 +152,10 @@ def test_forward_losses_zero_when_heads_match_targets():
         r=np.ones(6, dtype=int),
         y=np.full(6, 2.5),
     )
-    assert training_step(model, batch)["outcome"] == 0.0
+    assert step(model, batch)["outcome"] == 0.0
 
 
-def test_forward_losses_uninformative_observedness_head():
+def test_step_record_uninformative_observedness_head():
     model = init_model(small_config(), 3)
     model.k_r.weights.value[:] = 0.0
     model.k_r.bias.value[:] = 0.0
@@ -160,17 +165,17 @@ def test_forward_losses_uninformative_observedness_head():
         r=np.array([1, 1, 0, 0]),
         y=np.zeros(4),
     )
-    assert training_step(model, batch)["missingness_bce"] == pytest.approx(math.log(2.0))
+    assert step(model, batch)["missingness_bce"] == pytest.approx(math.log(2.0))
 
 
-def test_forward_losses_single_arm_batch_rejected():
+def test_step_record_single_arm_batch_rejected():
     model = init_model(small_config(), 2)
     batch = TrainingBatch(
         x=np.zeros((3, 2)), t=np.array([1.0, 1.0, np.nan]),
         r=np.array([1, 1, 0]), y=np.zeros(3),
     )
     with pytest.raises(DegenerateArmError):
-        training_step(model, batch)
+        step(model, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,7 @@ def test_stale_discriminator_gradient_is_not_applied():
     for layer in (model.k_t, model.k_r):
         layer.weights.grad = np.ones_like(layer.weights.value)
         layer.bias.grad = np.ones_like(layer.bias.value)
-    record = training_step(model, dataset_batch(data))
+    record = step(model, dataset_batch(data))
     after = param_snapshot(model)
     for name in ("k_t.w", "k_t.b", "k_r.w", "k_r.b"):
         assert np.array_equal(after[name], before[name]), name
@@ -220,8 +225,8 @@ def test_one_step_descends_outcome_loss():
         batch = dataset_batch(data)
         cfg = small_config(seed=trial, learning_rate=1e-4)
         model = init_model(cfg, data.d)
-        before = training_step(model, batch)["outcome"]
-        after = training_step(model, batch)["outcome"]
+        before = step(model, batch)["outcome"]
+        after = step(model, batch)["outcome"]
         wins += after < before
     assert wins >= 18
 
@@ -253,10 +258,10 @@ def test_gradient_reversal_pushes_representation_to_increase_adversary_loss():
         cfg = small_config(seed=trial, alpha=0.0, beta=50.0, learning_rate=1e-4)
         model = init_model(cfg, data.d)
         k_r_before = (model.k_r.weights.value.copy(), model.k_r.bias.value.copy())
-        before = training_step(model, batch)["missingness_bce"]
+        before = step(model, batch)["missingness_bce"]
         model.k_r.weights.value[:] = k_r_before[0]
         model.k_r.bias.value[:] = k_r_before[1]
-        after = training_step(model, batch)["missingness_bce"]
+        after = step(model, batch)["missingness_bce"]
         ascents += after >= before
     assert ascents >= 40
 
@@ -267,7 +272,7 @@ def test_training_step_detects_divergence():
     model.h1[-1].weights.value[:] = 1e200
     model.h1[-1].bias.value[:] = 1e200
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
-        training_step(model, dataset_batch(data), iteration=17)
+        step(model, dataset_batch(data), iteration=17)
     assert err.value.iteration == 17
 
 

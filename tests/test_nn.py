@@ -30,23 +30,24 @@ def test_dense_forward_dimension_mismatch():
 
 
 def test_dropout_mask_rate_zero_is_all_ones():
-    assert np.array_equal(dropout_mask((5, 7), 0.0, 42), np.ones((5, 7)))
+    assert np.array_equal(dropout_mask((5, 7), 0.0, np.random.default_rng(42)), np.ones((5, 7)))
 
 
 def test_dropout_mask_keep_fraction_concentrates():
-    mask = dropout_mask((400, 400), 0.5, 7)
+    mask = dropout_mask((400, 400), 0.5, np.random.default_rng(7))
     kept = float((mask > 0).mean())
     assert abs(kept - 0.5) < 0.05
     assert np.all((mask == 0.0) | (mask == 2.0))  # inverted scaling
 
 
 def test_dropout_mask_deterministic_per_seed():
-    assert np.array_equal(dropout_mask((20, 20), 0.3, 11), dropout_mask((20, 20), 0.3, 11))
+    masks = [dropout_mask((20, 20), 0.3, np.random.default_rng(11)) for _ in range(2)]
+    assert np.array_equal(masks[0], masks[1])
 
 
 def test_dropout_mask_rejects_rate_one():
     with pytest.raises(ValueError):
-        dropout_mask((2, 2), 1.0, 0)
+        dropout_mask((2, 2), 1.0, np.random.default_rng(0))
 
 
 def test_init_dense_bounds_and_zero_bias():

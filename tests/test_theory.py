@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtcate import theory
 from mtcate.theory import (
     DiscreteWorld, TabularModel, check_bounds, check_decompositions, eps_terms,
     final_bound_rhs, ipm_supnorm, loss_table, random_model, random_world,
@@ -249,7 +250,8 @@ def test_final_bound_monotone_in_missingness_shift():
         e = eps_terms(world, model)
         ipms = representation_ipms(world, model)
         assert e.v == pytest.approx(0.5, abs=1e-15)  # spread keeps p(R=0) fixed
-        rhs_values.append(final_bound_rhs(e, b=1.0, ipm_treatment=ipms["treatment"],
+        assert e.b == 1.0  # every pointwise loss is (1 - 0)^2
+        rhs_values.append(final_bound_rhs(e, ipm_treatment=ipms["treatment"],
                                           ipm_missingness=ipms["missingness"]))
     assert all(b > a for a, b in zip(rhs_values, rhs_values[1:]))
 
@@ -274,3 +276,15 @@ def test_sweep_summary_reports_no_violations():
     assert summary.max_abs_residual <= 1e-10
     assert summary.min_slack >= -1e-10
     assert "worlds checked" in summary.table()
+
+
+def test_sweep_builds_one_loss_table_per_world(monkeypatch):
+    calls = []
+
+    def counting_loss_table(world, model):
+        calls.append(1)
+        return loss_table(world, model)
+
+    monkeypatch.setattr(theory, "loss_table", counting_loss_table)
+    run_world_sweep(5, seed=1)
+    assert len(calls) == 5
