@@ -4,8 +4,11 @@ Implements exactly the operations needed for dense networks with ELU
 activations, inverted dropout, row normalization, gradient reversal,
 binary cross-entropy loss and an RBF two-sample statistic.
 Forward values are plain numpy arrays; each `Tensor` keeps
-vector-Jacobian callbacks to its parents so `backward` can replay the
-graph once in reverse topological order.
+vector-Jacobian callbacks to its Tensor parents so `backward` can replay
+the graph once in reverse topological order. An operand that is not a
+`Tensor` (data, a dropout mask, a target, a scalar) is a constant: it gets
+no callback, so `backward` never visits it. A `Tensor` built directly is a
+leaf that receives a gradient.
 
 No op consumes randomness (dropout masks are drawn outside the tape and
 enter as constants), so a fixed seed gives bitwise-identical runs.
@@ -26,7 +29,7 @@ class Tensor:
     def __init__(self, value, _vjps=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._vjps = list(_vjps)  # (parent, callback) pairs
+        self._vjps = _vjps  # (parent, callback) pairs
 
     @property
     def shape(self):
@@ -36,12 +39,21 @@ class Tensor:
         return f"Tensor(shape={self.value.shape})"
 
 
-def astensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def value_of(x) -> np.ndarray:
+    """The forward value of an operand: a Tensor's array, or the constant itself."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(value, *edges) -> Tensor:
+    """A new node whose parents are the Tensor operands of `edges`, given as
+    (operand, callback) pairs; a constant operand's pair is dropped."""
+    return Tensor(value, [edge for edge in edges if isinstance(edge[0], Tensor)])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     grad = np.asarray(grad)
     extra = grad.ndim - len(shape)
     if extra > 0:
@@ -53,74 +65,80 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    return Tensor(
-        a.value + b.value,
-        [(a, lambda g: _unbroadcast(g, a.value.shape)),
-         (b, lambda g: _unbroadcast(g, b.value.shape))],
+    av, bv = value_of(a), value_of(b)
+    return _node(
+        av + bv,
+        (a, lambda g: _unbroadcast(g, av.shape)),
+        (b, lambda g: _unbroadcast(g, bv.shape)),
     )
 
 
 def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    return Tensor(
-        a.value * b.value,
-        [(a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-         (b, lambda g: _unbroadcast(g * a.value, b.value.shape))],
+    av, bv = value_of(a), value_of(b)
+    return _node(
+        av * bv,
+        (a, lambda g: _unbroadcast(g * bv, av.shape)),
+        (b, lambda g: _unbroadcast(g * av, bv.shape)),
     )
 
 
 def matmul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    return Tensor(
-        a.value @ b.value,
-        [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)],
+    av, bv = value_of(a), value_of(b)
+    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w.T + b, one node with the arithmetic of add(matmul(x, transpose(w)), b)."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    return _node(
+        xv @ wv.T + bv,
+        (x, lambda g: g @ wv),
+        (w, lambda g: (xv.T @ g).T),
+        (b, lambda g: _unbroadcast(g, bv.shape)),
     )
 
 
 def transpose(a) -> Tensor:
-    a = astensor(a)
-    return Tensor(a.value.T, [(a, lambda g: np.asarray(g).T)])
+    return _node(value_of(a).T, (a, lambda g: np.asarray(g).T))
 
 
 def asum(a, axis=None, keepdims=False) -> Tensor:
-    a = astensor(a)
+    av = value_of(a)
 
     def vjp(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape)
+        return np.broadcast_to(g, av.shape)
 
-    return Tensor(a.value.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
+    return _node(av.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def exp(a) -> Tensor:
-    a = astensor(a)
-    out_value = np.exp(a.value)
-    return Tensor(out_value, [(a, lambda g: g * out_value)])
+    out_value = np.exp(value_of(a))
+    return _node(out_value, (a, lambda g: g * out_value))
 
 
 def elu(a) -> Tensor:
-    """Elementwise x if x > 0 else exp(x) - 1 (ELU at alpha = 1)."""
-    a = astensor(a)
-    v = a.value
-    pos = v > 0
-    out_value = np.where(pos, v, np.expm1(v))
-    deriv = np.where(pos, 1.0, np.exp(np.minimum(v, 0.0)))
-    return Tensor(out_value, [(a, lambda g: g * deriv)])
+    """Elementwise x if x > 0 else exp(x) - 1 (ELU at alpha = 1).
+
+    Both exponentials see min(x, 0), so a large positive input cannot
+    overflow, and the derivative exp(min(x, 0)) is exactly 1 where x > 0."""
+    v = value_of(a)
+    neg = np.minimum(v, 0.0)
+    out_value = np.where(v > 0, v, np.expm1(neg))
+    deriv = np.exp(neg)
+    return _node(out_value, (a, lambda g: g * deriv))
 
 
 def grad_reverse(a) -> Tensor:
     """Identity forward; negates the backward gradient."""
-    a = astensor(a)
-    return Tensor(a.value, [(a, lambda g: -np.asarray(g))])
+    return _node(value_of(a), (a, lambda g: -np.asarray(g)))
 
 
 def unit_normalize_rows(a) -> Tensor:
     """Scale each row to Euclidean norm 1; rows shorter than NORM_EPS are divided by NORM_EPS."""
-    a = astensor(a)
-    v = a.value
+    v = value_of(a)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {v.shape}")
     norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
@@ -133,19 +151,19 @@ def unit_normalize_rows(a) -> Tensor:
         proj = (out_value * g).sum(axis=1, keepdims=True)
         return (g - np.where(big, out_value * proj, 0.0)) / denom
 
-    return Tensor(out_value, [(a, vjp)])
+    return _node(out_value, (a, vjp))
 
 
 def gather_rows(a, idx) -> Tensor:
-    a = astensor(a)
+    av = value_of(a)
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(av)
         np.add.at(out, idx, g)
         return out
 
-    return Tensor(a.value[idx], [(a, vjp)])
+    return _node(av[idx], (a, vjp))
 
 
 def expit(z: np.ndarray) -> np.ndarray:
@@ -163,49 +181,53 @@ def bce_loss(logits, labels) -> Tensor:
 
     Per element: max(z, 0) - z*y + log(1 + exp(-|z|)).
     """
-    logits = astensor(logits)
-    y = np.asarray(astensor(labels).value, dtype=np.float64)
-    z = logits.value
+    y = value_of(labels)
+    z = value_of(logits)
     if z.shape != y.shape:
         raise ValueError(f"shape mismatch: logits {z.shape} vs labels {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
     n = max(z.size, 1)
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return Tensor(per.sum() / n, [(logits, lambda g: g * (expit(z) - y) / n)])
+    return _node(per.sum() / n, (logits, lambda g: g * (expit(z) - y) / n))
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every node reachable from `loss` (which must be scalar)."""
+    """Populate .grad on every node reachable from `loss` (which must be scalar).
+
+    A node's first gradient contribution is assigned and later ones are added
+    out of place, so a .grad may share memory with another node's and must
+    not be written to."""
     if not isinstance(loss, Tensor):
         raise ValueError("loss must be a Tensor")
     if loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
 
-    # Iterative post-order topological sort (graphs can be deep).
+    # Iterative post-order topological sort (graphs can be deep). Tensors
+    # hash by identity.
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
+        node.grad = None
         stack.append((node, True))
         for parent, _ in node._vjps:
-            if id(parent) not in seen:
+            if parent not in seen:
                 stack.append((parent, False))
 
-    for node in order:
-        node.grad = np.zeros_like(node.value)
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         g = node.grad
         for parent, vjp in node._vjps:
-            parent.grad += vjp(g)
+            contribution = vjp(g)
+            parent.grad = contribution if parent.grad is None else parent.grad + contribution
 
 
 def mmd2_rbf(a, b, bandwidth: float) -> Tensor:
@@ -214,24 +236,22 @@ def mmd2_rbf(a, b, bandwidth: float) -> Tensor:
     Differentiable in both samples; used as a balancing penalty during
     training and (via .value) as a standalone two-sample statistic.
     """
-    a, b = astensor(a), astensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    av, bv = value_of(a), value_of(b)
+    if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("expected 2-d sample matrices")
-    if a.value.shape[0] == 0 or b.value.shape[0] == 0:
+    if av.shape[0] == 0 or bv.shape[0] == 0:
         raise ValueError("samples must be nonempty")
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ValueError(
-            f"column mismatch: {a.value.shape[1]} vs {b.value.shape[1]}"
-        )
+    if av.shape[1] != bv.shape[1]:
+        raise ValueError(f"column mismatch: {av.shape[1]} vs {bv.shape[1]}")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     gamma = -1.0 / (2.0 * bandwidth * bandwidth)
 
-    def block(p: Tensor, q: Tensor) -> Tensor:
+    def block(p, q) -> Tensor:
         sp = asum(mul(p, p), axis=1, keepdims=True)
         sq = asum(mul(q, q), axis=1, keepdims=True)
         d2 = add(add(sp, transpose(sq)), mul(matmul(p, transpose(q)), -2.0))
         k = exp(mul(d2, gamma))
-        return mul(asum(k), 1.0 / (p.value.shape[0] * q.value.shape[0]))
+        return mul(asum(k), 1.0 / (value_of(p).shape[0] * value_of(q).shape[0]))
 
     return add(add(block(a, a), block(b, b)), mul(block(a, b), -2.0))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import data as datamod, harness, metrics as metricsmod, mtrnet, theory
 from .baselines import OlsModel
+from .errors import check_keys
 
 
 def _load_json(path) -> dict:
@@ -32,6 +33,7 @@ def _dump_json(obj, path) -> None:
 
 
 def _dataset_from_config(cfg: dict, seed_override: int | None):
+    check_keys(cfg, ("synthetic", "csv", "missingness"), "data config")
     if "csv" in cfg:
         return datamod.load_csv(cfg["csv"])
     dgp = datamod.SyntheticDGPSpec.from_dict(cfg["synthetic"])
@@ -82,6 +84,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
+    check_keys(cfg, ("method", "config", "data", "metrics"), "train config")
+    check_keys(cfg.get("metrics", ()), metricsmod.METRICS, "metric")
     spec = harness.MethodSpec.from_dict({"name": cfg["method"], "config": cfg.get("config", {})})
     method, net_config = spec.name, spec.base_config
     if args.seed is not None:

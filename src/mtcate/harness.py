@@ -166,6 +166,7 @@ class ExperimentConfig:
             raise ValueError("at least one method is required")
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
+        check_keys(self.metrics, metricsmod.METRICS, "metric")
 
     def to_dict(self) -> dict:
         return {

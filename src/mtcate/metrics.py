@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
+from .errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError, check_keys
 
 # float64 elements of one (own rows, opposite-arm rows, d) difference block in
 # the nearest-neighbour search, so its memory grows linearly with the rows
@@ -120,23 +120,17 @@ class EvalReport:
         )
 
 
-def _metric_on_subset(metric: str, data: Dataset, tau_hat: np.ndarray) -> float | None:
-    if data.n == 0:
-        return None
-    if metric == "pehe":
-        return pehe_true(tau_hat, data.tau)
-    if metric == "sqrt_pehe":
-        return float(np.sqrt(pehe_true(tau_hat, data.tau)))
-    if metric == "pehe_obs":
-        return pehe_observed(tau_hat, data.y1, data.y0)
-    if metric == "sqrt_pehe_obs":
-        return float(np.sqrt(pehe_observed(tau_hat, data.y1, data.y0)))
-    if metric == "policy_risk":
-        t = data.t_true if data.t_true is not None else data.t
-        return policy_risk(tau_hat, data.y, t, data.e)
-    if metric == "pehe_nn":
-        return pehe_nn(tau_hat, data.x, data.t, data.y)
-    raise ValueError(f"unknown metric {metric!r}")
+# Every metric a report can name: name -> (data, tau_hat) -> value. The
+# callees are looked up at call time, where a tracer can wrap them.
+METRICS = {
+    "pehe": lambda data, tau_hat: pehe_true(tau_hat, data.tau),
+    "sqrt_pehe": lambda data, tau_hat: float(np.sqrt(pehe_true(tau_hat, data.tau))),
+    "pehe_obs": lambda data, tau_hat: pehe_observed(tau_hat, data.y1, data.y0),
+    "sqrt_pehe_obs": lambda data, tau_hat: float(np.sqrt(pehe_observed(tau_hat, data.y1, data.y0))),
+    "policy_risk": lambda data, tau_hat: policy_risk(
+        tau_hat, data.y, data.t_true if data.t_true is not None else data.t, data.e),
+    "pehe_nn": lambda data, tau_hat: pehe_nn(tau_hat, data.x, data.t, data.y),
+}
 
 
 def domain_split_eval(metric: str, data: Dataset, tau_hat: np.ndarray,
@@ -144,6 +138,7 @@ def domain_split_eval(metric: str, data: Dataset, tau_hat: np.ndarray,
     """Evaluate one metric on all rows, the r=1 rows and the r=0 rows.
 
     Empty splits yield None ("absent") rather than an error."""
+    check_keys([metric], METRICS, "metric")
     tau_hat = np.asarray(tau_hat, dtype=np.float64)
     if tau_hat.shape != (data.n,):
         raise ValueError(f"tau_hat must have shape ({data.n},)")
@@ -157,7 +152,7 @@ def domain_split_eval(metric: str, data: Dataset, tau_hat: np.ndarray,
     for split, mask in masks.items():
         counts[split] = int(mask.sum())
         idx = np.flatnonzero(mask)
-        values[split] = _metric_on_subset(metric, data.subset(idx), tau_hat[idx])
+        values[split] = METRICS[metric](data.subset(idx), tau_hat[idx]) if idx.size else None
     return EvalReport(metrics={metric: values}, counts=counts, metadata=metadata or {})
 
 

@@ -13,17 +13,19 @@ penalty).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, astensor, asum, backward, bce_loss, elu, gather_rows,
-    grad_reverse, mmd2_rbf, mul, unit_normalize_rows,
+    Tensor, add, asum, backward, bce_loss, elu, gather_rows, grad_reverse,
+    mmd2_rbf, mul, unit_normalize_rows,
 )
 from .data import Dataset
 from .errors import DegenerateArmError, TrainingDivergedError
-from .nn import AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, l2_penalty
+from .nn import (
+    AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, l2_penalty, pack,
+)
 
 # SeedSequence domain tags so model init / batching / dropout use
 # independent streams even when other components share the integer seed.
@@ -91,7 +93,12 @@ class MTRNetModel:
     h1: list[DenseLayer]
     k_t: DenseLayer
     k_r: DenseLayer
-    adam: dict[str, AdamState]
+    flat: np.ndarray = field(init=False)  # the trained parameters' values, end to end
+    adam: AdamState = field(init=False)  # one Adam state over `flat`
+
+    def __post_init__(self):
+        self.flat = pack(list(self.trained_parameters().values()))
+        self.adam = AdamState.like(self.flat)
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -103,6 +110,15 @@ class MTRNetModel:
             out[f"{group}.w"] = layer.weights
             out[f"{group}.b"] = layer.bias
         return out
+
+    def trained_parameters(self) -> dict[str, Tensor]:
+        """The parameters `flat` holds: phi, h0 and h1, plus a discriminator
+        only when its loss weight is positive (training_step builds it then)."""
+        params = self.parameters()
+        for group, weight in (("k_t", self.config.alpha), ("k_r", self.config.beta)):
+            if not weight > 0:
+                del params[f"{group}.w"], params[f"{group}.b"]
+        return params
 
     def hypothesis_weights(self) -> list[Tensor]:
         return [layer.weights for layer in self.h0 + self.h1]
@@ -139,9 +155,7 @@ def init_model(config: MTRNetConfig, input_dim: int) -> MTRNetModel:
     h1 = make_head()
     k_t = init_dense(rng, 1, rep)
     k_r = init_dense(rng, 1, rep)
-    model = MTRNetModel(config, input_dim, phi, h0, h1, k_t, k_r, adam={})
-    model.adam = {name: AdamState.like(t.value) for name, t in model.parameters().items()}
-    return model
+    return MTRNetModel(config, input_dim, phi, h0, h1, k_t, k_r)
 
 
 def compute_weights(t, r):
@@ -169,7 +183,7 @@ def compute_weights(t, r):
 
 def _rep_forward(model: MTRNetModel, x, train_mode: bool, rng) -> Tensor:
     drop = model.config.dropout_rate if train_mode else 0.0
-    h = astensor(x)
+    h = x
     for layer in model.phi:
         h = elu(dense_forward(layer, h))
         if drop > 0:
@@ -193,9 +207,10 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
 
     A discriminator is built only when its weight is positive: it descends
     on its cross-entropy while the representation ascends on it through a
-    gradient-reversal node. Only parameters the objective reaches are
-    updated, so with alpha = beta = 0 the discriminators keep their values
-    and Adam state. Returns the pre-update value of every term built."""
+    gradient-reversal node. The update is one Adam step on `model.flat`,
+    which holds only the trained parameters, so with alpha = beta = 0 the
+    discriminators keep their values. Returns the pre-update value of every
+    term built."""
     cfg = model.config
     if mmd_weight and mmd_bandwidth is None:
         raise ValueError("mmd_weight given without a bandwidth")
@@ -212,8 +227,8 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     terms = []
     for arm, layers in zip(arms, (model.h0, model.h1)):
         pred = _head_forward(layers, gather_rows(rep_obs, arm), cfg.dropout_rate, rng)
-        diff = add(pred, Tensor(-y_obs[arm][:, None]))
-        terms.append(asum(mul(mul(diff, diff), Tensor(w[arm][:, None]))))
+        diff = add(pred, -y_obs[arm][:, None])
+        terms.append(asum(mul(mul(diff, diff), w[arm][:, None])))
     outcome = mul(add(terms[0], terms[1]), 1.0 / n_o)
     record = {"iteration": iteration, "outcome": float(outcome.value)}
 
@@ -224,12 +239,12 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
         adv = grad_reverse(rep)
     if cfg.alpha > 0:
         logit_t = dense_forward(model.k_t, gather_rows(adv, obs))
-        treatment = bce_loss(logit_t, Tensor(t_obs[:, None]))
+        treatment = bce_loss(logit_t, t_obs[:, None])
         total = add(total, mul(treatment, cfg.alpha))
         record["treatment_bce"] = float(treatment.value)
     if cfg.beta > 0:
         logit_r = dense_forward(model.k_r, adv)
-        missingness = bce_loss(logit_r, Tensor(batch.r.astype(np.float64)[:, None]))
+        missingness = bce_loss(logit_r, batch.r.astype(np.float64)[:, None])
         total = add(total, mul(missingness, cfg.beta))
         record["missingness_bce"] = float(missingness.value)
     if mmd_weight:
@@ -242,13 +257,15 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     if not np.isfinite(record["total"]):
         raise TrainingDivergedError(iteration)
 
-    params = model.parameters()
-    for tensor in params.values():
+    trained = model.trained_parameters()
+    for tensor in trained.values():
         tensor.grad = None  # never apply a gradient left by an earlier graph
     backward(total)
-    for name, tensor in params.items():
-        if tensor.grad is not None:
-            adam_step(tensor.value, tensor.grad, model.adam[name], cfg.learning_rate)
+    missing = [name for name, tensor in trained.items() if tensor.grad is None]
+    if missing:
+        raise RuntimeError(f"the objective does not reach trained parameter(s) {missing}")
+    grad = np.concatenate([tensor.grad.ravel() for tensor in trained.values()])
+    adam_step(model.flat, grad, model.adam, cfg.learning_rate)
     return record
 
 
@@ -360,7 +377,6 @@ def model_from_dict(d: dict) -> MTRNetModel:
         value = np.asarray(d["parameters"][name], dtype=np.float64)
         if list(value.shape) != d["shapes"][name] or value.shape != tensor.value.shape:
             raise ValueError(f"shape mismatch for parameter {name}")
-        tensor.value = value
-    model.adam = {name: AdamState.like(t.value) for name, t in model.parameters().items()}
+        tensor.value[...] = value  # in place: trained values are views of model.flat
     return model
 

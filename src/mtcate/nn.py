@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, astensor, asum, matmul, mul, transpose
+from .autodiff import Tensor, add, affine, asum, mul, value_of
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -34,14 +34,13 @@ def init_dense(rng: np.random.Generator, n_out: int, n_in: int) -> DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x) -> Tensor:
-    x = astensor(x)
-    if x.value.ndim != 2:
-        raise ValueError(f"expected 2-d input, got shape {x.value.shape}")
-    if x.value.shape[1] != layer.in_dim:
-        raise ValueError(
-            f"input has {x.value.shape[1]} features, layer expects {layer.in_dim}"
-        )
-    return add(matmul(x, transpose(layer.weights)), layer.bias)
+    """x @ W.T + b; an input that is not a Tensor enters as a constant."""
+    shape = value_of(x).shape
+    if len(shape) != 2:
+        raise ValueError(f"expected 2-d input, got shape {shape}")
+    if shape[1] != layer.in_dim:
+        raise ValueError(f"input has {shape[1]} features, layer expects {layer.in_dim}")
+    return affine(x, layer.weights, layer.bias)
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -53,6 +52,19 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
+
+
+def pack(tensors) -> np.ndarray:
+    """Copy the tensors' values end to end into one flat float64 buffer and
+    rebind each `.value` to its view of it, so one elementwise update (such
+    as `adam_step`) on the buffer steps every tensor."""
+    flat = np.concatenate([t.value.ravel() for t in tensors])
+    start = 0
+    for t in tensors:
+        stop = start + t.value.size
+        t.value = flat[start:stop].reshape(t.value.shape)
+        start = stop
+    return flat
 
 
 @dataclass

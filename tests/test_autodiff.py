@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def test_elu_derivative_approaches_alpha_below_one_above():
         x = Tensor(np.array([[v]]))
         backward(asum(elu(x)))
         assert x.grad.item() == pytest.approx(expected, rel=1e-6)
+
+
+def test_elu_large_input_raises_no_overflow_warning():
+    x = Tensor(np.array([[800.0, -1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = elu(x)
+        backward(asum(out))
+    assert out.value[0, 0] == 800.0
+    assert out.value[0, 1] == np.expm1(-1.0)
+    assert np.array_equal(x.grad, [[1.0, np.exp(-1.0)]])
 
 
 def test_unit_normalize_rows_345():

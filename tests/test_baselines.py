@@ -244,8 +244,11 @@ def test_neural_baselines_leave_discriminators_untouched():
             for part in ("weights", "bias"):
                 after = getattr(getattr(model, head), part).value
                 assert np.array_equal(after, getattr(getattr(fresh, head), part).value)
-            assert model.adam[f"{head}.w"].step == model.adam[f"{head}.b"].step == 0
-        assert model.adam["phi.0.w"].step == cfg.iterations
+        # one Adam state, over phi, h0 and h1 only, stepped once per iteration
+        assert model.adam.step == cfg.iterations
+        assert model.adam.m.size == model.flat.size == sum(
+            t.value.size for name, t in model.parameters().items()
+            if name.startswith(("phi", "h0", "h1")))
         assert all("treatment_bce" not in h and "missingness_bce" not in h for h in history)
     assert "mmd2" in history[0]
 

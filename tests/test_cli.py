@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from mtcate import cli, data as dm
+from mtcate import cli, data as dm, harness
 
 
 def dgp_dict(n=120, d=2, seed=0):
@@ -127,6 +128,50 @@ def test_experiment_rejects_typo_config_key(tmp_path, capsys):
     assert cli.main(["experiment", "--config", config, "--out", str(tmp_path / "x")]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error["type"] == "ValueError" and "'num_run'" in error["message"]
+
+
+@pytest.mark.parametrize("command, payload, bad_key", [
+    ("generate", {"synthetic": dgp_dict(), "missingnes": {"m": 0.3, "q": 0.6}}, "missingnes"),
+    ("train", {"method": "ols_del", "data": {"synthetic": dgp_dict()}, "metric": ["pehe"]},
+     "metric"),
+    ("train", {"method": "ols_del", "data": {"synthetic": dgp_dict(), "misingness": {}}},
+     "misingness"),
+])
+def test_generate_and_train_reject_typo_top_level_key(tmp_path, capsys, command, payload, bad_key):
+    config = write_json(tmp_path / "config.json", payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and repr([bad_key]) in error["message"]
+    assert not out.exists()
+
+
+def test_train_rejects_unknown_metric_before_fitting(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.setattr(harness, "fit_method", no_fit)
+    config = write_json(tmp_path / "train.json", {
+        "method": "ols_del", "data": {"synthetic": dgp_dict()}, "metrics": ["sqrt_pehee"],
+    })
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "fit")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and "'sqrt_pehee'" in error["message"]
+
+
+def test_experiment_rejects_unknown_metric_before_fitting(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.setattr(harness, "fit_method", no_fit)
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict()}, "missingness": {"m": 0.3, "q": 0.6},
+        "methods": [{"name": "ols_del", "grid": [{}]}], "num_runs": 2,
+        "metrics": ["sqrt_pehe", "sqrt_pehee"],
+    })
+    assert cli.main(["experiment", "--config", config, "--out", str(tmp_path / "x")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and "'sqrt_pehee'" in error["message"]
 
 
 def test_sweep_m_command(tmp_path):

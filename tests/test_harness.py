@@ -102,6 +102,13 @@ def test_typo_config_key_fails_at_load(block, bad_key):
         ExperimentConfig.from_dict(cfg)
 
 
+def test_unknown_metric_name_fails_at_load():
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))]).to_dict()
+    cfg["metrics"] = ["sqrt_pehe", "sqrt_pehee"]
+    with pytest.raises(ValueError, match=re.escape(repr(["sqrt_pehee"]))):
+        ExperimentConfig.from_dict(cfg)
+
+
 def test_typo_hyperparameter_key_never_reaches_run_experiment():
     with pytest.raises(ValueError, match="learnin_rate"):
         run_experiment(experiment_config([

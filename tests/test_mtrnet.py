@@ -213,7 +213,11 @@ def test_stale_discriminator_gradient_is_not_applied():
     after = param_snapshot(model)
     for name in ("k_t.w", "k_t.b", "k_r.w", "k_r.b"):
         assert np.array_equal(after[name], before[name]), name
-        assert model.adam[name].step == 0
+    # one Adam state, over phi, h0 and h1 only, stepped once
+    assert model.adam.step == 1
+    assert model.adam.m.size == model.flat.size == sum(
+        t.value.size for name, t in model.parameters().items()
+        if name.startswith(("phi", "h0", "h1")))
     assert not np.array_equal(after["phi.0.w"], before["phi.0.w"])
     assert set(record) == {"iteration", "outcome", "total"}
 
