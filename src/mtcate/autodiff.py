@@ -167,13 +167,11 @@ def gather_rows(a, idx) -> Tensor:
 
 
 def expit(z: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, evaluated without overflow on either tail."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic sigmoid, evaluated without overflow on either tail:
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|).
+    A NaN input gives a NaN output whose sign bit is not preserved."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def bce_loss(logits, labels) -> Tensor:

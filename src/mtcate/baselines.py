@@ -52,16 +52,19 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
     scale[scale < 1e-12] = 1.0
     z = (x - mean) / scale
 
+    # weights and bias share one buffer, so one (elementwise) Adam call
+    # steps both per iteration
     n, d = z.shape
-    w = np.zeros(d)
-    b = np.zeros(1)
-    state_w = AdamState.like(w)
-    state_b = AdamState.like(b)
+    theta = np.zeros(d + 1)
+    w = theta[:d]
+    grad = np.empty(d + 1)
+    state = AdamState.like(theta)
     for _ in range(LOGISTIC_ITERATIONS):
-        resid = (expit(z @ w + b[0]) - labels) / n
-        adam_step(w, z.T @ resid, state_w, LOGISTIC_LEARNING_RATE)
-        adam_step(b, np.array([resid.sum()]), state_b, LOGISTIC_LEARNING_RATE)
-    return ObservednessModel(w, float(b[0]), mean, scale)
+        resid = (expit(z @ w + theta[d]) - labels) / n
+        grad[:d] = z.T @ resid
+        grad[d] = resid.sum()
+        adam_step(theta, grad, state, LOGISTIC_LEARNING_RATE)
+    return ObservednessModel(w.copy(), float(theta[d]), mean, scale)
 
 
 def fit_observedness(data: Dataset) -> ObservednessModel:

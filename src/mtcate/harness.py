@@ -1,7 +1,12 @@
 """Experiment orchestration: seeded per-run pipelines (generate, mask, split,
 cross-validate, retrain, evaluate), grid search, missing-fraction sweeps and
 Table-style aggregation. Every byte written to disk is a deterministic
-function of the config and master seed; timings go to the log only."""
+function of the config and master seed; timings go to the log only.
+
+Selection runs only when there is a choice. A method with a one-point grid
+(every OLS method, or any single explicit override) is fitted once, on
+train+val, with no cross-validation; so that point cannot fail on the train
+split alone."""
 
 from __future__ import annotations
 
@@ -121,8 +126,7 @@ class MethodSpec:
         return METHODS[self.name].label
 
     def grid_points(self) -> list[dict]:
-        # expanded lazily: the full tuning preset is huge and only the
-        # cross-validation loop should ever materialize it
+        # expanded on demand: the full tuning preset is huge
         return expand_grid(self.grid if self.grid != () else None)
 
     def to_dict(self) -> dict:
@@ -334,7 +338,11 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
     seed = derive_seed(ms, run_index, method.name)
 
     selection = default_selection_metric(train)
-    chosen, _ = cross_validate(train, val, method, seed, selection)
+    points = method.grid_points()
+    if len(points) == 1:
+        chosen = dict(points[0])
+    else:
+        chosen, _ = cross_validate(train, val, method, seed, selection)
     final_config = replace(method.base_config, **chosen, seed=seed)
     model = fit_method(method.name, final_config, datamod.concat(train, val))
 
@@ -438,10 +446,12 @@ def sweep_m(config: ExperimentConfig, m_values, jobs: int = 1, log=sys.stderr):
     (method, m, metric_domain, mean, std)."""
     if config.missingness is None:
         raise ValueError("sweep_m needs a missingness spec in the config")
+    m_values = list(m_values)
+    bad = [m for m in m_values if not (0.0 < m < 1.0)]
+    if bad:
+        raise ValueError(f"m values must lie in (0,1), got {bad}")
     rows = []
     for m in m_values:
-        if not (0.0 < m < 1.0):
-            raise ValueError(f"m values must lie in (0,1), got {m}")
         sub = replace(config, missingness=replace(config.missingness, m=float(m)))
         results, _ = run_experiment(sub, jobs=jobs, log=log)
         for agg in aggregate(results):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mtcate.autodiff import (
-    Tensor, add, asum, backward, bce_loss, elu, exp, gather_rows, grad_reverse,
+    Tensor, add, asum, backward, bce_loss, elu, exp, expit, gather_rows, grad_reverse,
     matmul, mmd2_rbf, mul, transpose, unit_normalize_rows,
 )
 from conftest import max_rel_grad_error
@@ -40,6 +40,29 @@ def test_elu_large_input_raises_no_overflow_warning():
     assert out.value[0, 0] == 800.0
     assert out.value[0, 1] == np.expm1(-1.0)
     assert np.array_equal(x.grad, [[1.0, np.exp(-1.0)]])
+
+
+def two_branch_expit(z):
+    """The masked two-branch sigmoid that `expit` replaces."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_expit_bitwise_matches_two_branch_form():
+    tails = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0,
+                      np.inf, -np.inf])
+    z = np.concatenate([tails, np.random.default_rng(7).standard_cauchy(50)])
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        out = expit(z)
+    assert out.tobytes() == two_branch_expit(z).tobytes()
+    assert out[[0, 1]].tolist() == [0.5, 0.5]
+    assert out[[6, 7, 8, 9]].tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(expit(np.array([np.nan])))[0]  # sign bit not compared
 
 
 def test_unit_normalize_rows_345():

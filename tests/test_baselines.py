@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtcate.autodiff import mmd2_rbf
+from mtcate.autodiff import expit, mmd2_rbf
 from mtcate.baselines import (
-    apply_strategy, cfrmmd_train, fit_observedness, fit_treatment_classifier, ols_fit,
-    tarnet_train,
+    LOGISTIC_ITERATIONS, LOGISTIC_LEARNING_RATE, apply_strategy, cfrmmd_train,
+    fit_observedness, fit_treatment_classifier, ols_fit, tarnet_train,
 )
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
 from mtcate.harness import MethodSpec, fit_method
 from mtcate.mtrnet import MTRNetConfig, init_model, train as mtrnet_train, _rep_forward
+from mtcate.nn import AdamState, adam_step
 
 
 def masked_dataset(n=120, d=3, seed=0, miss_rate=0.3, separable_r=False):
@@ -158,6 +159,37 @@ def test_observedness_single_class_error():
                    r=np.ones(data.n, dtype=np.int64), y=data.y)
     with pytest.raises(DegenerateLabelsError):
         fit_observedness(full)
+
+
+def separate_adam_logistic(x, labels):
+    """Reference logistic fit: weights and bias stepped by two Adam states."""
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    z = (x - mean) / scale
+    n, d = z.shape
+    w, b = np.zeros(d), np.zeros(1)
+    state_w, state_b = AdamState.like(w), AdamState.like(b)
+    for _ in range(LOGISTIC_ITERATIONS):
+        resid = (expit(z @ w + b[0]) - labels) / n
+        adam_step(w, z.T @ resid, state_w, LOGISTIC_LEARNING_RATE)
+        adam_step(b, np.array([resid.sum()]), state_b, LOGISTIC_LEARNING_RATE)
+    return w, float(b[0])
+
+
+@pytest.mark.parametrize("fit", [fit_treatment_classifier, fit_observedness])
+def test_logistic_fit_matches_separate_adam_states_bitwise(fit):
+    data = masked_dataset(n=300, d=4, seed=11)
+    obs = data.r == 1
+    if fit is fit_treatment_classifier:  # the imputation classifier
+        x, labels = data.x[obs], data.t[obs]
+    else:  # the reweighting classifier
+        x, labels = data.x, data.r.astype(np.float64)
+    weights, bias = separate_adam_logistic(x, labels)
+    model = fit(data)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+    assert model.weights.flags.owndata  # not a view into the training buffer
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,12 @@ def test_run_experiment_ols_recovers_linear_truth():
 
 
 def test_run_experiment_records_partial_failures():
-    # d=3 with 6 rows per arm starves OLS after deletion in every run, while
-    # the other two methods stay healthy: failures < half, experiment survives.
+    # m=0.5 leaves exactly 20 of the 40 rows observed, fewer than the 2 x 13
+    # that OLS needs for d=12 in both arms, so ols_del fails in every run even
+    # on train+val, while the other two methods stay healthy: failures < half,
+    # experiment survives.
     cfg = ExperimentConfig(
-        dgp=linear_dgp(n=40, d=8), csv_path=None,
+        dgp=linear_dgp(n=40, d=12), csv_path=None,
         missingness=MissingnessSpec(m=0.5, q=0.5),
         methods=(
             MethodSpec("ols_del", grid=({},)),
@@ -213,7 +215,8 @@ def test_test_split_never_reaches_cross_validation(monkeypatch):
         return original(train_data, val_data, *args, **kwargs)
 
     monkeypatch.setattr(harness, "cross_validate", spy)
-    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
+    # two grid points, so there is a selection to make
+    cfg = experiment_config([MethodSpec("ols_del", grid=({}, {}))], num_runs=1)
     results, _ = run_experiment(cfg, log=None)
     # reconstruct the test rows of the run and compare byte-level row hashes
     d = harness._run_dataset(cfg, 0, None)
@@ -223,6 +226,33 @@ def test_test_split_never_reaches_cross_validation(monkeypatch):
     for train_data, val_data in seen:
         cv_rows = {row.tobytes() for row in train_data.x} | {row.tobytes() for row in val_data.x}
         assert not (cv_rows & test_rows)
+
+
+def test_one_point_grid_never_selects(monkeypatch):
+    def no_selection(*args, **kwargs):
+        raise AssertionError("cross_validate called for a one-point grid")
+
+    fits = []
+    original_fit = harness.fit_method
+
+    def counting_fit(name, config, train_data):
+        fits.append(name)
+        return original_fit(name, config, train_data)
+
+    monkeypatch.setattr(harness, "cross_validate", no_selection)
+    monkeypatch.setattr(harness, "fit_method", counting_fit)
+    point = {"learning_rate": 3e-3}
+    cfg = experiment_config([
+        MethodSpec("ols_rew"),
+        MethodSpec("tarnet_del", grid=(point,), base_config=tiny_net_config()),
+    ], num_runs=2)
+    results, failures = run_experiment(cfg, log=None)
+    assert failures == [] and len(results) == 4
+    assert sorted(fits) == sorted(["ols_rew", "tarnet_del"] * 2)
+    for res in results:
+        assert res.hyperparameters == ({} if res.method == "ols_rew" else point)
+    par, _ = run_experiment(cfg, jobs=2, log=None)
+    assert [r.to_dict() for r in par] == [r.to_dict() for r in results]
 
 
 def test_aggregate_mean_and_std():
@@ -296,6 +326,15 @@ def test_sweep_m_rejects_bad_fraction():
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
     with pytest.raises(ValueError):
         sweep_m(cfg, [0.0], log=None)
+
+
+def test_sweep_m_checks_every_fraction_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or ([], []))
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
+    with pytest.raises(ValueError, match=re.escape("[0.0]")):
+        sweep_m(cfg, [0.5, 0.0], log=None)
+    assert calls == []
 
 
 def test_parallel_jobs_match_sequential():
