@@ -1,6 +1,7 @@
 """Missing-fraction sweep of the calibrated trend workload (`mtcate.trend`):
-MTRNet against TARNet with deletion. Writes the long-format sweep CSV plus
-per-run results for each missing fraction.
+MTRNet against TARNet with deletion. Writes what `mtcate sweep-m` writes
+and prints, per missing fraction, how many seeds MTRNet wins on the
+missing domain.
 
 Usage:
     python scripts/run_trend_experiment.py --out results/trend \
@@ -9,11 +10,10 @@ Usage:
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from mtcate.harness import run_experiment, write_results, write_sweep, aggregate
+from mtcate.harness import sweep_m, write_sweep
 from mtcate.trend import trend_config
 
 
@@ -30,18 +30,10 @@ def main():
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    out = Path(args.out)
-    sweep_rows = []
-    for m in [float(v) for v in args.m.split(",")]:
-        config = build_config(m, args.runs, args.seed)
-        results, failures = run_experiment(config, jobs=args.jobs)
-        write_results(out / f"m_{m:g}", results, failures)
-        for agg in aggregate(results):
-            sweep_rows.append({
-                "method": agg["method"], "m": m,
-                "metric": f"{agg['metric']}.{agg['domain']}",
-                "mean": agg["mean"], "std": agg["std"],
-            })
+    m_values = [float(v) for v in args.m.split(",")]
+    sweep = sweep_m(build_config(m_values[0], args.runs, args.seed), m_values, jobs=args.jobs)
+    write_sweep(args.out, sweep)
+    for m, results, _ in sweep:
         by_run = {}
         for res in results:
             by_run.setdefault(res.run_index, {})[res.method] = (
@@ -51,8 +43,7 @@ def main():
         wins = sum(g >= 0 for g in gaps)
         print(f"m={m:g}: balanced representation wins {wins}/{len(gaps)} seeds "
               f"on the missing domain, median gap {np.median(gaps):+.3f}")
-    write_sweep(out, sweep_rows)
-    print(f"wrote {out / 'sweep_m.csv'}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -127,11 +127,14 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.from_dict(cfg_dict)
 
 
+def _dataset_label(config: harness.ExperimentConfig) -> str:
+    return "synthetic" if config.dgp is not None else Path(config.csv_path).name
+
+
 def cmd_experiment(args) -> int:
     config = _experiment_config(args)
     results, failures = harness.run_experiment(config, jobs=args.jobs)
-    label = "synthetic" if config.dgp is not None else Path(config.csv_path).name
-    harness.write_results(args.out, results, failures, dataset_label=label)
+    harness.write_results(args.out, results, failures, dataset_label=_dataset_label(config))
     print(f"wrote {len(results)} results to {args.out}")
     return 0
 
@@ -139,8 +142,8 @@ def cmd_experiment(args) -> int:
 def cmd_sweep_m(args) -> int:
     config = _experiment_config(args)
     m_values = [float(v) for v in args.m.split(",")]
-    rows = harness.sweep_m(config, m_values, jobs=args.jobs)
-    harness.write_sweep(args.out, rows)
+    sweep = harness.sweep_m(config, m_values, jobs=args.jobs)
+    harness.write_sweep(args.out, sweep, dataset_label=_dataset_label(config))
     print(f"wrote sweep over m={m_values} to {args.out}")
     return 0
 

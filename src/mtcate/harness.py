@@ -17,7 +17,9 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,8 +72,6 @@ def derive_seed(master_seed: int, *parts) -> int:
 def expand_grid(grid) -> list[dict]:
     """Cartesian product of a {param: [values]} mapping, in declaration order
     (an explicit sequence of override dicts passes through)."""
-    if grid is None:
-        return [{}]
     if isinstance(grid, (list, tuple)):
         return [dict(g) for g in grid]
     keys = list(grid)
@@ -80,7 +80,7 @@ def expand_grid(grid) -> list[dict]:
 
 DESK_GRIDS = {
     "mtrnet": {"learning_rate": [1e-2, 1e-3], "alpha": [0.5, 2.0], "beta": [0.5, 2.0]},
-    "ols": None,
+    "ols": ({},),
     "tarnet": {"learning_rate": [1e-2, 1e-3]},
     "cfrmmd": {"learning_rate": [1e-2, 1e-3], "alpha": [0.5, 2.0]},
 }
@@ -98,7 +98,7 @@ PAPER_GRID_COMMON = {
 _ALPHA_RANGE = [10.0 ** (k / 2.0) for k in range(-4, 3)]
 PAPER_GRIDS = {
     "mtrnet": {**PAPER_GRID_COMMON, "alpha": _ALPHA_RANGE, "beta": _ALPHA_RANGE},
-    "ols": None,
+    "ols": ({},),
     "tarnet": dict(PAPER_GRID_COMMON),
     "cfrmmd": {**PAPER_GRID_COMMON, "alpha": _ALPHA_RANGE},
 }
@@ -113,12 +113,14 @@ _GRID_KEYS = _CONFIG_KEYS - {"seed"}
 @dataclass(frozen=True)
 class MethodSpec:
     name: str  # method key, canonicalized on construction
-    grid: tuple = ()  # tuple of override dicts, or a {param: values} mapping
+    grid: tuple = ({},)  # tuple of override dicts, or a {param: values} mapping
     base_config: MTRNetConfig = field(default_factory=MTRNetConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "name", canonical_method(self.name))
-        points = self.grid if isinstance(self.grid, (list, tuple)) else [self.grid or {}]
+        points = self.grid if isinstance(self.grid, (list, tuple)) else [self.grid]
+        if not points:
+            raise ValueError(f"{self.name} grid has no points")
         check_keys([k for point in points for k in point], _GRID_KEYS, f"{self.name} grid")
 
     @property
@@ -127,7 +129,7 @@ class MethodSpec:
 
     def grid_points(self) -> list[dict]:
         # expanded on demand: the full tuning preset is huge
-        return expand_grid(self.grid if self.grid != () else None)
+        return expand_grid(self.grid)
 
     def to_dict(self) -> dict:
         grid = self.grid
@@ -144,8 +146,6 @@ class MethodSpec:
             grid = PRESETS[preset][METHODS[name].estimator]
         if isinstance(grid, list):
             grid = tuple(dict(g) for g in grid)
-        elif grid is None:
-            grid = ({},)
         config = d.get("config", {})
         check_keys(config, _CONFIG_KEYS, f"{name} config")
         base = MTRNetConfig.from_dict({**MTRNetConfig().to_dict(), **config})
@@ -365,39 +365,31 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
     )
 
 
-def _job(args):
-    config_dict, run_index, method_dict, csv_path = args
-    config = ExperimentConfig.from_dict(config_dict)
-    method = MethodSpec.from_dict(method_dict, config.preset)
-    base = datamod.load_csv(csv_path) if csv_path else None
-    return _execute_run(config, run_index, method, base)
+def _job(task):
+    """One (config, run_index, method, base) task in a pool worker."""
+    return _execute_run(*task)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
-    """All (run, method) combinations. Per-job failures are recorded and the
-    experiment only aborts once at least half of the jobs have failed."""
+    """All (run, method) combinations, on `jobs` worker processes when
+    jobs > 1. Per-task failures (a dead worker's BrokenProcessPool included)
+    are recorded and the experiment only aborts once at least half of the
+    tasks have failed."""
     config.validate()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     base = datamod.load_csv(config.csv_path) if config.csv_path else None
-    tasks = [(run, method) for run in range(config.num_runs) for method in config.methods]
+    tasks = [(config, run, method, base)
+             for run in range(config.num_runs) for method in config.methods]
     results: list[RunResult] = []
     failures: list[dict] = []
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (run, method, pool.submit(
-                    _job, (config.to_dict(), run, method.to_dict(), config.csv_path)))
-                for run, method in tasks
-            ]
-            for run, method, future in futures:
-                try:
-                    results.append(future.result())
-                except (ValueError, RuntimeError) as exc:
-                    failures.append({"method": method.name, "run_index": run, "error": str(exc)})
-    else:
-        for run, method in tasks:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = ([pool.submit(_job, task).result for task in tasks] if pool
+                    else [partial(_execute_run, *task) for task in tasks])
+        for (_, run, method, _), outcome in zip(tasks, outcomes):
             try:
-                results.append(_execute_run(config, run, method, base))
+                results.append(outcome())
             except (ValueError, RuntimeError) as exc:
                 failures.append({"method": method.name, "run_index": run, "error": str(exc)})
 
@@ -442,27 +434,19 @@ def aggregate(results) -> list[dict]:
 
 def sweep_m(config: ExperimentConfig, m_values, jobs: int = 1, log=sys.stderr):
     """Rerun the experiment for each missing fraction, holding q and the
-    master-seed policy fixed. Returns long-format rows
-    (method, m, metric_domain, mean, std)."""
+    master-seed policy fixed. Returns [(m, results, failures), ...] in the
+    order of m_values."""
     if config.missingness is None:
         raise ValueError("sweep_m needs a missingness spec in the config")
     m_values = list(m_values)
     bad = [m for m in m_values if not (0.0 < m < 1.0)]
     if bad:
         raise ValueError(f"m values must lie in (0,1), got {bad}")
-    rows = []
-    for m in m_values:
-        sub = replace(config, missingness=replace(config.missingness, m=float(m)))
-        results, _ = run_experiment(sub, jobs=jobs, log=log)
-        for agg in aggregate(results):
-            rows.append({
-                "method": agg["method"],
-                "m": float(m),
-                "metric": f"{agg['metric']}.{agg['domain']}",
-                "mean": agg["mean"],
-                "std": agg["std"],
-            })
-    return rows
+    sweep = []
+    for m in map(float, m_values):
+        sub = replace(config, missingness=replace(config.missingness, m=m))
+        sweep.append((m, *run_experiment(sub, jobs=jobs, log=log)))
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +472,23 @@ def write_results(out_dir, results, failures, dataset_label: str = "synthetic") 
             json.dump(failures, fh, sort_keys=True, indent=2)
 
 
-def write_sweep(out_dir, rows) -> None:
+def write_sweep(out_dir, sweep, dataset_label: str = "synthetic") -> None:
+    """Each m's experiment under m_<m>/ (as write_results writes it), plus the
+    long-format sweep_m.csv: one (method, m, metric.domain, mean, std) row per
+    aggregate cell."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for m, results, failures in sweep:
+        write_results(out / f"m_{m:g}", results, failures, dataset_label)
     with open(out / "sweep_m.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "m", "metric", "mean", "std"])
-        for row in rows:
-            writer.writerow([
-                row["method"], repr(row["m"]), row["metric"],
-                repr(row["mean"]), repr(row["std"]),
-            ])
+        for m, results, _ in sweep:
+            for row in aggregate(results):
+                writer.writerow([
+                    row["method"], repr(m), f"{row['metric']}.{row['domain']}",
+                    repr(row["mean"]), repr(row["std"]),
+                ])
 
 
 def read_results_jsonl(path) -> list[RunResult]:

@@ -133,37 +133,30 @@ METRICS = {
 }
 
 
-def domain_split_eval(metric: str, data: Dataset, tau_hat: np.ndarray,
-                      metadata: dict | None = None) -> EvalReport:
-    """Evaluate one metric on all rows, the r=1 rows and the r=0 rows.
+def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
+                         metadata: dict | None = None) -> EvalReport:
+    """Evaluate each metric on all rows, the r=1 rows and the r=0 rows; the
+    three subsets are built once per report.
 
     Empty splits yield None ("absent") rather than an error."""
-    check_keys([metric], METRICS, "metric")
+    metrics = list(metrics)
+    check_keys(metrics, METRICS, "metric")
     tau_hat = np.asarray(tau_hat, dtype=np.float64)
     if tau_hat.shape != (data.n,):
         raise ValueError(f"tau_hat must have shape ({data.n},)")
-    masks = {
-        "overall": np.ones(data.n, dtype=bool),
-        "t_observed": data.r == 1,
-        "t_missing": data.r == 0,
+    splits = {
+        "overall": np.arange(data.n),
+        "t_observed": np.flatnonzero(data.r == 1),
+        "t_missing": np.flatnonzero(data.r == 0),
     }
-    values = {}
-    counts = {}
-    for split, mask in masks.items():
-        counts[split] = int(mask.sum())
-        idx = np.flatnonzero(mask)
-        values[split] = METRICS[metric](data.subset(idx), tau_hat[idx]) if idx.size else None
-    return EvalReport(metrics={metric: values}, counts=counts, metadata=metadata or {})
-
-
-def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
-                         metadata: dict | None = None) -> EvalReport:
-    """domain_split_eval over several metrics, merged into one report."""
-    report = EvalReport(metadata=metadata or {})
+    subsets = {split: (data.subset(idx), tau_hat[idx]) for split, idx in splits.items() if idx.size}
+    report = EvalReport(counts={split: int(idx.size) for split, idx in splits.items()},
+                        metadata=metadata or {})
     for metric in metrics:
-        single = domain_split_eval(metric, data, tau_hat)
-        report.metrics[metric] = single.metrics[metric]
-        report.counts = single.counts
+        report.metrics[metric] = {
+            split: METRICS[metric](*subsets[split]) if split in subsets else None
+            for split in splits
+        }
     return report
 
 

@@ -371,17 +371,18 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def run_world_sweep(num_worlds: int, seed: int = 0, max_points: int = 5,
-                    max_support: int = 4) -> SweepSummary:
+def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     """Exhaustively check the identities and the bound chain on randomly
     drawn worlds and models; per-world seeds derive from the master seed."""
+    if num_worlds < 1:
+        raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
     max_res = 0.0
     min_slack = float("inf")
     res_viol = 0
     slack_viol = 0
     for i in range(num_worlds):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 808, i]))
-        world = random_world(rng, max_points=max_points, max_support=max_support)
+        world = random_world(rng)
         model = random_model(rng, world.k)
         e = eps_terms(world, model)
         dec = check_decompositions(e)

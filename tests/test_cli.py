@@ -189,3 +189,31 @@ def test_sweep_m_command(tmp_path):
     assert lines[0] == "method,m,metric,mean,std"
     assert any(line.startswith("OLS_del,0.2,") for line in lines[1:])
     assert any(line.startswith("OLS_del,0.6,") for line in lines[1:])
+
+
+def test_sweep_m_command_writes_failures_per_m(tmp_path):
+    # 40 rows at d=12: at m=0.5 only 20 rows are observed, too few for
+    # ols_del in both arms, while the other two methods still fit
+    tiny = {"rep_layer_size": 8, "hyp_layer_size": 8, "iterations": 5, "batch_size": 16}
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict(n=40, d=12, seed=8)},
+        "missingness": {"m": 0.5, "q": 0.5},
+        "methods": [{"name": "ols_del"}, {"name": "ols_imp"},
+                    {"name": "mtrnet", "grid": [{}], "config": tiny}],
+        "num_runs": 1,
+        "master_seed": 3,
+    })
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-m", "--config", config, "--m", "0.5", "--out", str(out)]) == 0
+    failures = json.loads((out / "m_0.5" / "failures.json").read_text())
+    assert [(f["method"], f["run_index"]) for f in failures] == [("ols_del", 0)]
+    assert len((out / "m_0.5" / "results.jsonl").read_text().splitlines()) == 2
+    assert "n_runs" in (out / "m_0.5" / "aggregate.csv").read_text().splitlines()[0]
+
+
+def test_theory_check_rejects_zero_worlds(tmp_path, capsys):
+    out = tmp_path / "theory"
+    assert cli.main(["theory-check", "--worlds", "0", "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and "num_worlds" in error["message"]
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import replace
 
@@ -62,8 +63,12 @@ def test_expand_grid_order():
     grid = {"a": [1, 2], "b": [10, 20]}
     points = expand_grid(grid)
     assert points == [{"a": 1, "b": 10}, {"a": 1, "b": 20}, {"a": 2, "b": 10}, {"a": 2, "b": 20}]
-    assert expand_grid(None) == [{}]
     assert expand_grid([{"a": 1}]) == [{"a": 1}]
+    # a grid has one representation: no grid is the one default point
+    assert MethodSpec("ols_del").grid_points() == [{}]
+    assert MethodSpec.from_dict({"name": "ols_del"}, "paper").grid_points() == [{}]
+    with pytest.raises(ValueError, match="no points"):
+        MethodSpec.from_dict({"name": "ols_del", "grid": []})
 
 
 def test_experiment_config_json_roundtrip():
@@ -175,12 +180,12 @@ def test_run_experiment_ols_recovers_linear_truth():
     assert results[0].report.metrics["sqrt_pehe"]["overall"] < 0.05
 
 
-def test_run_experiment_records_partial_failures():
+def partial_failure_config():
     # m=0.5 leaves exactly 20 of the 40 rows observed, fewer than the 2 x 13
     # that OLS needs for d=12 in both arms, so ols_del fails in every run even
     # on train+val, while the other two methods stay healthy: failures < half,
     # experiment survives.
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         dgp=linear_dgp(n=40, d=12), csv_path=None,
         missingness=MissingnessSpec(m=0.5, q=0.5),
         methods=(
@@ -190,9 +195,61 @@ def test_run_experiment_records_partial_failures():
         ),
         num_runs=2, master_seed=3,
     )
-    results, failures = run_experiment(cfg, log=None)
+
+
+def test_run_experiment_records_partial_failures():
+    results, failures = run_experiment(partial_failure_config(), log=None)
     assert {f["method"] for f in failures} == {"ols_del"}
     assert len(results) == 4
+
+
+def test_pooled_failures_match_serial():
+    cfg = partial_failure_config()
+    seq, seq_failures = run_experiment(cfg, jobs=1, log=None)
+    par, par_failures = run_experiment(cfg, jobs=2, log=None)
+    assert len(seq_failures) == 2
+    assert par_failures == seq_failures
+    assert [r.to_dict() for r in par] == [r.to_dict() for r in seq]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_experiment_and_sweep_reject_nonpositive_jobs(monkeypatch, jobs):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.setattr(harness, "fit_method", no_fit)
+    cfg = experiment_config([MethodSpec("ols_del")], num_runs=1)
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(cfg, jobs=jobs, log=None)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_m(cfg, [0.5], jobs=jobs, log=None)
+
+
+def _die_in_worker(task):
+    os._exit(1)
+
+
+def test_dead_worker_fails_the_experiment_by_name(monkeypatch):
+    monkeypatch.setattr(harness, "_job", _die_in_worker)
+    cfg = experiment_config([MethodSpec("ols_del")], num_runs=1)
+    with pytest.raises(ExperimentFailedError, match="process pool"):
+        run_experiment(cfg, jobs=2, log=None)
+
+
+def test_csv_experiment_pooled_bytes_match_serial(tmp_path):
+    d = dm.apply_missingness(dm.generate(linear_dgp(seed=5)), MissingnessSpec(m=0.3, q=0.6, seed=2))
+    dm.save_csv(d, tmp_path / "data.csv")
+    cfg = ExperimentConfig(
+        dgp=None, csv_path=str(tmp_path / "data.csv"), missingness=None,
+        methods=(MethodSpec("ols_rew"),
+                 MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}),
+                            base_config=tiny_net_config())),
+        num_runs=2, master_seed=5,
+    )
+    for jobs in (1, 2):
+        write_results(tmp_path / f"jobs{jobs}", *run_experiment(cfg, jobs=jobs, log=None))
+    for name in ("results.jsonl", "aggregate.csv"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
 def test_run_experiment_aborts_when_half_fail():
@@ -299,17 +356,28 @@ def test_write_and_read_results_roundtrip(tmp_path):
     assert header == "method,dataset,metric,domain,mean,std,n_runs"
 
 
+def sweep_rows(sweep):
+    """The long-format rows of sweep_m.csv, from each m's aggregate."""
+    return [
+        {"method": agg["method"], "m": m, "metric": f"{agg['metric']}.{agg['domain']}",
+         "mean": agg["mean"], "std": agg["std"]}
+        for m, results, _ in sweep for agg in aggregate(results)
+    ]
+
+
 def test_sweep_m_shape_and_csv_roundtrip(tmp_path):
     cfg = experiment_config([MethodSpec("ols_del", grid=({},)), MethodSpec("ols_imp", grid=({},))],
                             num_runs=1)
-    rows = sweep_m(cfg, [0.2, 0.5], log=None)
+    sweep = sweep_m(cfg, [0.2, 0.5], log=None)
+    assert [m for m, _, _ in sweep] == [0.2, 0.5]
+    rows = sweep_rows(sweep)
     methods = {r["method"] for r in rows}
     assert methods == {"OLS_del", "OLS_imp"}
     for m in (0.2, 0.5):
         for method in methods:
             matching = [r for r in rows if r["m"] == m and r["method"] == method]
             assert matching  # at least one metric row per (method, m)
-    write_sweep(tmp_path, rows)
+    write_sweep(tmp_path, sweep)
     text = (tmp_path / "sweep_m.csv").read_text().splitlines()
     assert text[0] == "method,m,metric,mean,std"
     parsed = [line.split(",") for line in text[1:]]
@@ -320,6 +388,11 @@ def test_sweep_m_shape_and_csv_roundtrip(tmp_path):
         assert metric == row["metric"]
         assert float(mean) == row["mean"]
         assert float(std) == row["std"]
+    for m, results, _ in sweep:
+        loaded = read_results_jsonl(tmp_path / f"m_{m:g}" / "results.jsonl")
+        assert [r.to_dict() for r in loaded] == [r.to_dict() for r in results]
+        assert (tmp_path / f"m_{m:g}" / "aggregate.csv").read_text().startswith(
+            "method,dataset,metric,domain,mean,std,n_runs\n")
 
 
 def test_sweep_m_rejects_bad_fraction():
@@ -345,7 +418,7 @@ def test_parallel_jobs_match_sequential():
 
 
 def test_parallel_jobs_match_sequential_neural():
-    # every neural family, each spec crossing the pool as a to_dict/from_dict round trip
+    # every neural family, each spec crossing the pool pickled
     cfg = experiment_config([
         MethodSpec("mtrnet", grid=({"alpha": 0.5, "beta": 2.0},), base_config=tiny_net_config()),
         MethodSpec("tarnet_rew", grid=({},), base_config=tiny_net_config()),
@@ -366,7 +439,7 @@ def test_sweep_m_shift_free_control():
     def mean_gap(q):
         cfg = trend_config(0.5)
         cfg = replace(cfg, missingness=MissingnessSpec(m=0.5, q=q), num_runs=3)
-        rows = sweep_m(cfg, [0.5, 0.7], log=None)
+        rows = sweep_rows(sweep_m(cfg, [0.5, 0.7], log=None))
         gaps = []
         for m in (0.5, 0.7):
             vals = {r["method"]: r["mean"] for r in rows

@@ -9,7 +9,7 @@ from mtcate import metrics
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 from mtcate.metrics import (
-    domain_split_eval, evaluate_predictions, nn_surrogate_effects, pehe_nn,
+    evaluate_predictions, nn_surrogate_effects, pehe_nn,
     pehe_observed, pehe_true, policy_risk,
 )
 
@@ -169,7 +169,7 @@ def toy_dataset(r, tau, tau_extra=None):
 
 def test_domain_split_fully_observed_has_absent_missing_split():
     data = toy_dataset([1, 1, 1], [0.0, 0.0, 0.0])
-    report = domain_split_eval("pehe", data, np.zeros(3))
+    report = evaluate_predictions(data, np.zeros(3), ["pehe"])
     vals = report.metrics["pehe"]
     assert vals["t_missing"] is None
     assert vals["overall"] == vals["t_observed"] == 0.0
@@ -177,7 +177,7 @@ def test_domain_split_fully_observed_has_absent_missing_split():
 
 def test_domain_split_equal_errors_give_equal_values():
     data = toy_dataset([1, 0, 1, 0], [0.0, 0.0, 0.0, 0.0])
-    report = domain_split_eval("pehe", data, np.full(4, 2.0))
+    report = evaluate_predictions(data, np.full(4, 2.0), ["pehe"])
     vals = report.metrics["pehe"]
     assert vals["overall"] == vals["t_observed"] == vals["t_missing"] == pytest.approx(4.0)
 
@@ -185,7 +185,7 @@ def test_domain_split_equal_errors_give_equal_values():
 def test_domain_split_mixes_split_means():
     data = toy_dataset([1, 1, 0, 0], [0.0, 0.0, 0.0, 0.0])
     tau_hat = np.array([0.0, 0.0, 1.0, 1.0])
-    vals = domain_split_eval("pehe", data, tau_hat).metrics["pehe"]
+    vals = evaluate_predictions(data, tau_hat, ["pehe"]).metrics["pehe"]
     assert vals["t_observed"] == 0.0
     assert vals["t_missing"] == 1.0
     assert vals["overall"] == pytest.approx(0.5)
@@ -193,7 +193,7 @@ def test_domain_split_mixes_split_means():
 
 def test_sqrt_pehe_is_root_of_mean_not_mean_of_roots():
     data = toy_dataset([1, 1], [0.0, 0.0])
-    vals = domain_split_eval("sqrt_pehe", data, np.array([0.0, 2.0])).metrics["sqrt_pehe"]
+    vals = evaluate_predictions(data, np.array([0.0, 2.0]), ["sqrt_pehe"]).metrics["sqrt_pehe"]
     assert vals["overall"] == pytest.approx(math.sqrt(2.0))  # mean of roots would be 1.0
 
 
@@ -205,7 +205,7 @@ def test_overall_lies_between_split_values_for_mean_metrics():
         if r.min() == r.max():
             continue
         data = toy_dataset(r, rng.standard_normal(n))
-        vals = domain_split_eval("pehe", data, rng.standard_normal(n)).metrics["pehe"]
+        vals = evaluate_predictions(data, rng.standard_normal(n), ["pehe"]).metrics["pehe"]
         lo = min(vals["t_observed"], vals["t_missing"])
         hi = max(vals["t_observed"], vals["t_missing"])
         assert lo - 1e-12 <= vals["overall"] <= hi + 1e-12
@@ -217,3 +217,13 @@ def test_report_json_roundtrip():
     again = json.loads(report.to_json())
     assert again == {"metrics": report.metrics, "counts": report.counts,
                      "metadata": {"method": "x"}}
+
+
+def test_evaluate_predictions_checks_every_metric_name_first(monkeypatch):
+    def no_eval(*args):
+        raise AssertionError("a metric was computed")
+
+    monkeypatch.setitem(metrics.METRICS, "pehe", no_eval)
+    data = toy_dataset([1, 0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="'pehee'"):
+        evaluate_predictions(data, np.zeros(2), ["pehe", "pehee"])
