@@ -32,31 +32,18 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _dataset_from_config(cfg: dict, seed_override: int | None):
-    check_keys(cfg, ("synthetic", "csv", "missingness"), "data config")
-    if "csv" in cfg:
-        return datamod.load_csv(cfg["csv"])
-    dgp = datamod.SyntheticDGPSpec.from_dict(cfg["synthetic"])
-    if seed_override is not None:
-        dgp = replace(dgp, seed=seed_override)
-    d = datamod.generate(dgp)
-    miss = cfg.get("missingness")
-    if miss is not None:
-        spec = datamod.MissingnessSpec.from_dict(miss)
-        if seed_override is not None:
-            spec = replace(spec, seed=seed_override)
-        d = datamod.apply_missingness(d, spec)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Fitted-model payloads
+
+
+# the keys each kind of model payload carries besides format_version and kind
+_MODEL_KEYS = {"ols": ("beta0", "beta1"), "mtrnet": ("input_dim", "config", "shapes", "parameters")}
 
 
 def model_payload(method: str, fitted) -> dict:
     if isinstance(fitted, OlsModel):
         return {
-            "format_version": 1, "kind": "ols", "method": method,
+            "format_version": mtrnet.FORMAT_VERSION, "kind": "ols", "method": method,
             "beta0": fitted.beta0.tolist(), "beta1": fitted.beta1.tolist(),
         }
     payload = mtrnet.model_to_dict(fitted)
@@ -65,7 +52,16 @@ def model_payload(method: str, fitted) -> dict:
 
 
 def load_fitted(payload: dict):
-    if payload.get("kind") == "ols":
+    """The fitted model of a model_payload, after checking its kind, format
+    version and keys."""
+    kind = payload.get("kind")
+    if kind not in _MODEL_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}; known: {sorted(_MODEL_KEYS)}")
+    required = ("format_version", "kind", *_MODEL_KEYS[kind])
+    check_keys(payload, (*required, "method"), f"{kind} model", required)
+    if payload["format_version"] != mtrnet.FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {payload['format_version']!r}")
+    if kind == "ols":
         return OlsModel(np.asarray(payload["beta0"]), np.asarray(payload["beta1"]))
     return mtrnet.model_from_dict(payload)
 
@@ -75,8 +71,10 @@ def load_fitted(payload: dict):
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_json(args.config)
-    d = _dataset_from_config(cfg, args.seed)
+    spec = datamod.DataSpec.from_dict(_load_json(args.config), "data config")
+    if args.seed is not None:
+        spec = spec.reseeded(args.seed, args.seed)
+    d = datamod.load_dataset(spec)
     datamod.save_csv(d, args.out)
     print(f"wrote {d.n} rows x {d.d} covariates to {args.out}")
     return 0
@@ -84,13 +82,14 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
-    check_keys(cfg, ("method", "config", "data", "metrics"), "train config")
+    check_keys(cfg, ("method", "config", "data", "metrics"), "train config",
+               required=("method", "data"))
     check_keys(cfg.get("metrics", ()), metricsmod.METRICS, "metric")
     spec = harness.MethodSpec.from_dict({"name": cfg["method"], "config": cfg.get("config", {})})
     method, net_config = spec.name, spec.base_config
     if args.seed is not None:
         net_config = replace(net_config, seed=args.seed)
-    d = _dataset_from_config(cfg["data"], None)
+    d = datamod.load_dataset(datamod.DataSpec.from_dict(cfg["data"], "data"))
     fitted = harness.fit_method(method, net_config, d)
 
     out = Path(args.out)

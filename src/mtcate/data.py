@@ -10,12 +10,12 @@ to estimators.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import expit
-from .errors import CsvParseError, TooFewRowsError, check_keys
+from .errors import CsvParseError, Spec, TooFewRowsError
 
 OPTIONAL_COLUMNS = ("y0", "y1", "tau", "e", "t_true")
 SPLIT_FRACTIONS = (0.70, 0.20, 0.10)  # train, validation, test
@@ -117,7 +117,7 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
 
 
 @dataclass(frozen=True)
-class OutcomeSpec:
+class OutcomeSpec(Spec):
     """One response surface: linear, linear+quadratic, or linear+step ("piecewise")."""
 
     kind: str  # linear | quadratic | piecewise
@@ -128,9 +128,12 @@ class OutcomeSpec:
     jump_direction: tuple[float, ...] = ()
     jump_threshold: float = 0.0
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def validate(self) -> None:
         if self.kind not in ("linear", "quadratic", "piecewise"):
             raise ValueError(f"unknown outcome kind {self.kind!r}")
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        self.validate()
         out = self.intercept + x @ np.asarray(self.linear, dtype=np.float64)
         if self.kind == "quadratic":
             out = out + (x * x) @ np.asarray(self.quadratic, dtype=np.float64)
@@ -139,33 +142,9 @@ class OutcomeSpec:
             out = out + self.jump * (x @ w > self.jump_threshold)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "intercept": self.intercept,
-            "linear": list(self.linear),
-            "quadratic": list(self.quadratic),
-            "jump": self.jump,
-            "jump_direction": list(self.jump_direction),
-            "jump_threshold": self.jump_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutcomeSpec":
-        check_keys(d, [f.name for f in fields(cls)], "outcome")
-        return cls(
-            kind=d["kind"],
-            intercept=float(d.get("intercept", 0.0)),
-            linear=tuple(d.get("linear", ())),
-            quadratic=tuple(d.get("quadratic", ())),
-            jump=float(d.get("jump", 0.0)),
-            jump_direction=tuple(d.get("jump_direction", ())),
-            jump_threshold=float(d.get("jump_threshold", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class SyntheticDGPSpec:
+class SyntheticDGPSpec(Spec):
     n: int
     d: int
     propensity: tuple[float, ...]  # p(T=1|x) = sigmoid(gamma . x)
@@ -183,35 +162,6 @@ class SyntheticDGPSpec:
             raise ValueError("noise_sd must be >= 0")
         if len(self.propensity) != self.d:
             raise ValueError("propensity must have length d")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "propensity": list(self.propensity),
-            "outcome0": self.outcome0.to_dict(),
-            "outcome1": self.outcome1.to_dict(),
-            "noise_sd": self.noise_sd,
-            "mixing": None if self.mixing is None else [list(row) for row in self.mixing],
-            "rct": self.rct,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticDGPSpec":
-        check_keys(d, [f.name for f in fields(cls)], "synthetic")
-        mixing = d.get("mixing")
-        return cls(
-            n=int(d["n"]),
-            d=int(d["d"]),
-            propensity=tuple(d["propensity"]),
-            outcome0=OutcomeSpec.from_dict(d["outcome0"]),
-            outcome1=OutcomeSpec.from_dict(d["outcome1"]),
-            noise_sd=float(d.get("noise_sd", 0.0)),
-            mixing=None if mixing is None else tuple(tuple(row) for row in mixing),
-            rct=bool(d.get("rct", False)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 def generate(spec: SyntheticDGPSpec) -> Dataset:
@@ -246,7 +196,7 @@ def generate(spec: SyntheticDGPSpec) -> Dataset:
 
 
 @dataclass(frozen=True)
-class MissingnessSpec:
+class MissingnessSpec(Spec):
     m: float  # target missing fraction
     q: float  # shift magnitude
     seed: int = 0
@@ -256,14 +206,6 @@ class MissingnessSpec:
             raise ValueError(f"m must be in (0,1), got {self.m}")
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must be in (0,1), got {self.q}")
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "q": self.q, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MissingnessSpec":
-        check_keys(d, [f.name for f in fields(cls)], "missingness")
-        return cls(m=float(d["m"]), q=float(d["q"]), seed=int(d.get("seed", 0)))
 
 
 def missingness_probabilities(x: np.ndarray, column_means: np.ndarray, q: float) -> np.ndarray:
@@ -431,3 +373,38 @@ def load_csv(path) -> Dataset:
         return Dataset(x=x, t=t, r=r, y=y, **extra)
     except ValueError as exc:
         raise CsvParseError(1, f"inconsistent dataset: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# The one loader: every command and every experiment run builds its data here
+
+
+@dataclass(frozen=True)
+class DataSpec(Spec):
+    """Exactly one source, a synthetic spec or a CSV path, optionally masked
+    by a missingness spec."""
+
+    synthetic: SyntheticDGPSpec | None = None
+    csv: str | None = None
+    missingness: MissingnessSpec | None = None
+
+    def validate(self) -> None:
+        if (self.synthetic is None) == (self.csv is None):
+            raise ValueError("data needs exactly one of a synthetic spec or a csv path")
+
+    def reseeded(self, synthetic_seed: int, missingness_seed: int) -> "DataSpec":
+        """The same spec with the synthetic draw and the mask seeded anew."""
+        return DataSpec(self.synthetic and replace(self.synthetic, seed=synthetic_seed), self.csv,
+                        self.missingness and replace(self.missingness, seed=missingness_seed))
+
+
+def load_dataset(spec: DataSpec, csv_data: Dataset | None = None) -> Dataset:
+    """Generate the synthetic spec or read the CSV (`csv_data` is that CSV
+    when the caller has read it already), then mask it with the missingness
+    spec, which needs fully observed data."""
+    spec.validate()
+    if spec.synthetic is not None:
+        d = generate(spec.synthetic)
+    else:
+        d = load_csv(spec.csv) if csv_data is None else csv_data
+    return d if spec.missingness is None else apply_missingness(d, spec.missingness)

@@ -21,13 +21,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from . import baselines, data as datamod, metrics as metricsmod, mtrnet
-from .data import Dataset, MissingnessSpec, SyntheticDGPSpec
-from .errors import AllFailedError, ExperimentFailedError, check_keys
+from .data import DataSpec, Dataset, MissingnessSpec, SyntheticDGPSpec
+from .errors import AllFailedError, ExperimentFailedError, Spec, check_keys, decode, encode
 from .metrics import EvalReport
 from .mtrnet import MTRNetConfig
 
@@ -105,9 +105,8 @@ PAPER_GRIDS = {
 PRESETS = {"desk": DESK_GRIDS, "paper": PAPER_GRIDS}
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(MTRNetConfig))
 # the seed is derived per run, so a grid may vary every other field
-_GRID_KEYS = _CONFIG_KEYS - {"seed"}
+_GRID_KEYS = frozenset(f.name for f in fields(MTRNetConfig)) - {"seed"}
 
 
 @dataclass(frozen=True)
@@ -132,40 +131,48 @@ class MethodSpec:
         return expand_grid(self.grid)
 
     def to_dict(self) -> dict:
-        grid = self.grid
-        if isinstance(grid, tuple):
-            grid = list(grid)
-        return {"name": self.name, "grid": grid, "config": self.base_config.to_dict()}
+        return {"name": self.name, "grid": encode(self.grid), "config": self.base_config.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict, preset: str = "desk") -> "MethodSpec":
-        check_keys(d, ("name", "grid", "config"), "method")
-        name = canonical_method(d["name"])
+        """Checks the grid's shape and every value in it against the base
+        config, one value at a time: a mapping grid is never expanded here."""
+        check_keys(d, ("name", "grid", "config"), "method", required=("name",))
+        name = canonical_method(decode(d["name"], str, "method.name"))
+        base = MTRNetConfig.from_dict(d.get("config", {}), f"{name} config")
         grid = d.get("grid")
         if grid is None:
             grid = PRESETS[preset][METHODS[name].estimator]
-        if isinstance(grid, list):
-            grid = tuple(dict(g) for g in grid)
-        config = d.get("config", {})
-        check_keys(config, _CONFIG_KEYS, f"{name} config")
-        base = MTRNetConfig.from_dict({**MTRNetConfig().to_dict(), **config})
-        return cls(name=name, grid=grid, base_config=base)
+        if isinstance(grid, dict):
+            bad = sorted(k for k, v in grid.items() if not (isinstance(v, list) and v))
+            if bad:
+                raise ValueError(f"{name} grid key(s) {bad} must map to a non-empty list")
+            values = [{k: v} for k, vs in grid.items() for v in vs]
+        else:
+            grid = values = decode(grid, tuple[dict, ...], f"{name} grid")
+        spec = cls(name=name, grid=grid, base_config=base)
+        for value in values:
+            MTRNetConfig.from_dict({**base.to_dict(), **value}, f"{name} grid")
+        return spec
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Spec):
     dgp: SyntheticDGPSpec | None
     csv_path: str | None
     missingness: MissingnessSpec | None
     methods: tuple
     num_runs: int = 10
     master_seed: int = 0
-    metrics: tuple = ()  # empty means: use whatever the data supports
+    metrics: tuple[str, ...] = ()  # empty means: use whatever the data supports
     preset: str = "desk"
 
+    @property
+    def data(self) -> DataSpec:
+        return DataSpec(self.dgp, self.csv_path, self.missingness)
+
     def validate(self) -> None:
-        if (self.dgp is None) == (self.csv_path is None):
-            raise ValueError("config needs exactly one of a synthetic spec or a csv path")
+        self.data.validate()
         if not self.methods:
             raise ValueError("at least one method is required")
         if self.num_runs < 1:
@@ -173,41 +180,28 @@ class ExperimentConfig:
         check_keys(self.metrics, metricsmod.METRICS, "metric")
 
     def to_dict(self) -> dict:
-        return {
-            "data": (
-                {"synthetic": self.dgp.to_dict()} if self.dgp is not None
-                else {"csv": self.csv_path}
-            ),
-            "missingness": None if self.missingness is None else self.missingness.to_dict(),
-            "methods": [m.to_dict() for m in self.methods],
-            "num_runs": self.num_runs,
-            "master_seed": self.master_seed,
-            "metrics": list(self.metrics),
-            "preset": self.preset,
-        }
+        d = super().to_dict()
+        source = {"synthetic": d.pop("dgp"), "csv": d.pop("csv_path")}
+        return {"data": {k: v for k, v in source.items() if v is not None}, **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_keys(d, ("data", "missingness", "methods", "num_runs", "master_seed",
-                       "metrics", "preset"), "experiment config")
-        preset = d.get("preset", "desk")
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}")
-        src = d["data"]
+        """The `data` block holds the source; every other key but `methods`
+        is a field, read by the codec with the field's type and default."""
+        scalars = ("missingness", "num_runs", "master_seed", "metrics", "preset")
+        check_keys(d, ("data", "methods", *scalars), "experiment config",
+                   required=("data", "methods"))
+        src = decode(d["data"], dict, "data")
         check_keys(src, ("synthetic", "csv"), "data")
-        dgp = SyntheticDGPSpec.from_dict(src["synthetic"]) if "synthetic" in src else None
-        csv_path = src.get("csv")
-        miss = d.get("missingness")
-        cfg = cls(
-            dgp=dgp,
-            csv_path=csv_path,
-            missingness=None if miss is None else MissingnessSpec.from_dict(miss),
-            methods=tuple(MethodSpec.from_dict(m, preset) for m in d["methods"]),
-            num_runs=int(d.get("num_runs", 10)),
-            master_seed=int(d.get("master_seed", 0)),
-            metrics=tuple(d.get("metrics", ())),
-            preset=preset,
-        )
+        data = DataSpec.from_dict(src, "data")
+        hints = get_type_hints(cls)
+        given = {k: decode(d[k], hints[k], k) for k in scalars if k in d}
+        preset = given.get("preset", cls.preset)
+        if preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+        methods = decode(d["methods"], tuple[dict, ...], "methods")
+        cfg = cls(dgp=data.synthetic, csv_path=data.csv,
+                  methods=tuple(MethodSpec.from_dict(m, preset) for m in methods), **given)
         cfg.validate()
         return cfg
 
@@ -251,10 +245,10 @@ def default_selection_metric(d: Dataset) -> str:
 
 
 def cross_validate(train_data: Dataset, val_data: Dataset, method: MethodSpec,
-                   seed: int, selection_metric: str):
-    """Score every grid point on the validation split; return
-    (best_overrides, scores). Failures score +inf; ties keep grid order."""
-    points = method.grid_points()
+                   points: list[dict], seed: int, selection_metric: str):
+    """Score every grid point (`method.grid_points()`, expanded once by the
+    caller) on the validation split; return (best_overrides, scores).
+    Failures score +inf; ties keep grid order."""
     scores = []
     causes = []
     for overrides in points:
@@ -279,7 +273,7 @@ def cross_validate(train_data: Dataset, val_data: Dataset, method: MethodSpec,
 
 
 @dataclass
-class RunResult:
+class RunResult(Spec):
     method: str
     run_index: int
     seed: int
@@ -290,43 +284,22 @@ class RunResult:
     def to_dict(self) -> dict:
         # wall clock intentionally excluded: result files must be bitwise
         # reproducible under a fixed master seed
-        return {
-            "method": self.method,
-            "method_label": METHODS[self.method].label,
-            "run_index": self.run_index,
-            "seed": self.seed,
-            "hyperparameters": self.hyperparameters,
-            "report": {
-                "metrics": self.report.metrics,
-                "counts": self.report.counts,
-                "metadata": self.report.metadata,
-            },
-        }
+        d = super().to_dict()
+        del d["wall_clock_s"]
+        return {**d, "method_label": METHODS[self.method].label}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        return cls(
-            method=d["method"], run_index=d["run_index"], seed=d["seed"],
-            hyperparameters=d["hyperparameters"],
-            report=EvalReport(
-                metrics=d["report"]["metrics"], counts=d["report"]["counts"],
-                metadata=d["report"]["metadata"],
-            ),
-        )
+        return super().from_dict({k: v for k, v in d.items() if k != "method_label"}, "result")
 
 
 def _run_dataset(config: ExperimentConfig, run_index: int, base: Dataset | None) -> Dataset:
-    """Per-run data: synthetic specs are regenerated, csv data gets a fresh
-    missingness pattern when it arrives fully observed."""
+    """Per-run data through the one loader, with the synthetic draw and the
+    mask seeded per run; `base` is the CSV, read once per experiment."""
     ms = config.master_seed
-    if config.dgp is not None:
-        d = datamod.generate(replace(config.dgp, seed=derive_seed(ms, run_index, "data")))
-    else:
-        d = base
-    if config.missingness is not None and np.all(d.r == 1):
-        spec = replace(config.missingness, seed=derive_seed(ms, run_index, "missingness"))
-        d = datamod.apply_missingness(d, spec)
-    return d
+    spec = config.data.reseeded(derive_seed(ms, run_index, "data"),
+                                derive_seed(ms, run_index, "missingness"))
+    return datamod.load_dataset(spec, base)
 
 
 def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
@@ -342,7 +315,7 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
     if len(points) == 1:
         chosen = dict(points[0])
     else:
-        chosen, _ = cross_validate(train, val, method, seed, selection)
+        chosen, _ = cross_validate(train, val, method, points, seed, selection)
     final_config = replace(method.base_config, **chosen, seed=seed)
     model = fit_method(method.name, final_config, datamod.concat(train, val))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError, check_keys
+from .errors import DegenerateArmError, MetricUnavailableError, Spec, StratumEmptyError, check_keys
 
 # float64 elements of one (own rows, opposite-arm rows, d) difference block in
 # the nearest-neighbour search, so its memory grows linearly with the rows
@@ -106,7 +106,7 @@ def pehe_nn(tau_hat: np.ndarray, x: np.ndarray, t: np.ndarray, y: np.ndarray) ->
 
 
 @dataclass
-class EvalReport:
+class EvalReport(Spec):
     """Metric values per observedness domain plus split sizes and run metadata."""
 
     metrics: dict = field(default_factory=dict)  # name -> {split: value | None}
@@ -114,10 +114,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"metrics": self.metrics, "counts": self.counts, "metadata": self.metadata},
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # Every metric a report can name: name -> (data, tau_hat) -> value. The

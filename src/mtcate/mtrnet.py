@@ -13,7 +13,7 @@ penalty).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .autodiff import (
     mmd2_rbf, mul, unit_normalize_rows,
 )
 from .data import Dataset
-from .errors import DegenerateArmError, TrainingDivergedError
+from .errors import DegenerateArmError, Spec, TrainingDivergedError
 from .nn import (
     AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, l2_penalty, pack,
 )
@@ -37,7 +37,7 @@ MAX_BATCH_RESAMPLES = 100
 
 
 @dataclass(frozen=True)
-class MTRNetConfig:
+class MTRNetConfig(Spec):
     rep_layer_size: int = 50
     hyp_layer_size: int = 50
     num_rep_layers: int = 3
@@ -66,13 +66,6 @@ class MTRNetConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.l2_lambda < 0 or self.alpha < 0 or self.beta < 0:
             raise ValueError("l2_lambda, alpha, beta must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MTRNetConfig":
-        return cls(**d)
 
 
 @dataclass

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Spec
+
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
 TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
 
@@ -348,7 +350,7 @@ def random_model(rng: np.random.Generator, k: int) -> TabularModel:
 
 
 @dataclass
-class SweepSummary:
+class SweepSummary(Spec):
     num_worlds: int
     max_abs_residual: float
     min_slack: float
@@ -356,9 +358,6 @@ class SweepSummary:
     slack_violations: int
     residual_tolerance: float
     slack_tolerance: float
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
     def table(self) -> str:
         lines = [

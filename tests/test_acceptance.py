@@ -8,6 +8,7 @@ everything else finishes in seconds.
 import time
 
 import numpy as np
+import pytest
 
 from mtcate import cli
 from mtcate.autodiff import mmd2_rbf
@@ -218,6 +219,7 @@ def missing_domain_gaps(m: float):
     return [vals["tarnet_del"] - vals["mtrnet"] for _, vals in sorted(by_run.items())]
 
 
+@pytest.mark.slow
 def test_missing_domain_trend():
     started = time.perf_counter()
     gaps_half = missing_domain_gaps(0.5)

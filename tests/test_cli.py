@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,3 +218,92 @@ def test_theory_check_rejects_zero_worlds(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error["type"] == "ValueError" and "num_worlds" in error["message"]
     assert not out.exists()
+
+
+
+def cli_error(capsys, argv):
+    """Run a command that must fail; return the JSON error object it printed."""
+    assert cli.main(argv) == 1
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_generate_masks_a_fully_observed_csv(tmp_path, capsys):
+    full = tmp_path / "full.csv"
+    config = write_json(tmp_path / "gen.json", {"synthetic": dgp_dict(n=90)})
+    assert cli.main(["generate", "--config", config, "--out", str(full)]) == 0
+    assert dm.load_csv(full).n_observed() == 90
+    masked = tmp_path / "masked.csv"
+    config = write_json(tmp_path / "mask.json", {
+        "csv": str(full), "missingness": {"m": 0.5, "q": 0.9}})
+    assert cli.main(["generate", "--config", config, "--out", str(masked)]) == 0
+    d = dm.load_csv(masked)
+    assert d.n == 90 and int((d.r == 0).sum()) == round(0.5 * 90)
+
+    # a CSV that already misses labels is not masked again
+    config = write_json(tmp_path / "again.json", {
+        "csv": str(masked), "missingness": {"m": 0.5, "q": 0.9}})
+    out = tmp_path / "again.csv"
+    error = cli_error(capsys, ["generate", "--config", config, "--out", str(out)])
+    assert error["type"] == "ValueError" and "fully observed" in error["message"]
+    assert not out.exists()
+
+
+def test_train_masks_a_fully_observed_csv(tmp_path):
+    full = tmp_path / "full.csv"
+    config = write_json(tmp_path / "gen.json", {"synthetic": dgp_dict(n=100, seed=2)})
+    assert cli.main(["generate", "--config", config, "--out", str(full)]) == 0
+    config = write_json(tmp_path / "train.json", {
+        "method": "ols_del",
+        "data": {"csv": str(full), "missingness": {"m": 0.3, "q": 0.7, "seed": 1}},
+    })
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "fit")]) == 0
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    assert report["counts"] == {"overall": 100, "t_observed": 70, "t_missing": 30}
+
+
+BAD_DATA_BLOCKS = [
+    ({}, "exactly one"),
+    ({"synthetic": dgp_dict(), "csv": "data.csv"}, "exactly one"),
+    ({"synthetic": {k: v for k, v in dgp_dict().items() if k != "d"}}, "['d']"),
+    ({"synthetic": {**dgp_dict(), "n": "abc"}}, "synthetic.n"),
+    ({"synthetic": {**dgp_dict(), "noise_sd": -1}}, "noise_sd"),
+    ({"synthetic": dgp_dict(), "missingness": {"m": 0.3}}, "['q']"),
+    ({"synthetic": dgp_dict(), "missingness": {"m": 0.3, "q": 1.5}}, "q must be in (0,1)"),
+    ({"csv": 5}, "csv"),
+]
+
+
+@pytest.mark.parametrize("block, named", BAD_DATA_BLOCKS)
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_bad_data_block_fails_at_load(tmp_path, capsys, command, block, named):
+    payload = block if command == "generate" else {"method": "ols_del", "data": block}
+    config = write_json(tmp_path / "config.json", payload)
+    out = tmp_path / "out"
+    error = cli_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert error["type"] == "ValueError" and named in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"method": "tarnet_del", "config": {"iterations": 2.5}}, "iterations"),
+    ({"method": "tarnet_del", "config": {"dropout_rate": 1.5}}, "dropout_rate"),
+    ({"method": 3}, "method.name"),
+    ({}, "['method']"),
+])
+def test_bad_train_config_fails_at_load(tmp_path, capsys, payload, named):
+    config = write_json(tmp_path / "train.json", {"data": {"synthetic": dgp_dict()}, **payload})
+    error = cli_error(capsys, ["train", "--config", config, "--out", str(tmp_path / "fit")])
+    assert error["type"] == "ValueError" and named in error["message"]
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"kind": "cart", "format_version": 1}, "'cart'"),
+    ({"format_version": 1, "beta0": [0.0], "beta1": [1.0]}, "None"),
+    ({"kind": "ols"}, "['format_version', 'beta0', 'beta1']"),
+    ({"kind": "ols", "format_version": 2, "beta0": [0.0], "beta1": [1.0]}, "version 2"),
+    ({"kind": "mtrnet", "format_version": 1}, "'input_dim'"),
+])
+def test_load_fitted_checks_kind_version_and_keys(payload, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cli.load_fitted(payload)

@@ -126,7 +126,8 @@ def test_cross_validate_singleton_grid():
     d = dm.apply_missingness(dm.generate(linear_dgp(seed=2)), MissingnessSpec(m=0.3, q=0.6, seed=1))
     train_d, val_d, _ = dm.split(d, seed=3)
     method = MethodSpec("ols_del", grid=({},))
-    chosen, scores = cross_validate(train_d, val_d, method, seed=5, selection_metric="pehe_nn")
+    chosen, scores = cross_validate(train_d, val_d, method, method.grid_points(),
+                                    seed=5, selection_metric="pehe_nn")
     assert chosen == {}
     assert len(scores) == 1 and np.isfinite(scores[0])
 
@@ -140,7 +141,8 @@ def test_cross_validate_prefers_sane_learning_rate():
         base_config=tiny_net_config(),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        chosen, scores = cross_validate(train_d, val_d, method, seed=6, selection_metric="pehe_nn")
+        chosen, scores = cross_validate(train_d, val_d, method, method.grid_points(),
+                                        seed=6, selection_metric="pehe_nn")
     assert chosen == {"learning_rate": 1e-2}
     assert scores[1] < scores[0]
 
@@ -149,8 +151,10 @@ def test_cross_validate_deterministic():
     d = dm.apply_missingness(dm.generate(linear_dgp(seed=6)), MissingnessSpec(m=0.3, q=0.6, seed=3))
     train_d, val_d, _ = dm.split(d, seed=7)
     method = MethodSpec("mtrnet", grid=({"alpha": 0.5}, {"alpha": 2.0}), base_config=tiny_net_config())
-    first = cross_validate(train_d, val_d, method, seed=8, selection_metric="pehe_nn")
-    second = cross_validate(train_d, val_d, method, seed=8, selection_metric="pehe_nn")
+    first = cross_validate(train_d, val_d, method, method.grid_points(),
+                           seed=8, selection_metric="pehe_nn")
+    second = cross_validate(train_d, val_d, method, method.grid_points(),
+                            seed=8, selection_metric="pehe_nn")
     assert first == second
 
 
@@ -159,7 +163,8 @@ def test_cross_validate_all_failed():
     train_d, val_d, _ = dm.split(d, seed=9)
     method = MethodSpec("tarnet_del", grid=({"learning_rate": -1.0},), base_config=tiny_net_config())
     with pytest.raises(AllFailedError):
-        cross_validate(train_d, val_d, method, seed=10, selection_metric="pehe_nn")
+        cross_validate(train_d, val_d, method, method.grid_points(),
+                       seed=10, selection_metric="pehe_nn")
 
 
 def test_run_experiment_counts_and_determinism():
@@ -431,6 +436,7 @@ def test_parallel_jobs_match_sequential_neural():
     assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
 
+@pytest.mark.slow
 def test_sweep_m_shift_free_control():
     """Without a covariate shift (q=0.5) the two methods stay close; the
     strong shift is what opens the missing-domain gap. Scaled to 3 runs of
