@@ -155,12 +155,19 @@ def unit_normalize_rows(a) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
+    """Rows `idx` of `a`. The vjp scatters by assignment when `idx` is
+    strictly increasing, so unique, as every training-path index from
+    `np.flatnonzero` is; other indices accumulate with `np.add.at`.
+    Assignment keeps a -0.0 gradient that 0.0 + g would turn into +0.0."""
     av = value_of(a)
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
         out = np.zeros_like(av)
-        np.add.at(out, idx, g)
+        if idx.size < 2 or (idx[1:] > idx[:-1]).all():
+            out[idx] = g
+        else:
+            np.add.at(out, idx, g)
         return out
 
     return _node(av[idx], (a, vjp))

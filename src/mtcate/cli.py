@@ -91,15 +91,17 @@ def cmd_train(args) -> int:
         net_config = replace(net_config, seed=args.seed)
     d = datamod.load_dataset(datamod.DataSpec.from_dict(cfg["data"], "data"))
     fitted = harness.fit_method(method, net_config, d)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(model_payload(method, fitted), out / "model.json")
     wanted = list(cfg.get("metrics", ())) or metricsmod.available_metrics(d)
+    # the report is built before anything is written: a metric the data
+    # cannot support leaves no model.json behind
     report = metricsmod.evaluate_predictions(
         d, fitted.predict_cate(d.x), wanted,
         metadata={"method": harness.METHODS[method].label, "seed": net_config.seed},
     )
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _dump_json(model_payload(method, fitted), out / "model.json")
     (out / "report.json").write_text(report.to_json() + "\n")
     print(f"trained {harness.METHODS[method].label}; wrote {out / 'model.json'}")
     return 0

@@ -160,8 +160,20 @@ class SyntheticDGPSpec(Spec):
             raise ValueError("n and d must be >= 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
-        if len(self.propensity) != self.d:
-            raise ValueError("propensity must have length d")
+        vectors = {"propensity": self.propensity}
+        for name in ("outcome0", "outcome1"):
+            outcome = getattr(self, name)
+            vectors[f"{name}.linear"] = outcome.linear
+            if outcome.kind == "quadratic":
+                vectors[f"{name}.quadratic"] = outcome.quadratic
+            if outcome.kind == "piecewise":
+                vectors[f"{name}.jump_direction"] = outcome.jump_direction
+        bad = [key for key, vector in vectors.items() if len(vector) != self.d]
+        if bad:
+            raise ValueError(f"{bad} must have length d = {self.d}")
+        if self.mixing is not None and (len(self.mixing) != self.d
+                                        or any(len(row) != self.d for row in self.mixing)):
+            raise ValueError(f"mixing must be d x d = {self.d} x {self.d}")
 
 
 def generate(spec: SyntheticDGPSpec) -> Dataset:

@@ -1,5 +1,9 @@
 """Exception types and the config codec shared across the package: the key
-check and the `Spec` base class every JSON config dataclass loads through."""
+check and the `Spec` base class every JSON config dataclass loads through.
+
+An error whose __init__ formats its message from arguments pickles by those
+arguments (`__reduce__`), so one raised in a pool worker reaches the parent
+with the same message and attributes as one raised inline."""
 
 from dataclasses import MISSING, fields
 from types import UnionType
@@ -79,6 +83,9 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message or f"non-finite loss at iteration {iteration}")
         self.iteration = iteration
 
+    def __reduce__(self):
+        return type(self), (self.iteration, str(self))
+
 
 class EmptyDataError(ValueError):
     """No usable rows left after filtering."""
@@ -101,11 +108,18 @@ class StratumEmptyError(ValueError):
         super().__init__(f"empty stratum: {stratum}")
         self.stratum = stratum
 
+    def __reduce__(self):
+        return type(self), (self.stratum,)
+
 
 class CsvParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line, self.message)
 
 
 class TooFewRowsError(ValueError):
@@ -118,6 +132,9 @@ class AllFailedError(RuntimeError):
     def __init__(self, causes):
         super().__init__("all grid points failed: " + "; ".join(map(str, causes)))
         self.causes = list(causes)
+
+    def __reduce__(self):
+        return type(self), (self.causes,)
 
 
 class ExperimentFailedError(RuntimeError):

@@ -6,7 +6,14 @@ function of the config and master seed; timings go to the log only.
 Selection runs only when there is a choice. A method with a one-point grid
 (every OLS method, or any single explicit override) is fitted once, on
 train+val, with no cross-validation; so that point cannot fail on the train
-split alone."""
+split alone.
+
+The unit of work is one fit. `run_experiment` runs a task per grid point of
+every multi-point (run, method) pair (fit on train, score on val), chooses
+each pair's point with `cross_validate`, then a task per pair (refit on
+train+val, evaluate on test). Tasks rebuild their run's data from the
+config and seeds, so they run the same inline (`jobs=1`) or on a process
+pool (`jobs>1`), and the results are the same bytes either way."""
 
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -244,19 +252,19 @@ def default_selection_metric(d: Dataset) -> str:
     return "pehe_nn"
 
 
-def cross_validate(train_data: Dataset, val_data: Dataset, method: MethodSpec,
-                   points: list[dict], seed: int, selection_metric: str):
-    """Score every grid point (`method.grid_points()`, expanded once by the
-    caller) on the validation split; return (best_overrides, scores).
-    Failures score +inf; ties keep grid order."""
+def cross_validate(points: list[dict], outcomes) -> tuple[dict, list[float]]:
+    """The choice among grid points (`method.grid_points()`, expanded once by
+    the caller); returns (best_overrides, scores). `outcomes[i]()` returns
+    point i's validation score or raises. A failed or non-finite point
+    scores +inf, ties keep grid order, and when every point fails the
+    AllFailedError lists every cause."""
     scores = []
     causes = []
-    for overrides in points:
-        config = replace(method.base_config, **overrides, seed=seed)
+    for overrides, outcome in zip(points, outcomes):
         try:
-            model = fit_method(method.name, config, train_data)
-            score = float(selection_score(model, val_data, selection_metric))
+            score = float(outcome())
             if not np.isfinite(score):
+                causes.append(f"{overrides}: score {score}")
                 score = float("inf")
         except (ValueError, RuntimeError) as exc:
             score = float("inf")
@@ -302,21 +310,30 @@ def _run_dataset(config: ExperimentConfig, run_index: int, base: Dataset | None)
     return datamod.load_dataset(spec, base)
 
 
-def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
-                 base: Dataset | None) -> RunResult:
-    started = time.perf_counter()
+def _run_splits(config: ExperimentConfig, run_index: int, method: MethodSpec,
+                base: Dataset | None):
+    """(train, val, test, method seed) of one run, rebuilt from the config in
+    every task (a few ms against a fit), so no task carries a dataset."""
     ms = config.master_seed
     d = _run_dataset(config, run_index, base)
     train, val, test = datamod.split(d, seed=derive_seed(ms, run_index, "split"))
-    seed = derive_seed(ms, run_index, method.name)
+    return train, val, test, derive_seed(ms, run_index, method.name)
 
-    selection = default_selection_metric(train)
-    points = method.grid_points()
-    if len(points) == 1:
-        chosen = dict(points[0])
-    else:
-        chosen, _ = cross_validate(train, val, method, points, seed, selection)
-    final_config = replace(method.base_config, **chosen, seed=seed)
+
+def _score_task(config: ExperimentConfig, run_index: int, method: MethodSpec,
+                base: Dataset | None, point: dict) -> float:
+    """Phase 1: one grid point of a multi-point pair, fitted on train and
+    scored on val."""
+    train, val, _, seed = _run_splits(config, run_index, method, base)
+    model = fit_method(method.name, replace(method.base_config, **point, seed=seed), train)
+    return float(selection_score(model, val, default_selection_metric(train)))
+
+
+def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
+                 base: Dataset | None, point: dict) -> RunResult:
+    """Phase 2: the chosen point fitted on train+val and evaluated on test."""
+    train, val, test, seed = _run_splits(config, run_index, method, base)
+    final_config = replace(method.base_config, **point, seed=seed)
     model = fit_method(method.name, final_config, datamod.concat(train, val))
 
     wanted = list(config.metrics) or metricsmod.available_metrics(test)
@@ -326,49 +343,92 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
             "method": method.label,
             "run_index": run_index,
             "seed": seed,
-            "selection_metric": selection,
+            "selection_metric": default_selection_metric(train),
             "m": None if config.missingness is None else config.missingness.m,
             "q": None if config.missingness is None else config.missingness.q,
         },
     )
-    return RunResult(
-        method=method.name, run_index=run_index, seed=seed,
-        hyperparameters=chosen, report=report,
-        wall_clock_s=time.perf_counter() - started,
-    )
+    return RunResult(method=method.name, run_index=run_index, seed=seed,
+                     hyperparameters=dict(point), report=report)
+
+
+def _run_task(task):
+    """A (step, config, run_index, method, base, point) task; returns
+    (step's value, seconds taken)."""
+    step, *args = task
+    started = time.perf_counter()
+    return step(*args), time.perf_counter() - started
 
 
 def _job(task):
-    """One (config, run_index, method, base) task in a pool worker."""
-    return _execute_run(*task)
+    """One task in a pool worker."""
+    return _run_task(task)
+
+
+def _reraise(exc):
+    raise exc
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
-    """All (run, method) combinations, on `jobs` worker processes when
-    jobs > 1. Per-task failures (a dead worker's BrokenProcessPool included)
-    are recorded and the experiment only aborts once at least half of the
-    tasks have failed."""
+    """All (run, method) pairs, in two phases of tasks run on `jobs` worker
+    processes when jobs > 1 and inline otherwise. Phase 1 fits and scores
+    every point of every multi-point grid; cross_validate picks each pair's
+    point; phase 2 refits it on train+val and evaluates it, once per pair (a
+    one-point pair is only this). Per-pair failures (a dead worker's
+    BrokenProcessPool included) are recorded in pair order, and the
+    experiment only aborts once at least half of the pairs have failed."""
     config.validate()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     base = datamod.load_csv(config.csv_path) if config.csv_path else None
-    tasks = [(config, run, method, base)
+    pairs = [(config, run, method, base)
              for run in range(config.num_runs) for method in config.methods]
+    grids = [method.grid_points() for _, _, method, _ in pairs]
+    seconds = [0.0] * len(pairs)  # time of each pair's tasks that returned
     results: list[RunResult] = []
     failures: list[dict] = []
 
+    def timed(i, pending):
+        value, took = pending()
+        seconds[i] += took
+        return value
+
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        outcomes = ([pool.submit(_job, task).result for task in tasks] if pool
-                    else [partial(_execute_run, *task) for task in tasks])
-        for (_, run, method, _), outcome in zip(tasks, outcomes):
+        def submit(task):
+            """A thunk for the task's (value, seconds)."""
+            if pool is None:
+                return partial(_run_task, task)
             try:
-                results.append(outcome())
+                return pool.submit(_job, task).result
+            except BrokenProcessPool as exc:  # a worker died earlier
+                return partial(_reraise, exc)
+
+        # phase 1: every point of a multi-point pair; a one-point pair has
+        # nothing to choose and goes straight to phase 2
+        pending = [[submit((_score_task, *pair, point)) for point in points]
+                   if len(points) > 1 else submit((_execute_run, *pair, points[0]))
+                   for pair, points in zip(pairs, grids)]
+        # phase 2 of a multi-point pair is submitted as soon as its choice is made
+        for i, (pair, points) in enumerate(zip(pairs, grids)):
+            if len(points) > 1:
+                try:
+                    chosen, _ = cross_validate(points, [partial(timed, i, p) for p in pending[i]])
+                except (ValueError, RuntimeError) as exc:  # AllFailedError
+                    pending[i] = partial(_reraise, exc)
+                else:
+                    pending[i] = submit((_execute_run, *pair, chosen))
+        for i, (_, run, method, _) in enumerate(pairs):
+            try:
+                result = timed(i, pending[i])
             except (ValueError, RuntimeError) as exc:
                 failures.append({"method": method.name, "run_index": run, "error": str(exc)})
+            else:
+                result.wall_clock_s = seconds[i]
+                results.append(result)
 
-    if failures and len(failures) * 2 >= len(tasks):
+    if failures and len(failures) * 2 >= len(pairs):
         raise ExperimentFailedError(
-            f"{len(failures)} of {len(tasks)} runs failed; first: {failures[0]}"
+            f"{len(failures)} of {len(pairs)} runs failed; first: {failures[0]}"
         )
     results.sort(key=lambda r: (r.run_index, r.method))
     if log is not None:

@@ -166,6 +166,17 @@ def test_gradients_match_finite_differences_on_random_ops(case):
     assert max_rel_grad_error(loss_fn, [a, b, c]) < 1e-4
 
 
+@pytest.mark.parametrize("idx", [[0, 2, 3], [1], [3, 0, 0, 2], [2, 1]])
+def test_gather_rows_gradient_reaches_every_gathered_row(idx):
+    # strictly increasing rows scatter by assignment, the others accumulate
+    a = Tensor(np.arange(12.0).reshape(4, 3))
+    w = np.random.default_rng(5).standard_normal((len(idx), 3))
+    backward(asum(mul(gather_rows(a, idx), w)))
+    expected = np.zeros((4, 3))
+    np.add.at(expected, idx, w)
+    assert np.array_equal(a.grad, expected)
+
+
 def test_mmd2_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     a = Tensor(rng.standard_normal((4, 3)))

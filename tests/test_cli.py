@@ -160,6 +160,17 @@ def test_train_rejects_unknown_metric_before_fitting(tmp_path, capsys, monkeypat
     assert error["type"] == "ValueError" and "'sqrt_pehee'" in error["message"]
 
 
+def test_train_writes_nothing_when_the_report_fails(tmp_path, capsys):
+    # policy risk needs a randomized subset, which a block without rct lacks
+    config = write_json(tmp_path / "train.json", {
+        "method": "ols_del", "data": {"synthetic": dgp_dict()}, "metrics": ["policy_risk"],
+    })
+    out = tmp_path / "fit"
+    error = cli_error(capsys, ["train", "--config", config, "--out", str(out)])
+    assert "randomized" in error["message"]
+    assert not (out / "model.json").exists() and not (out / "report.json").exists()
+
+
 def test_experiment_rejects_unknown_metric_before_fitting(tmp_path, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_method called")

@@ -65,7 +65,8 @@ def test_spec_json_round_trip(spec):
 def test_ints_load_as_floats_and_defaults_come_from_the_dataclass():
     spec = SyntheticDGPSpec.from_dict({
         "n": 10, "d": 1, "propensity": [1],
-        "outcome0": {"kind": "linear", "linear": [2]}, "outcome1": {"kind": "linear"},
+        "outcome0": {"kind": "linear", "linear": [2]},
+        "outcome1": {"kind": "linear", "linear": [1]},
     })
     assert spec.propensity == (1.0,) and type(spec.propensity[0]) is float
     assert spec.outcome0 == OutcomeSpec(kind="linear", linear=(2.0,))
@@ -110,6 +111,14 @@ LOAD_FAILURES = [
     (("methods", 1, "config"), "dropout_rate", 1.5, "dropout_rate"),
     ((), "data", {}, "exactly one"),
     ((), "data", None, "data"),
+    # every coefficient vector and the mixer must match d (here 2)
+    (("data", "synthetic"), "propensity", [0.5], "['propensity']"),
+    (("data", "synthetic", "outcome0"), "linear", [1.0], "['outcome0.linear']"),
+    (("data", "synthetic", "outcome1"), "linear", [1.0, 2.0, 3.0], "['outcome1.linear']"),
+    (("data", "synthetic", "outcome0"), "kind", "quadratic", "['outcome0.quadratic']"),
+    (("data", "synthetic", "outcome1"), "kind", "piecewise", "['outcome1.jump_direction']"),
+    (("data", "synthetic"), "mixing", [[1.0, 0.0]], "mixing must be d x d"),
+    (("data", "synthetic"), "mixing", [[1.0], [0.0]], "mixing must be d x d"),
 ]
 
 

@@ -1,13 +1,20 @@
+import json
 import os
+import pickle
 import re
+import uuid
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mtcate import data as dm, harness
 from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
-from mtcate.errors import AllFailedError, ExperimentFailedError
+from mtcate.errors import (
+    AllFailedError, CsvParseError, ExperimentFailedError, StratumEmptyError, TrainingDivergedError,
+)
 from mtcate.harness import (
     METHODS, ExperimentConfig, MethodSpec, RunResult, aggregate, canonical_method,
     cross_validate, derive_seed, expand_grid, read_results_jsonl, run_experiment,
@@ -122,12 +129,23 @@ def test_typo_hyperparameter_key_never_reaches_run_experiment():
         ]), log=None)
 
 
+def cv_on(train_d, val_d, method, seed):
+    """cross_validate over the method's grid, each point fitted on train_d
+    and scored on val_d inline."""
+    def score(point):
+        config = replace(method.base_config, **point, seed=seed)
+        return harness.selection_score(harness.fit_method(method.name, config, train_d),
+                                       val_d, "pehe_nn")
+
+    points = method.grid_points()
+    return cross_validate(points, [partial(score, point) for point in points])
+
+
 def test_cross_validate_singleton_grid():
     d = dm.apply_missingness(dm.generate(linear_dgp(seed=2)), MissingnessSpec(m=0.3, q=0.6, seed=1))
     train_d, val_d, _ = dm.split(d, seed=3)
     method = MethodSpec("ols_del", grid=({},))
-    chosen, scores = cross_validate(train_d, val_d, method, method.grid_points(),
-                                    seed=5, selection_metric="pehe_nn")
+    chosen, scores = cv_on(train_d, val_d, method, seed=5)
     assert chosen == {}
     assert len(scores) == 1 and np.isfinite(scores[0])
 
@@ -141,8 +159,7 @@ def test_cross_validate_prefers_sane_learning_rate():
         base_config=tiny_net_config(),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        chosen, scores = cross_validate(train_d, val_d, method, method.grid_points(),
-                                        seed=6, selection_metric="pehe_nn")
+        chosen, scores = cv_on(train_d, val_d, method, seed=6)
     assert chosen == {"learning_rate": 1e-2}
     assert scores[1] < scores[0]
 
@@ -151,10 +168,8 @@ def test_cross_validate_deterministic():
     d = dm.apply_missingness(dm.generate(linear_dgp(seed=6)), MissingnessSpec(m=0.3, q=0.6, seed=3))
     train_d, val_d, _ = dm.split(d, seed=7)
     method = MethodSpec("mtrnet", grid=({"alpha": 0.5}, {"alpha": 2.0}), base_config=tiny_net_config())
-    first = cross_validate(train_d, val_d, method, method.grid_points(),
-                           seed=8, selection_metric="pehe_nn")
-    second = cross_validate(train_d, val_d, method, method.grid_points(),
-                            seed=8, selection_metric="pehe_nn")
+    first = cv_on(train_d, val_d, method, seed=8)
+    second = cv_on(train_d, val_d, method, seed=8)
     assert first == second
 
 
@@ -163,8 +178,7 @@ def test_cross_validate_all_failed():
     train_d, val_d, _ = dm.split(d, seed=9)
     method = MethodSpec("tarnet_del", grid=({"learning_rate": -1.0},), base_config=tiny_net_config())
     with pytest.raises(AllFailedError):
-        cross_validate(train_d, val_d, method, method.grid_points(),
-                       seed=10, selection_metric="pehe_nn")
+        cv_on(train_d, val_d, method, seed=10)
 
 
 def test_run_experiment_counts_and_determinism():
@@ -241,6 +255,75 @@ def test_dead_worker_fails_the_experiment_by_name(monkeypatch):
         run_experiment(cfg, jobs=2, log=None)
 
 
+def failing_grid_config():
+    # With 90% of labels missing, few observed rows are left: MTRNet's
+    # batch_size 4 cannot sample both arms in most runs while 6 usually can,
+    # and in some runs every point of a pair fails (AllFailedError) or a
+    # one-point OLS refit fails, yet fewer than half of the pairs fail.
+    cfg = experiment_config([
+        MethodSpec("mtrnet", grid=({"batch_size": 4}, {"batch_size": 6}),
+                   base_config=tiny_net_config()),
+        MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}), base_config=tiny_net_config()),
+        MethodSpec("ols_rew"),
+    ], num_runs=8)
+    return replace(cfg, missingness=MissingnessSpec(m=0.9, q=0.6))
+
+
+def test_pooled_grid_points_match_serial_bytes_with_failures(tmp_path):
+    cfg = failing_grid_config()
+    for jobs in (1, 2):
+        write_results(tmp_path / f"jobs{jobs}", *run_experiment(cfg, jobs=jobs, log=None))
+    failures = json.loads((tmp_path / "jobs1" / "failures.json").read_text())
+    assert any(f["error"].startswith("all grid points failed") for f in failures)
+    assert any(f["method"] == "ols_rew" for f in failures)  # a one-point refit failed
+    results = read_results_jsonl(tmp_path / "jobs1" / "results.jsonl")
+    # batch_size 4 scores +inf (or worse) wherever MTRNet survives
+    assert {r.hyperparameters["batch_size"] for r in results if r.method == "mtrnet"} == {6}
+    for name in ("results.jsonl", "aggregate.csv", "failures.json"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
+
+
+def _logging_job(task):
+    """harness._job that records each task it runs in a file of its own."""
+    step, _, run, method, _, point = task
+    record = json.dumps([step.__name__, run, method.name, point], sort_keys=True)
+    (Path(os.environ["JOB_LOG_DIR"]) / uuid.uuid4().hex).write_text(record)
+    return harness._run_task(task)
+
+
+def test_pool_runs_one_job_per_grid_point_plus_one_per_pair(tmp_path, monkeypatch):
+    grids = {"mtrnet": ({"alpha": 0.5}, {"alpha": 2.0}),
+             "tarnet_del": ({}, {"learning_rate": 3e-3}, {"learning_rate": 3e-2}),
+             "ols_rew": ({},)}
+    cfg = experiment_config([MethodSpec(name, grid=grid, base_config=tiny_net_config())
+                             for name, grid in grids.items()], num_runs=2)
+    monkeypatch.setenv("JOB_LOG_DIR", str(tmp_path))
+    monkeypatch.setattr(harness, "_job", _logging_job)
+    pooled, failures = run_experiment(cfg, jobs=2, log=None)
+    assert failures == []
+    jobs = sorted(path.read_text() for path in tmp_path.iterdir())
+    expected = []
+    for res in pooled:
+        grid = grids[res.method]
+        if len(grid) > 1:
+            expected += [["_score_task", res.run_index, res.method, p] for p in grid]
+        expected.append(["_execute_run", res.run_index, res.method, res.hyperparameters])
+    assert jobs == sorted(json.dumps(job, sort_keys=True) for job in expected)
+    assert len(jobs) == 2 * (2 + 1) + 2 * (3 + 1) + 2 * 1
+    serial, _ = run_experiment(cfg, jobs=1, log=None)
+    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+
+
+@pytest.mark.parametrize("exc", [
+    TrainingDivergedError(17), StratumEmptyError("randomized subset"),
+    CsvParseError(3, "t is empty but r=1"), AllFailedError(["{}: a", "{'alpha': 2.0}: b"]),
+])
+def test_errors_cross_a_pool_unchanged(exc):
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is type(exc)
+    assert str(again) == str(exc) and vars(again) == vars(exc)
+
+
 def test_csv_experiment_pooled_bytes_match_serial(tmp_path):
     d = dm.apply_missingness(dm.generate(linear_dgp(seed=5)), MissingnessSpec(m=0.3, q=0.6, seed=2))
     dm.save_csv(d, tmp_path / "data.csv")
@@ -270,13 +353,25 @@ def test_run_experiment_aborts_when_half_fail():
 
 def test_test_split_never_reaches_cross_validation(monkeypatch):
     seen = []
-    original = harness.cross_validate
+    selections = []
+    original_fit, original_score = harness.fit_method, harness.selection_score
+    original_cv = harness.cross_validate
 
-    def spy(train_data, val_data, *args, **kwargs):
-        seen.append((train_data, val_data))
-        return original(train_data, val_data, *args, **kwargs)
+    def fit_spy(name, config, train_data):
+        seen.append(train_data)
+        return original_fit(name, config, train_data)
 
-    monkeypatch.setattr(harness, "cross_validate", spy)
+    def score_spy(model, val_data, selection_metric):
+        seen.append(val_data)
+        return original_score(model, val_data, selection_metric)
+
+    def cv_spy(*args, **kwargs):
+        selections.append(args)
+        return original_cv(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_method", fit_spy)
+    monkeypatch.setattr(harness, "selection_score", score_spy)
+    monkeypatch.setattr(harness, "cross_validate", cv_spy)
     # two grid points, so there is a selection to make
     cfg = experiment_config([MethodSpec("ols_del", grid=({}, {}))], num_runs=1)
     results, _ = run_experiment(cfg, log=None)
@@ -284,10 +379,10 @@ def test_test_split_never_reaches_cross_validation(monkeypatch):
     d = harness._run_dataset(cfg, 0, None)
     _, _, test_d = dm.split(d, seed=derive_seed(cfg.master_seed, 0, "split"))
     test_rows = {row.tobytes() for row in test_d.x}
-    assert seen, "cross_validate was never called"
-    for train_data, val_data in seen:
-        cv_rows = {row.tobytes() for row in train_data.x} | {row.tobytes() for row in val_data.x}
-        assert not (cv_rows & test_rows)
+    assert selections, "cross_validate was never called"
+    assert len(seen) == 2 * 2 + 1  # each point's fit and score, and the refit
+    for fitted_or_scored in seen:
+        assert not ({row.tobytes() for row in fitted_or_scored.x} & test_rows)
 
 
 def test_one_point_grid_never_selects(monkeypatch):
@@ -423,11 +518,12 @@ def test_parallel_jobs_match_sequential():
 
 
 def test_parallel_jobs_match_sequential_neural():
-    # every neural family, each spec crossing the pool pickled
+    # every neural family on a two-point grid, each spec crossing the pool pickled
     cfg = experiment_config([
-        MethodSpec("mtrnet", grid=({"alpha": 0.5, "beta": 2.0},), base_config=tiny_net_config()),
-        MethodSpec("tarnet_rew", grid=({},), base_config=tiny_net_config()),
-        MethodSpec("cfrmmd_imp", grid={"alpha": [1.0]}, base_config=tiny_net_config()),
+        MethodSpec("mtrnet", grid=({"alpha": 0.5, "beta": 2.0}, {"alpha": 2.0, "beta": 0.5}),
+                   base_config=tiny_net_config()),
+        MethodSpec("tarnet_rew", grid=({}, {"learning_rate": 3e-3}), base_config=tiny_net_config()),
+        MethodSpec("cfrmmd_imp", grid={"alpha": [1.0, 0.5]}, base_config=tiny_net_config()),
     ], num_runs=2)
     seq, seq_failures = run_experiment(cfg, jobs=1, log=None)
     par, par_failures = run_experiment(cfg, jobs=2, log=None)
