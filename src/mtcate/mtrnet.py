@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor, add, asum, backward, bce_loss, elu, gather_rows, grad_reverse,
-    mmd2_rbf, mul, unit_normalize_rows,
+    mmd2_rbf, mul, pairwise_sq_dists, unit_normalize_rows,
 )
 from .data import Dataset
 from .errors import DegenerateArmError, Spec, TrainingDivergedError
@@ -88,10 +88,12 @@ class MTRNetModel:
     k_r: DenseLayer
     flat: np.ndarray = field(init=False)  # the trained parameters' values, end to end
     adam: AdamState = field(init=False)  # one Adam state over `flat`
+    grad: np.ndarray = field(init=False)  # a step's gradients, laid out like `flat`
 
     def __post_init__(self):
         self.flat = pack(list(self.trained_parameters().values()))
         self.adam = AdamState.like(self.flat)
+        self.grad = np.empty_like(self.flat)
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -217,9 +219,10 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
         w = w * np.asarray(batch.row_weights, dtype=np.float64)[obs]
     rep_obs = gather_rows(rep, obs)
     arms = (np.flatnonzero(t_obs == 0.0), np.flatnonzero(t_obs == 1.0))
+    arm_reps = [gather_rows(rep_obs, arm) for arm in arms]
     terms = []
-    for arm, layers in zip(arms, (model.h0, model.h1)):
-        pred = _head_forward(layers, gather_rows(rep_obs, arm), cfg.dropout_rate, rng)
+    for arm, arm_rep, layers in zip(arms, arm_reps, (model.h0, model.h1)):
+        pred = _head_forward(layers, arm_rep, cfg.dropout_rate, rng)
         diff = add(pred, -y_obs[arm][:, None])
         terms.append(asum(mul(mul(diff, diff), w[arm][:, None])))
     outcome = mul(add(terms[0], terms[1]), 1.0 / n_o)
@@ -241,8 +244,7 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
         total = add(total, mul(missingness, cfg.beta))
         record["missingness_bce"] = float(missingness.value)
     if mmd_weight:
-        mmd = mmd2_rbf(gather_rows(rep_obs, arms[0]), gather_rows(rep_obs, arms[1]),
-                       mmd_bandwidth)
+        mmd = mmd2_rbf(*arm_reps, mmd_bandwidth)
         total = add(total, mul(mmd, mmd_weight))
         record["mmd2"] = float(mmd.value)
     record["total"] = float(total.value)
@@ -257,8 +259,8 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     missing = [name for name, tensor in trained.items() if tensor.grad is None]
     if missing:
         raise RuntimeError(f"the objective does not reach trained parameter(s) {missing}")
-    grad = np.concatenate([tensor.grad.ravel() for tensor in trained.values()])
-    adam_step(model.flat, grad, model.adam, cfg.learning_rate)
+    np.concatenate([tensor.grad.ravel() for tensor in trained.values()], out=model.grad)
+    adam_step(model.flat, model.grad, model.adam, cfg.learning_rate)
     return record
 
 
@@ -277,13 +279,13 @@ def _sample_batch_indices(rng, data: Dataset, batch_size: int) -> np.ndarray:
 
 def _median_bandwidth(model: MTRNetModel, batch: TrainingBatch) -> float:
     """Median pairwise distance between initial representations of the first
-    batch's observed rows."""
+    batch's observed rows, from the squared distances the MMD kernel uses
+    (clamped at 0 against rounding), in n x n memory."""
     rep = _rep_forward(model, batch.x, train_mode=False, rng=None).value
     rep = rep[batch.r == 1]
-    diff = rep[:, None, :] - rep[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
     iu = np.triu_indices(rep.shape[0], k=1)
-    return float(max(np.median(dist[iu]), 1e-3))
+    dist = np.sqrt(np.maximum(pairwise_sq_dists(rep)[iu], 0.0))
+    return float(max(np.median(dist), 1e-3))
 
 
 def train(data: Dataset, config: MTRNetConfig, *, row_weights=None,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,16 @@ def pack(tensors) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter array."""
+    """First/second moment accumulators for one parameter array, and two
+    scratch arrays of its shape so a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2,) + self.m.shape)
 
     @classmethod
     def like(cls, param: np.ndarray) -> "AdamState":
@@ -81,18 +86,33 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
-    """Bias-corrected Adam update, in place on `param`."""
+    """Bias-corrected Adam update, in place on `param`, `state.m` and `state.v`.
+
+    Every operation of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    param -= lr*m_hat / (sqrt(v_hat) + eps) runs in the same order as the
+    allocating formula, into the state's scratch arrays, so the result is
+    bitwise the same."""
     grad = np.asarray(grad, dtype=np.float64)
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v, (update, denom) = state.m, state.v, state.work
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
+    m *= ADAM_BETA1
+    m += update
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=update)
+    update *= grad
+    v *= ADAM_BETA2
+    v += update
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=update)
+    update *= lr
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    param -= update
     return param
 
 

@@ -1,10 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -rA` (or -s) to see the lines.
-The trend experiment is the long pole at roughly 505 s on a 2-core VM;
+The trend experiment is the long pole at roughly 110 s on a 2-core VM;
 everything else finishes in seconds.
 """
 
+import os
 import time
 
 import numpy as np
@@ -208,8 +209,10 @@ def test_linear_recovery():
 
 def missing_domain_gaps(m: float):
     """Per-seed TARNet_del minus MTRNet missing-domain errors (positive is
-    a win for the balanced representation)."""
-    results, failures = run_experiment(trend_config(m), log=None)
+    a win for the balanced representation). Runs on up to two processes:
+    `jobs` does not change the results."""
+    results, failures = run_experiment(trend_config(m), jobs=min(2, os.cpu_count() or 1),
+                                       log=None)
     assert not failures, failures
     by_run = {}
     for res in results:

@@ -42,6 +42,16 @@ def test_elu_large_input_raises_no_overflow_warning():
     assert np.array_equal(x.grad, [[1.0, np.exp(-1.0)]])
 
 
+def test_elu_select_bitwise_matches_where_form():
+    edges = np.array([0.0, -0.0, np.nan, -np.nan, -1e-300, 1e-300, -800.0, 800.0, 1e300,
+                      -1e300, np.inf, -np.inf, -5e-324, 5e-324])
+    v = np.concatenate([edges, np.random.default_rng(3).standard_cauchy(200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = elu(Tensor(v)).value
+    assert out.tobytes() == np.where(v > 0, v, np.expm1(np.minimum(v, 0.0))).tobytes()
+
+
 def two_branch_expit(z):
     """The masked two-branch sigmoid that `expit` replaces."""
     out = np.empty_like(z)
@@ -182,6 +192,53 @@ def test_mmd2_gradient_matches_finite_differences():
     a = Tensor(rng.standard_normal((4, 3)))
     b = Tensor(rng.standard_normal((5, 3)))
     assert max_rel_grad_error(lambda: mmd2_rbf(a, b, 1.3), [a, b]) < 1e-4
+
+
+def three_block_mmd2(a, b, bandwidth):
+    """The tape composition `mmd2_rbf` replaces: each of the blocks aa, bb
+    and ab builds its own norms, Gram product, exp and sum."""
+    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
+
+    def block(p, q):
+        sp = asum(mul(p, p), axis=1, keepdims=True)
+        sq = asum(mul(q, q), axis=1, keepdims=True)
+        d2 = add(add(sp, transpose(sq)), mul(matmul(p, transpose(q)), -2.0))
+        k = exp(mul(d2, gamma))
+        return mul(asum(k), 1.0 / (p.shape[0] * q.shape[0]))
+
+    return add(add(block(a, a), block(b, b)), mul(block(a, b), -2.0))
+
+
+@pytest.mark.parametrize("na, nb, d, bandwidth, same", [
+    (48, 52, 50, 0.9, False),  # an arm split of a training batch's representations
+    (1, 30, 8, 0.5, False),
+    (25, 1, 8, 2.0, False),
+    (1, 1, 3, 1.0, False),
+    (20, 20, 6, 1.1, True),  # a is b
+])
+def test_mmd2_node_matches_three_block_composition(na, nb, d, bandwidth, same):
+    rng = np.random.default_rng(na * 100 + nb)
+
+    def sample(n):
+        rows = rng.standard_normal((n, d))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)  # unit rows, as in training
+
+    a = Tensor(sample(na))
+    b = a if same else Tensor(sample(nb) + 0.2)
+    weight = Tensor(np.array(1.7))  # a non-unit upstream gradient
+    results = []
+    for mmd in (mmd2_rbf, three_block_mmd2):
+        out = mul(mmd(a, b, bandwidth), weight)
+        backward(out)
+        results.append((out.value.copy(), a.grad.copy(), b.grad.copy()))
+    (value, grad_a, grad_b), (ref_value, ref_a, ref_b) = results
+    # relative, floored at the blocks' scale (each kernel sum is at most 1
+    # per pair), since a is b cancels the statistic and its gradient to ~0
+    scale = 1.7 * 4.0
+    assert abs(value - ref_value) <= 1e-12 * max(abs(ref_value), scale)
+    for grad, ref in ((grad_a, ref_a), (grad_b, ref_b)):
+        grad_scale = max(np.abs(ref).max(), 1.7 / bandwidth ** 2 / max(na, nb))
+        assert np.abs(grad - ref).max() <= 1e-12 * grad_scale
 
 
 def test_mmd2_input_validation():

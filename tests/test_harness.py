@@ -541,7 +541,8 @@ def test_sweep_m_shift_free_control():
     def mean_gap(q):
         cfg = trend_config(0.5)
         cfg = replace(cfg, missingness=MissingnessSpec(m=0.5, q=q), num_runs=3)
-        rows = sweep_rows(sweep_m(cfg, [0.5, 0.7], log=None))
+        rows = sweep_rows(sweep_m(cfg, [0.5, 0.7], jobs=min(2, os.cpu_count() or 1),
+                                  log=None))
         gaps = []
         for m in (0.5, 0.7):
             vals = {r["method"]: r["mean"] for r in rows

@@ -10,7 +10,7 @@ from mtcate.errors import DegenerateArmError, TrainingDivergedError
 from mtcate.mtrnet import (
     MTRNetConfig, TrainingBatch, compute_weights, init_model, model_from_dict,
     model_to_dict, predict_cate, predict_outcomes, train, training_step,
-    _rep_forward,
+    _median_bandwidth, _rep_forward,
 )
 from mtcate.nn import AdamState, adam_step, dense_forward
 from mtcate.autodiff import gather_rows
@@ -299,6 +299,16 @@ def test_train_history_length_and_fields():
     _, history = train(data, small_config(iterations=7))
     assert len(history) == 7
     assert {"outcome", "treatment_bce", "missingness_bce", "total"} <= set(history[0])
+
+
+def test_median_bandwidth_matches_difference_tensor_form():
+    data = toy_data(n=60, d=5, seed=3)
+    model = init_model(small_config(rep_layer_size=16), data.d)
+    batch = dataset_batch(data)
+    rep = _rep_forward(model, batch.x, train_mode=False, rng=None).value[batch.r == 1]
+    diff = rep[:, None, :] - rep[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))[np.triu_indices(rep.shape[0], k=1)]
+    assert _median_bandwidth(model, batch) == pytest.approx(np.median(dist), rel=1e-12)
 
 
 def test_train_reproducible_per_seed():

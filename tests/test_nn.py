@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from mtcate.autodiff import Tensor
-from mtcate.nn import AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense
+from mtcate.nn import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DenseLayer, adam_step, dense_forward,
+    dropout_mask, init_dense,
+)
 
 
 def layer(w, b):
@@ -77,6 +80,32 @@ def test_adam_shape_mismatch():
     p = np.zeros(3)
     with pytest.raises(ValueError):
         adam_step(p, np.zeros(2), AdamState.like(p), 0.1)
+
+
+def allocating_adam_step(param, grad, m, v, step, lr):
+    """The textbook Adam formula, one fresh array per operation."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+
+
+def test_adam_in_place_is_bitwise_the_allocating_formula():
+    rng = np.random.default_rng(4)
+    p = rng.standard_normal(21_000)
+    state = AdamState.like(p)
+    m_buffer, v_buffer = state.m, state.v
+    ref_p, ref_m, ref_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    for step in range(1, 6):
+        g = rng.standard_normal(p.size) * 10.0 ** rng.integers(-8, 3, size=p.size)
+        g[:3] = (0.0, -0.0, 1e-300)
+        out = adam_step(p, g, state, 1e-3)
+        ref_p, ref_m, ref_v = allocating_adam_step(ref_p, g, ref_m, ref_v, step, 1e-3)
+        assert out is p and state.m is m_buffer and state.v is v_buffer
+        assert p.tobytes() == ref_p.tobytes()
+        assert state.m.tobytes() == ref_m.tobytes() and state.v.tobytes() == ref_v.tobytes()
+    assert state.step == 5
 
 
 def test_adam_trajectories_bitwise_identical():
