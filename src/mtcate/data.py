@@ -343,6 +343,9 @@ def load_csv(path) -> Dataset:
             raise CsvParseError(1, "empty file")
         rows = list(reader)
 
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise CsvParseError(1, f"repeated columns {repeated}")
     x_cols = [c for c in header if c.startswith("x")]
     d = len(x_cols)
     expected = ["y", "t", "r"] + [f"x{j + 1}" for j in range(d)]

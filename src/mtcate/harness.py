@@ -8,12 +8,12 @@ Selection runs only when there is a choice. A method with a one-point grid
 train+val, with no cross-validation; so that point cannot fail on the train
 split alone.
 
-The unit of work is one fit. `run_experiment` runs a task per grid point of
-every multi-point (run, method) pair (fit on train, score on val), chooses
-each pair's point with `cross_validate`, then a task per pair (refit on
-train+val, evaluate on test). Tasks rebuild their run's data from the
-config and seeds, so they run the same inline (`jobs=1`) or on a process
-pool (`jobs>1`), and the results are the same bytes either way."""
+The unit of work is one fit. `run_experiment` runs a list of tasks, one per
+grid point of every multi-point (run, method) pair (fit on train, score on
+val), chooses each pair's point with `cross_validate`, then a list of one
+task per pair (refit on train+val, evaluate on test). A task returns its
+value or error and rebuilds its run's data from the config and seeds, so it
+runs inline (`jobs=1`) or on a process pool (`jobs>1`) to the same bytes."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -254,22 +253,20 @@ def default_selection_metric(d: Dataset) -> str:
 
 def cross_validate(points: list[dict], outcomes) -> tuple[dict, list[float]]:
     """The choice among grid points (`method.grid_points()`, expanded once by
-    the caller); returns (best_overrides, scores). `outcomes[i]()` returns
-    point i's validation score or raises. A failed or non-finite point
-    scores +inf, ties keep grid order, and when every point fails the
+    the caller); returns (best_overrides, scores). `outcomes[i]` is point i's
+    validation score or the error its fit raised. A failed or non-finite
+    point scores +inf, ties keep grid order, and when every point fails the
     AllFailedError lists every cause."""
     scores = []
     causes = []
     for overrides, outcome in zip(points, outcomes):
-        try:
-            score = float(outcome())
-            if not np.isfinite(score):
-                causes.append(f"{overrides}: score {score}")
-                score = float("inf")
-        except (ValueError, RuntimeError) as exc:
-            score = float("inf")
-            causes.append(f"{overrides}: {exc}")
-        scores.append(score)
+        if isinstance(outcome, Exception):
+            causes.append(f"{overrides}: {outcome}")
+            outcome = float("inf")
+        elif not np.isfinite(outcome):
+            causes.append(f"{overrides}: score {outcome}")
+            outcome = float("inf")
+        scores.append(float(outcome))
     if not np.any(np.isfinite(scores)):
         raise AllFailedError(causes or ["empty grid"])
     best = int(np.argmin(scores))
@@ -287,14 +284,9 @@ class RunResult(Spec):
     seed: int
     hyperparameters: dict
     report: EvalReport
-    wall_clock_s: float = 0.0
 
     def to_dict(self) -> dict:
-        # wall clock intentionally excluded: result files must be bitwise
-        # reproducible under a fixed master seed
-        d = super().to_dict()
-        del d["wall_clock_s"]
-        return {**d, "method_label": METHODS[self.method].label}
+        return {**super().to_dict(), "method_label": METHODS[self.method].label}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
@@ -353,11 +345,13 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
 
 
 def _run_task(task):
-    """A (step, config, run_index, method, base, point) task; returns
-    (step's value, seconds taken)."""
+    """A (step, config, run_index, method, base, point) task; returns the
+    step's value, or the ValueError/RuntimeError it raised."""
     step, *args = task
-    started = time.perf_counter()
-    return step(*args), time.perf_counter() - started
+    try:
+        return step(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
 
 
 def _job(task):
@@ -365,76 +359,71 @@ def _job(task):
     return _run_task(task)
 
 
-def _reraise(exc):
-    raise exc
+def _run_tasks(pool, tasks) -> list:
+    """Each task's value or error, in task order: inline without a pool, on
+    it otherwise. A dead worker's BrokenProcessPool is the error of every
+    task that had not returned."""
+    if pool is None:
+        return [_run_task(task) for task in tasks]
+    outcomes = []
+    try:
+        outcomes.extend(pool.map(_job, tasks))
+    except BrokenProcessPool as exc:
+        outcomes += [exc] * (len(tasks) - len(outcomes))
+    return outcomes
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     """All (run, method) pairs, in two phases of tasks run on `jobs` worker
     processes when jobs > 1 and inline otherwise. Phase 1 fits and scores
     every point of every multi-point grid; cross_validate picks each pair's
-    point; phase 2 refits it on train+val and evaluates it, once per pair (a
-    one-point pair is only this). Per-pair failures (a dead worker's
-    BrokenProcessPool included) are recorded in pair order, and the
+    point; after all of phase 1, phase 2 refits each choice on train+val and
+    evaluates it (a one-point pair is only this). Per-pair failures (a dead
+    worker's BrokenProcessPool included) are recorded in pair order, and the
     experiment only aborts once at least half of the pairs have failed."""
     config.validate()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    started = time.perf_counter()
     base = datamod.load_csv(config.csv_path) if config.csv_path else None
     pairs = [(config, run, method, base)
              for run in range(config.num_runs) for method in config.methods]
-    grids = [method.grid_points() for _, _, method, _ in pairs]
-    seconds = [0.0] * len(pairs)  # time of each pair's tasks that returned
-    results: list[RunResult] = []
-    failures: list[dict] = []
-
-    def timed(i, pending):
-        value, took = pending()
-        seconds[i] += took
-        return value
+    grids = [method.grid_points() for method in config.methods] * config.num_runs
 
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        def submit(task):
-            """A thunk for the task's (value, seconds)."""
-            if pool is None:
-                return partial(_run_task, task)
-            try:
-                return pool.submit(_job, task).result
-            except BrokenProcessPool as exc:  # a worker died earlier
-                return partial(_reraise, exc)
-
         # phase 1: every point of a multi-point pair; a one-point pair has
         # nothing to choose and goes straight to phase 2
-        pending = [[submit((_score_task, *pair, point)) for point in points]
-                   if len(points) > 1 else submit((_execute_run, *pair, points[0]))
-                   for pair, points in zip(pairs, grids)]
-        # phase 2 of a multi-point pair is submitted as soon as its choice is made
-        for i, (pair, points) in enumerate(zip(pairs, grids)):
-            if len(points) > 1:
-                try:
-                    chosen, _ = cross_validate(points, [partial(timed, i, p) for p in pending[i]])
-                except (ValueError, RuntimeError) as exc:  # AllFailedError
-                    pending[i] = partial(_reraise, exc)
-                else:
-                    pending[i] = submit((_execute_run, *pair, chosen))
-        for i, (_, run, method, _) in enumerate(pairs):
+        scored = iter(_run_tasks(pool, [(_score_task, *pair, point)
+                                        for pair, points in zip(pairs, grids)
+                                        if len(points) > 1 for point in points]))
+        choices = []  # each pair's point, or the error that left it none
+        for points in grids:
             try:
-                result = timed(i, pending[i])
-            except (ValueError, RuntimeError) as exc:
-                failures.append({"method": method.name, "run_index": run, "error": str(exc)})
-            else:
-                result.wall_clock_s = seconds[i]
-                results.append(result)
+                choices.append(points[0] if len(points) == 1 else cross_validate(
+                    points, list(itertools.islice(scored, len(points))))[0])
+            except (ValueError, RuntimeError) as exc:  # AllFailedError
+                choices.append(exc)
+        # phase 2: one refit per pair whose choice succeeded
+        refits = iter(_run_tasks(pool, [(_execute_run, *pair, choice)
+                                        for pair, choice in zip(pairs, choices)
+                                        if not isinstance(choice, Exception)]))
 
+    results: list[RunResult] = []
+    failures: list[dict] = []
+    for (_, run, method, _), choice in zip(pairs, choices):
+        outcome = choice if isinstance(choice, Exception) else next(refits)
+        if isinstance(outcome, Exception):
+            failures.append({"method": method.name, "run_index": run, "error": str(outcome)})
+        else:
+            results.append(outcome)
     if failures and len(failures) * 2 >= len(pairs):
         raise ExperimentFailedError(
             f"{len(failures)} of {len(pairs)} runs failed; first: {failures[0]}"
         )
     results.sort(key=lambda r: (r.run_index, r.method))
     if log is not None:
-        total = sum(r.wall_clock_s for r in results)
-        print(f"[mtcate] {len(results)} runs ok, {len(failures)} failed, "
-              f"{total:.1f}s of fit time", file=log)
+        print(f"[mtcate] {len(results)} runs ok, {len(failures)} failed "
+              f"in {time.perf_counter() - started:.1f}s", file=log)
     return results, failures
 
 
@@ -471,12 +460,16 @@ def sweep_m(config: ExperimentConfig, m_values, jobs: int = 1, log=sys.stderr):
     order of m_values."""
     if config.missingness is None:
         raise ValueError("sweep_m needs a missingness spec in the config")
-    m_values = list(m_values)
+    m_values = [float(m) for m in m_values]
     bad = [m for m in m_values if not (0.0 < m < 1.0)]
     if bad:
         raise ValueError(f"m values must lie in (0,1), got {bad}")
+    labels = [f"m_{m:g}" for m in m_values]  # each m's directory in write_sweep
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"m values must be distinct; repeated: {repeated}")
     sweep = []
-    for m in map(float, m_values):
+    for m in m_values:
         sub = replace(config, missingness=replace(config.missingness, m=m))
         sweep.append((m, *run_experiment(sub, jobs=jobs, log=log)))
     return sweep
@@ -503,6 +496,8 @@ def write_results(out_dir, results, failures, dataset_label: str = "synthetic") 
     if failures:
         with open(out / "failures.json", "w") as fh:
             json.dump(failures, fh, sort_keys=True, indent=2)
+    else:  # an earlier run's failures no longer describe this one
+        (out / "failures.json").unlink(missing_ok=True)
 
 
 def write_sweep(out_dir, sweep, dataset_label: str = "synthetic") -> None:

@@ -172,7 +172,7 @@ def test_paper_preset_loads_without_expanding_its_grids(monkeypatch):
     assert len(cfg.methods) == len(harness.METHODS)
 
 
-def test_grid_expanded_once_per_run(monkeypatch):
+def test_grid_expanded_once_per_method(monkeypatch):
     calls = []
     original = harness.expand_grid
 
@@ -187,7 +187,7 @@ def test_grid_expanded_once_per_run(monkeypatch):
     })
     results, failures = run_experiment(cfg, log=None)
     assert failures == [] and len(results) == 4
-    assert len(calls) == 4  # one per (run, method)
+    assert len(calls) == 2  # one per method, not per (run, method)
 
 
 def test_experiment_masks_only_a_fully_observed_csv():

@@ -260,6 +260,14 @@ def test_csv_nonbinary_treatment_is_an_error(tmp_path):
     assert err.value.line == 3
 
 
+def test_csv_repeated_column_is_an_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,t,r,x1,tau,tau\n1.0,1,1,0.5,0.2,0.3\n")
+    with pytest.raises(CsvParseError, match=r"\['tau'\]") as err:
+        load_csv(path)
+    assert err.value.line == 1
+
+
 def test_csv_inconsistent_width_is_an_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,t,r,x1,x2\n1.0,1,1,0.5\n")

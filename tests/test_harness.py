@@ -4,7 +4,6 @@ import pickle
 import re
 import uuid
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,14 +130,17 @@ def test_typo_hyperparameter_key_never_reaches_run_experiment():
 
 def cv_on(train_d, val_d, method, seed):
     """cross_validate over the method's grid, each point fitted on train_d
-    and scored on val_d inline."""
+    and scored on val_d inline; a point passes its score or caught error."""
     def score(point):
         config = replace(method.base_config, **point, seed=seed)
-        return harness.selection_score(harness.fit_method(method.name, config, train_d),
-                                       val_d, "pehe_nn")
+        try:
+            return harness.selection_score(harness.fit_method(method.name, config, train_d),
+                                           val_d, "pehe_nn")
+        except (ValueError, RuntimeError) as exc:
+            return exc
 
     points = method.grid_points()
-    return cross_validate(points, [partial(score, point) for point in points])
+    return cross_validate(points, [score(point) for point in points])
 
 
 def test_cross_validate_singleton_grid():
@@ -248,9 +250,13 @@ def _die_in_worker(task):
     os._exit(1)
 
 
-def test_dead_worker_fails_the_experiment_by_name(monkeypatch):
+@pytest.mark.parametrize("method", [
+    MethodSpec("ols_del"),  # dies in phase 2, the pair's only task
+    MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}), base_config=tiny_net_config()),
+], ids=["one_point", "two_point"])
+def test_dead_worker_fails_the_experiment_by_name(monkeypatch, method):
     monkeypatch.setattr(harness, "_job", _die_in_worker)
-    cfg = experiment_config([MethodSpec("ols_del")], num_runs=1)
+    cfg = experiment_config([method], num_runs=1)
     with pytest.raises(ExperimentFailedError, match="process pool"):
         run_experiment(cfg, jobs=2, log=None)
 
@@ -446,6 +452,15 @@ def test_aggregate_matches_per_run_mean_exactly():
     assert overall["mean"] == pytest.approx(np.mean(per_run), abs=1e-12)
 
 
+def test_write_results_removes_an_earlier_runs_failures(tmp_path):
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
+    results, _ = run_experiment(cfg, log=None)
+    write_results(tmp_path, results, [{"method": "ols_del", "run_index": 0, "error": "x"}])
+    assert (tmp_path / "failures.json").exists()
+    write_results(tmp_path, results, [])
+    assert not (tmp_path / "failures.json").exists()
+
+
 def test_write_and_read_results_roundtrip(tmp_path):
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=2)
     results, failures = run_experiment(cfg, log=None)
@@ -507,6 +522,17 @@ def test_sweep_m_checks_every_fraction_before_running(monkeypatch):
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
     with pytest.raises(ValueError, match=re.escape("[0.0]")):
         sweep_m(cfg, [0.5, 0.0], log=None)
+    assert calls == []
+
+
+def test_sweep_m_rejects_repeated_fractions_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or ([], []))
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
+    with pytest.raises(ValueError, match=re.escape("['m_0.5']")):
+        sweep_m(cfg, [0.5, 0.2, 0.5], log=None)
+    with pytest.raises(ValueError, match="m_0.3"):  # the same directory label
+        sweep_m(cfg, [0.3, 0.30000001], log=None)
     assert calls == []
 
 
