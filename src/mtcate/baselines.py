@@ -134,7 +134,7 @@ class OlsModel:
     beta1: np.ndarray
 
     def predict_cate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
+        x = mtrnet.check_input(x, self.beta0.size - 1)
         return (self.beta1[0] + x @ self.beta1[1:]) - (self.beta0[0] + x @ self.beta0[1:])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as datamod, harness, metrics as metricsmod, mtrnet, theory
 from .baselines import OlsModel
-from .errors import check_keys
+from .errors import check_keys, decode
 
 
 def _load_json(path) -> dict:
@@ -59,10 +59,16 @@ def load_fitted(payload: dict):
         raise ValueError(f"unknown model kind {kind!r}; known: {sorted(_MODEL_KEYS)}")
     required = ("format_version", "kind", *_MODEL_KEYS[kind])
     check_keys(payload, (*required, "method"), f"{kind} model", required)
-    if payload["format_version"] != mtrnet.FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {payload['format_version']!r}")
+    version = decode(payload["format_version"], int, f"{kind} model.format_version")
+    if version != mtrnet.FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version!r}")
     if kind == "ols":
-        return OlsModel(np.asarray(payload["beta0"]), np.asarray(payload["beta1"]))
+        beta0, beta1 = (np.asarray(decode(payload[key], tuple[float, ...], f"ols model.{key}"))
+                        for key in ("beta0", "beta1"))
+        if beta0.size < 2 or beta0.shape != beta1.shape:
+            raise ValueError(f"ols model.beta0 and beta1 must have one length >= 2 "
+                             f"(intercept first), got {beta0.size} and {beta1.size}")
+        return OlsModel(beta0, beta1)
     return mtrnet.model_from_dict(payload)
 
 
@@ -93,10 +99,12 @@ def cmd_train(args) -> int:
     fitted = harness.fit_method(method, net_config, d)
     wanted = list(cfg.get("metrics", ())) or metricsmod.available_metrics(d)
     # the report is built before anything is written: a metric the data
-    # cannot support leaves no model.json behind
+    # cannot support leaves no model.json behind. It keeps the config as
+    # given, since a CFR-MMD network's own config has alpha = 0.
     report = metricsmod.evaluate_predictions(
         d, fitted.predict_cate(d.x), wanted,
-        metadata={"method": harness.METHODS[method].label, "seed": net_config.seed},
+        metadata={"method": harness.METHODS[method].label, "seed": net_config.seed,
+                  "config": net_config.to_dict()},
     )
 
     out = Path(args.out)

@@ -142,25 +142,28 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict, preset: str = "desk") -> "MethodSpec":
-        """Checks the grid's shape and every value in it against the base
-        config, one value at a time: a mapping grid is never expanded here."""
+        """Checks the grid's shape and decodes every value in it against the
+        base config, one value at a time, so a value takes its field's type
+        (an int alpha becomes a float): a mapping grid is never expanded here."""
         check_keys(d, ("name", "grid", "config"), "method", required=("name",))
         name = canonical_method(decode(d["name"], str, "method.name"))
         base = MTRNetConfig.from_dict(d.get("config", {}), f"{name} config")
         grid = d.get("grid")
         if grid is None:
             grid = PRESETS[preset][METHODS[name].estimator]
+
+        def typed(point: dict) -> dict:
+            config = MTRNetConfig.from_dict({**base.to_dict(), **point}, f"{name} grid")
+            return {k: getattr(config, k) for k in point}
+
         if isinstance(grid, dict):
             bad = sorted(k for k, v in grid.items() if not (isinstance(v, list) and v))
             if bad:
                 raise ValueError(f"{name} grid key(s) {bad} must map to a non-empty list")
-            values = [{k: v} for k, vs in grid.items() for v in vs]
+            grid = {k: [typed({k: v})[k] for v in vs] for k, vs in grid.items()}
         else:
-            grid = values = decode(grid, tuple[dict, ...], f"{name} grid")
-        spec = cls(name=name, grid=grid, base_config=base)
-        for value in values:
-            MTRNetConfig.from_dict({**base.to_dict(), **value}, f"{name} grid")
-        return spec
+            grid = tuple(typed(p) for p in decode(grid, tuple[dict, ...], f"{name} grid"))
+        return cls(name=name, grid=grid, base_config=base)
 
 
 @dataclass(frozen=True)
@@ -284,6 +287,10 @@ class RunResult(Spec):
     seed: int
     hyperparameters: dict
     report: EvalReport
+
+    def validate(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"result: unknown method {self.method!r}; known: {sorted(METHODS)}")
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "method_label": METHODS[self.method].label}

@@ -5,10 +5,10 @@ h0/h1, a treatment discriminator and an observedness discriminator. The
 discriminators descend on their own cross-entropy losses while the
 representation ascends on them through a gradient-reversal node, which
 pushes the representation towards being uninformative of both treatment
-and missingness. A discriminator whose weight (alpha, beta) is 0 is not
-built, so the same engine trains the TARNet and CFR-MMD baselines as the
-adversary-free subset of the network (optional per-row weights / kernel
-penalty).
+and missingness. A discriminator whose weight (alpha, beta) is 0 is neither
+drawn nor trained, so the TARNet and CFR-MMD baselines are the
+adversary-free subset of the same model and engine (optional per-row
+weights / kernel penalty).
 """
 
 from __future__ import annotations
@@ -84,36 +84,29 @@ class MTRNetModel:
     phi: list[DenseLayer]
     h0: list[DenseLayer]
     h1: list[DenseLayer]
-    k_t: DenseLayer
-    k_r: DenseLayer
-    flat: np.ndarray = field(init=False)  # the trained parameters' values, end to end
+    k_t: DenseLayer | None  # the treatment discriminator, when config.alpha > 0
+    k_r: DenseLayer | None  # the observedness discriminator, when config.beta > 0
+    _parameters: dict[str, Tensor] = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False)  # every parameter's value, end to end
     adam: AdamState = field(init=False)  # one Adam state over `flat`
     grad: np.ndarray = field(init=False)  # a step's gradients, laid out like `flat`
 
     def __post_init__(self):
-        self.flat = pack(list(self.trained_parameters().values()))
+        params = {}
+        for group, layers in (("phi", self.phi), ("h0", self.h0), ("h1", self.h1)):
+            for i, layer in enumerate(layers):
+                params[f"{group}.{i}.w"], params[f"{group}.{i}.b"] = layer.weights, layer.bias
+        for group, layer in (("k_t", self.k_t), ("k_r", self.k_r)):
+            if layer is not None:
+                params[f"{group}.w"], params[f"{group}.b"] = layer.weights, layer.bias
+        self._parameters = params
+        self.flat = pack(list(params.values()))
         self.adam = AdamState.like(self.flat)
         self.grad = np.empty_like(self.flat)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for group, layers in (("phi", self.phi), ("h0", self.h0), ("h1", self.h1)):
-            for i, layer in enumerate(layers):
-                out[f"{group}.{i}.w"] = layer.weights
-                out[f"{group}.{i}.b"] = layer.bias
-        for group, layer in (("k_t", self.k_t), ("k_r", self.k_r)):
-            out[f"{group}.w"] = layer.weights
-            out[f"{group}.b"] = layer.bias
-        return out
-
-    def trained_parameters(self) -> dict[str, Tensor]:
-        """The parameters `flat` holds: phi, h0 and h1, plus a discriminator
-        only when its loss weight is positive (training_step builds it then)."""
-        params = self.parameters()
-        for group, weight in (("k_t", self.config.alpha), ("k_r", self.config.beta)):
-            if not weight > 0:
-                del params[f"{group}.w"], params[f"{group}.b"]
-        return params
+        """Every parameter by name, in `flat`'s order; all of them are trained."""
+        return self._parameters
 
     def hypothesis_weights(self) -> list[Tensor]:
         return [layer.weights for layer in self.h0 + self.h1]
@@ -122,34 +115,24 @@ class MTRNetModel:
         return predict_cate(self, x)
 
 
+def _init_stack(rng, widths) -> list[DenseLayer]:
+    """Dense layers mapping widths[0] -> widths[1] -> ..., drawn in order."""
+    return [init_dense(rng, n_out, n_in) for n_in, n_out in zip(widths, widths[1:])]
+
+
 def init_model(config: MTRNetConfig, input_dim: int) -> MTRNetModel:
-    """Representation stack, two outcome heads ending in a scalar layer,
-    and one single-layer logit head per discriminator."""
+    """Representation stack, two outcome heads ending in a scalar layer, then
+    a single-layer logit head for each discriminator whose weight is
+    positive (treatment before observedness)."""
     config.validate()
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM]))
     rep, hyp = config.rep_layer_size, config.hyp_layer_size
-
-    phi = []
-    d_in = input_dim
-    for _ in range(config.num_rep_layers):
-        phi.append(init_dense(rng, rep, d_in))
-        d_in = rep
-
-    def make_head() -> list[DenseLayer]:
-        layers = []
-        d = rep
-        for _ in range(config.num_hyp_layers):
-            layers.append(init_dense(rng, hyp, d))
-            d = hyp
-        layers.append(init_dense(rng, 1, d))
-        return layers
-
-    h0 = make_head()
-    h1 = make_head()
-    k_t = init_dense(rng, 1, rep)
-    k_r = init_dense(rng, 1, rep)
+    phi = _init_stack(rng, [input_dim] + [rep] * config.num_rep_layers)
+    h0, h1 = (_init_stack(rng, [rep] + [hyp] * config.num_hyp_layers + [1]) for _ in range(2))
+    k_t = init_dense(rng, 1, rep) if config.alpha > 0 else None
+    k_r = init_dense(rng, 1, rep) if config.beta > 0 else None
     return MTRNetModel(config, input_dim, phi, h0, h1, k_t, k_r)
 
 
@@ -176,22 +159,23 @@ def compute_weights(t, r):
     return w, u, n_o
 
 
-def _rep_forward(model: MTRNetModel, x, train_mode: bool, rng) -> Tensor:
-    drop = model.config.dropout_rate if train_mode else 0.0
-    h = x
-    for layer in model.phi:
+def _dense_elu_dropout(layers, h, drop: float, rng) -> Tensor:
+    """The encoder's and the heads' hidden stack: ELU(dense(h)) per layer,
+    each followed by a dropout mask when drop > 0."""
+    for layer in layers:
         h = elu(dense_forward(layer, h))
         if drop > 0:
             h = mul(h, dropout_mask(h.shape, drop, rng))
-    return unit_normalize_rows(h)
+    return h
+
+
+def _rep_forward(model: MTRNetModel, x, train_mode: bool, rng) -> Tensor:
+    drop = model.config.dropout_rate if train_mode else 0.0
+    return unit_normalize_rows(_dense_elu_dropout(model.phi, x, drop, rng))
 
 
 def _head_forward(layers, z, drop: float, rng) -> Tensor:
-    for layer in layers[:-1]:
-        z = elu(dense_forward(layer, z))
-        if drop > 0:
-            z = mul(z, dropout_mask(z.shape, drop, rng))
-    return dense_forward(layers[-1], z)
+    return dense_forward(layers[-1], _dense_elu_dropout(layers[:-1], z, drop, rng))
 
 
 def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Generator,
@@ -200,12 +184,11 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     """One Adam update on outcome + l2_lambda*L2 + alpha*L_T + beta*L_R
     (+ mmd_weight*MMD^2 between the arms' representations).
 
-    A discriminator is built only when its weight is positive: it descends
-    on its cross-entropy while the representation ascends on it through a
+    A discriminator (present only when its weight is positive) descends on
+    its cross-entropy while the representation ascends on it through a
     gradient-reversal node. The update is one Adam step on `model.flat`,
-    which holds only the trained parameters, so with alpha = beta = 0 the
-    discriminators keep their values. Returns the pre-update value of every
-    term built."""
+    which holds every parameter of the model. Returns the pre-update value
+    of every term built."""
     cfg = model.config
     if mmd_weight and mmd_bandwidth is None:
         raise ValueError("mmd_weight given without a bandwidth")
@@ -252,14 +235,14 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     if not np.isfinite(record["total"]):
         raise TrainingDivergedError(iteration)
 
-    trained = model.trained_parameters()
-    for tensor in trained.values():
+    params = model.parameters()
+    for tensor in params.values():
         tensor.grad = None  # never apply a gradient left by an earlier graph
     backward(total)
-    missing = [name for name, tensor in trained.items() if tensor.grad is None]
+    missing = [name for name, tensor in params.items() if tensor.grad is None]
     if missing:
         raise RuntimeError(f"the objective does not reach trained parameter(s) {missing}")
-    np.concatenate([tensor.grad.ravel() for tensor in trained.values()], out=model.grad)
+    np.concatenate([tensor.grad.ravel() for tensor in params.values()], out=model.grad)
     adam_step(model.flat, model.grad, model.adam, cfg.learning_rate)
     return record
 
@@ -325,16 +308,17 @@ def train(data: Dataset, config: MTRNetConfig, *, row_weights=None,
 # Prediction
 
 
-def _check_input(model: MTRNetModel, x) -> np.ndarray:
+def check_input(x, input_dim: int) -> np.ndarray:
+    """`x` as a float64 (n, input_dim) array; any other shape is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(f"expected (n, {model.input_dim}) input, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise ValueError(f"expected (n, {input_dim}) input, got {x.shape}")
     return x
 
 
 def predict_outcomes(model: MTRNetModel, x):
     """(f0(x), f1(x)) in evaluation mode (no dropout)."""
-    x = _check_input(model, x)
+    x = check_input(x, model.input_dim)
     rep = _rep_forward(model, x, train_mode=False, rng=None)
     f0 = _head_forward(model.h0, rep, 0.0, None)
     f1 = _head_forward(model.h1, rep, 0.0, None)

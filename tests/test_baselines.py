@@ -11,8 +11,8 @@ from mtcate.baselines import (
 )
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
-from mtcate.harness import MethodSpec, fit_method
-from mtcate.mtrnet import MTRNetConfig, init_model, train as mtrnet_train, _rep_forward
+from mtcate.harness import METHODS, MethodSpec, fit_method
+from mtcate.mtrnet import MTRNetConfig, train as mtrnet_train, _rep_forward
 from mtcate.nn import AdamState, adam_step
 
 
@@ -266,23 +266,18 @@ def test_cfrmmd_zero_penalty_matches_tarnet():
         assert np.array_equal(cfr.parameters()[name].value, tar.parameters()[name].value)
 
 
-def test_neural_baselines_leave_discriminators_untouched():
+@pytest.mark.parametrize("method", [k for k, m in METHODS.items() if m.estimator != "ols"])
+def test_fitted_model_has_discriminators_only_for_mtrnet(method):
     data = masked_dataset(n=100, seed=17)
     cfg = small_config(seed=23, dropout_rate=0.2, alpha=2.0, beta=3.0)
-    fresh = init_model(cfg, data.d)
-    for fit in (tarnet_train, cfrmmd_train):
-        model, history = fit(data, np.ones(data.n), cfg)
-        for head in ("k_t", "k_r"):
-            for part in ("weights", "bias"):
-                after = getattr(getattr(model, head), part).value
-                assert np.array_equal(after, getattr(getattr(fresh, head), part).value)
-        # one Adam state, over phi, h0 and h1 only, stepped once per iteration
-        assert model.adam.step == cfg.iterations
-        assert model.adam.m.size == model.flat.size == sum(
-            t.value.size for name, t in model.parameters().items()
-            if name.startswith(("phi", "h0", "h1")))
-        assert all("treatment_bce" not in h and "missingness_bce" not in h for h in history)
-    assert "mmd2" in history[0]
+    model = fit_method(method, cfg, data)
+    adversarial = {"k_t", "k_r"} if method == "mtrnet" else set()
+    assert {name.split(".")[0] for name in model.parameters()} == {"phi", "h0", "h1"} | adversarial
+    assert {head for head in ("k_t", "k_r") if getattr(model, head) is not None} == adversarial
+    # one Adam state over every parameter, stepped once per iteration
+    assert model.adam.step == cfg.iterations
+    assert model.adam.m.size == model.flat.size == sum(
+        t.value.size for t in model.parameters().values())
 
 
 def shifted_arms_dataset(n, seed):
@@ -305,9 +300,11 @@ def test_cfrmmd_penalty_reduces_representation_imbalance():
         cfg_off = small_config(seed=seed, iterations=60, alpha=0.0)
         cfg_on = small_config(seed=seed, iterations=60, alpha=10.0)
         off, _ = cfrmmd_train(data, np.ones(data.n), cfg_off)
-        on, _ = cfrmmd_train(data, np.ones(data.n), cfg_on)
+        on, history = cfrmmd_train(data, np.ones(data.n), cfg_on)
         gaps.append(arm_mmd(off, data) - arm_mmd(on, data))
     assert np.median(gaps) >= 0.0
+    # the penalty is the only term beyond the outcome loss and L2
+    assert set(history[0]) == {"iteration", "outcome", "mmd2", "total"}
 
 
 def test_cfrmmd_deterministic_per_seed():

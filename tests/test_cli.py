@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mtcate import cli, data as dm, harness
+from mtcate import cli, data as dm, harness, mtrnet
 
 
 def dgp_dict(n=120, d=2, seed=0):
@@ -314,7 +314,63 @@ def test_bad_train_config_fails_at_load(tmp_path, capsys, payload, named):
     ({"kind": "ols"}, "['format_version', 'beta0', 'beta1']"),
     ({"kind": "ols", "format_version": 2, "beta0": [0.0], "beta1": [1.0]}, "version 2"),
     ({"kind": "mtrnet", "format_version": 1}, "'input_dim'"),
+    ({"kind": "ols", "format_version": True, "beta0": [0.0, 1.0], "beta1": [1.0, 1.0]},
+     "ols model.format_version"),
+    ({"kind": "ols", "format_version": 1, "beta0": "abc", "beta1": [1.0, 1.0]},
+     "ols model.beta0"),
+    ({"kind": "ols", "format_version": 1, "beta0": [0.0, 1.0], "beta1": [1.0, False]},
+     "ols model.beta1[1]"),
+    ({"kind": "ols", "format_version": 1, "beta0": [0.0, 1.0], "beta1": [1.0, 1.0, 2.0]},
+     "beta0 and beta1"),
+    ({"kind": "ols", "format_version": 1, "beta0": [0.0], "beta1": [1.0]}, "beta0 and beta1"),
 ])
 def test_load_fitted_checks_kind_version_and_keys(payload, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         cli.load_fitted(payload)
+
+
+def test_evaluate_checks_an_ols_models_input_width(tmp_path, capsys):
+    train_cfg = write_json(tmp_path / "train.json", {
+        "method": "ols_del", "data": {"synthetic": dgp_dict(n=60, d=3)}})
+    assert cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "fit")]) == 0
+    wide = tmp_path / "wide.csv"
+    gen_cfg = write_json(tmp_path / "gen.json", {"synthetic": dgp_dict(n=50, d=5)})
+    assert cli.main(["generate", "--config", gen_cfg, "--out", str(wide)]) == 0
+    error = cli_error(capsys, ["evaluate", "--model", str(tmp_path / "fit" / "model.json"),
+                               "--data", str(wide), "--out", str(tmp_path / "eval.json")])
+    assert error == {"type": "ValueError", "message": "expected (n, 3) input, got (50, 5)"}
+
+
+def test_train_report_records_the_config_as_given(tmp_path):
+    given = {"rep_layer_size": 4, "hyp_layer_size": 4, "iterations": 2, "batch_size": 16,
+             "alpha": 2.0}
+    train_cfg = write_json(tmp_path / "train.json", {
+        "method": "cfrmmd_del", "config": given,
+        "data": {"synthetic": dgp_dict(), "missingness": {"m": 0.2, "q": 0.5, "seed": 4}},
+    })
+    assert cli.main(["train", "--config", train_cfg, "--seed", "7",
+                     "--out", str(tmp_path / "fit")]) == 0
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    expected = mtrnet.MTRNetConfig.from_dict({**given, "seed": 7}).to_dict()
+    assert report["metadata"]["config"] == expected
+    # the network itself is built without a treatment adversary
+    model = json.loads((tmp_path / "fit" / "model.json").read_text())
+    assert model["config"] == {**expected, "alpha": 0.0, "beta": 0.0}
+    assert not any(name.startswith(("k_t", "k_r")) for name in model["parameters"])
+
+
+def test_report_rejects_an_unknown_method_before_writing(tmp_path, capsys):
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict(n=150, seed=6)},
+        "missingness": {"m": 0.3, "q": 0.6},
+        "methods": [{"name": "ols_del"}],
+        "num_runs": 2,
+    })
+    out = tmp_path / "results"
+    assert cli.main(["experiment", "--config", config, "--out", str(out)]) == 0
+    lines = (out / "results.jsonl").read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], lines[1].replace('"method": "ols_del"', '"method": "nope"')]))
+    error = cli_error(capsys, ["report", "--results", str(bad), "--out", str(tmp_path / "rollup")])
+    assert error["type"] == "ValueError" and "'nope'" in error["message"]
+    assert not (tmp_path / "rollup").exists()

@@ -190,6 +190,25 @@ def test_grid_expanded_once_per_method(monkeypatch):
     assert len(calls) == 2  # one per method, not per (run, method)
 
 
+@pytest.mark.parametrize("ints, floats", [
+    ({"alpha": [1, 2], "beta": [3]}, {"alpha": [1.0, 2.0], "beta": [3.0]}),
+    ([{"alpha": 1, "beta": 3}, {"alpha": 2}], [{"alpha": 1.0, "beta": 3.0}, {"alpha": 2.0}]),
+], ids=["mapping", "list"])
+def test_grid_ints_write_the_same_results_as_floats(tmp_path, ints, floats):
+    written = []
+    for grid in (ints, floats):
+        cfg = ExperimentConfig.from_dict({
+            **experiment_dict(), "num_runs": 2, "methods": [{"name": "ols_del", "grid": grid}],
+        })
+        results, failures = run_experiment(cfg, log=None)
+        assert failures == [] and len(results) == 2
+        out = tmp_path / str(len(written))
+        harness.write_results(out, results, failures)
+        written.append((out / "results.jsonl").read_bytes())
+    assert written[0] == written[1]
+    assert b'"alpha": 1.0' in written[0] or b'"alpha": 2.0' in written[0]
+
+
 def test_experiment_masks_only_a_fully_observed_csv():
     full = dm.generate(SyntheticDGPSpec.from_dict(dgp_dict()))
     cfg = ExperimentConfig.from_dict({**experiment_dict(), "data": {"csv": "full.csv"}})

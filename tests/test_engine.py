@@ -62,11 +62,11 @@ class ReferenceCheck:
         if model is not self.model:
             self.model = model
             self.reference = {name: (t.value.copy(), AdamState.like(t.value))
-                              for name, t in model.trained_parameters().items()}
+                              for name, t in model.parameters().items()}
         return self.lean_step(model, batch, **kwargs)
 
     def backward(self, loss):
-        trained = self.model.trained_parameters()
+        trained = self.model.parameters()
         reference_backward(loss)
         self.reference_grads = {name: t.grad.copy() for name, t in trained.items()}
         for t in trained.values():
@@ -80,7 +80,7 @@ class ReferenceCheck:
         for name, (value, ref_state) in self.reference.items():
             adam_step(value, self.reference_grads[name], ref_state, lr)
         out = self.lean_adam(param, grad, state, lr)
-        for name, t in self.model.trained_parameters().items():
+        for name, t in self.model.parameters().items():
             assert np.shares_memory(t.value, self.model.flat), name
             assert t.value.tobytes() == self.reference[name][0].tobytes(), name
         self.steps += 1
@@ -122,13 +122,11 @@ def test_lean_engine_is_bitwise_the_reference_engine(monkeypatch, fit):
 ])
 def test_flat_buffer_holds_discriminators_only_when_weighted(alpha, beta, in_flat):
     model = mtrnet.init_model(replace(CONFIG, alpha=alpha, beta=beta), 4)
-    sizes = 0
-    for name, t in model.parameters().items():
-        shared = np.shares_memory(t.value, model.flat)
-        group = name.split(".", 1)[0]
-        assert shared == (group in in_flat or group in ("phi", "h0", "h1")), name
-        sizes += t.value.size if shared else 0
-    assert model.flat.size == model.adam.m.size == sizes
+    params = model.parameters()
+    assert {name.split(".", 1)[0] for name in params} == {"phi", "h0", "h1"} | in_flat
+    for name, t in params.items():
+        assert np.shares_memory(t.value, model.flat), name
+    assert model.flat.size == model.adam.m.size == sum(t.value.size for t in params.values())
 
 
 def test_model_from_dict_writes_into_the_flat_buffer():
@@ -150,9 +148,8 @@ def test_model_from_dict_writes_into_the_flat_buffer():
 def test_trained_parameter_without_gradient_is_an_error(monkeypatch):
     data = masked_data(seed=2)
     model = mtrnet.init_model(CONFIG, data.d)
-    trained = model.trained_parameters()
-    unreached = {**trained, "unreached.w": Tensor(np.zeros(3))}
-    monkeypatch.setattr(model, "trained_parameters", lambda: unreached)
+    unreached = {**model.parameters(), "unreached.w": Tensor(np.zeros(3))}
+    monkeypatch.setattr(model, "parameters", lambda: unreached)
     with pytest.raises(RuntimeError, match="unreached.w"):
         mtrnet.training_step(model, mtrnet.TrainingBatch(data.x, data.t, data.r, data.y),
                              rng=np.random.default_rng(0))

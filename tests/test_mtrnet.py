@@ -46,10 +46,6 @@ def step(model, batch, **kwargs):
     return training_step(model, batch, rng=np.random.default_rng(0), **kwargs)
 
 
-def param_snapshot(model):
-    return {name: t.value.copy() for name, t in model.parameters().items()}
-
-
 def shape(layer):
     return layer.weights.value.shape
 
@@ -182,43 +178,16 @@ def test_step_record_single_arm_batch_rejected():
 # Training dynamics
 
 
-def test_adversary_heads_send_no_gradient_when_off():
-    data = toy_data(n=64, seed=1)
-    batch = dataset_batch(data)
-    cfg = small_config(alpha=0.0, beta=0.0, dropout_rate=0.2)
-    m1 = init_model(cfg, data.d)
-    m2 = init_model(cfg, data.d)
-    for layer in (m2.k_t, m2.k_r):
-        layer.weights.value += 0.3
-        layer.bias.value += 0.1
-    rng1 = np.random.default_rng(99)
-    rng2 = np.random.default_rng(99)
-    for it in range(5):
-        training_step(m1, batch, rng=rng1, iteration=it)
-        training_step(m2, batch, rng=rng2, iteration=it)
-    p1, p2 = param_snapshot(m1), param_snapshot(m2)
-    for name in p1:
-        if name.startswith(("phi", "h0", "h1")):
-            assert np.array_equal(p1[name], p2[name]), name
-
-
-def test_stale_discriminator_gradient_is_not_applied():
+def test_stale_gradient_is_not_applied():
     data = toy_data(n=64, seed=2)
-    model = init_model(small_config(alpha=0.0, beta=0.0), data.d)
-    before = param_snapshot(model)
-    for layer in (model.k_t, model.k_r):
-        layer.weights.grad = np.ones_like(layer.weights.value)
-        layer.bias.grad = np.ones_like(layer.bias.value)
+    cfg = small_config(alpha=0.0, beta=0.0)
+    model, clean = init_model(cfg, data.d), init_model(cfg, data.d)
+    stale = model.phi[0].weights
+    stale.grad = np.ones_like(stale.value)  # left over from an earlier graph
     record = step(model, dataset_batch(data))
-    after = param_snapshot(model)
-    for name in ("k_t.w", "k_t.b", "k_r.w", "k_r.b"):
-        assert np.array_equal(after[name], before[name]), name
-    # one Adam state, over phi, h0 and h1 only, stepped once
+    assert record == step(clean, dataset_batch(data))
+    assert model.flat.tobytes() == clean.flat.tobytes()
     assert model.adam.step == 1
-    assert model.adam.m.size == model.flat.size == sum(
-        t.value.size for name, t in model.parameters().items()
-        if name.startswith(("phi", "h0", "h1")))
-    assert not np.array_equal(after["phi.0.w"], before["phi.0.w"])
     assert set(record) == {"iteration", "outcome", "total"}
 
 
@@ -412,6 +381,19 @@ def test_model_json_roundtrip_is_exact():
     assert np.array_equal(predict_cate(model, x), predict_cate(clone, x))
     for name in model.parameters():
         assert np.array_equal(model.parameters()[name].value, clone.parameters()[name].value)
+
+
+def test_model_file_with_unweighted_discriminators_still_loads():
+    # files written when every network drew both discriminators carry them
+    data = toy_data(n=60, seed=6)
+    model, _ = train(data, small_config(iterations=3, alpha=0.0, beta=0.0))
+    payload = model_to_dict(model)
+    for name in ("k_t.w", "k_t.b", "k_r.w", "k_r.b"):
+        payload["shapes"][name] = [1, 8] if name.endswith("w") else [1]
+        payload["parameters"][name] = [[0.5] * 8] if name.endswith("w") else [0.0]
+    clone = model_from_dict(payload)
+    assert clone.k_t is None and clone.k_r is None
+    assert clone.flat.tobytes() == model.flat.tobytes()
 
 
 def test_model_dict_version_check():
