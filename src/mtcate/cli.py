@@ -23,7 +23,7 @@ from .errors import check_keys, decode
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return decode(json.load(fh), dict, str(path))
 
 
 def _dump_json(obj, path) -> None:
@@ -33,34 +33,40 @@ def _dump_json(obj, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fitted-model payloads
+# model.json: the one codec for fitted models
 
+FORMAT_VERSION = 1
 
-# the keys each kind of model payload carries besides format_version and kind
+# the keys each kind of model payload carries besides the shared envelope
 _MODEL_KEYS = {"ols": ("beta0", "beta1"), "mtrnet": ("input_dim", "config", "shapes", "parameters")}
 
 
 def model_payload(method: str, fitted) -> dict:
+    """The model.json object of a fitted model: the shared envelope, then the
+    OLS coefficients or the network's input width, config, shapes and values."""
+    envelope = {"format_version": FORMAT_VERSION, "method": method}
     if isinstance(fitted, OlsModel):
-        return {
-            "format_version": mtrnet.FORMAT_VERSION, "kind": "ols", "method": method,
-            "beta0": fitted.beta0.tolist(), "beta1": fitted.beta1.tolist(),
-        }
-    payload = mtrnet.model_to_dict(fitted)
-    payload["method"] = method
-    return payload
+        return {**envelope, "kind": "ols",
+                "beta0": fitted.beta0.tolist(), "beta1": fitted.beta1.tolist()}
+    params = fitted.parameters()
+    return {**envelope, "kind": "mtrnet", "input_dim": fitted.input_dim,
+            "config": fitted.config.to_dict(),
+            "shapes": {name: list(t.value.shape) for name, t in params.items()},
+            "parameters": {name: t.value.tolist() for name, t in params.items()}}
 
 
 def load_fitted(payload: dict):
     """The fitted model of a model_payload, after checking its kind, format
-    version and keys."""
-    kind = payload.get("kind")
+    version, keys and values; a ValueError names the first that is wrong.
+    Parameters the network's config does not build (the discriminators in
+    older TARNet/CFR-MMD files) are ignored."""
+    kind = decode(payload, dict, "model").get("kind")
     if kind not in _MODEL_KEYS:
         raise ValueError(f"unknown model kind {kind!r}; known: {sorted(_MODEL_KEYS)}")
     required = ("format_version", "kind", *_MODEL_KEYS[kind])
     check_keys(payload, (*required, "method"), f"{kind} model", required)
     version = decode(payload["format_version"], int, f"{kind} model.format_version")
-    if version != mtrnet.FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
     if kind == "ols":
         beta0, beta1 = (np.asarray(decode(payload[key], tuple[float, ...], f"ols model.{key}"))
@@ -69,7 +75,28 @@ def load_fitted(payload: dict):
             raise ValueError(f"ols model.beta0 and beta1 must have one length >= 2 "
                              f"(intercept first), got {beta0.size} and {beta1.size}")
         return OlsModel(beta0, beta1)
-    return mtrnet.model_from_dict(payload)
+    config = mtrnet.MTRNetConfig.from_dict(payload["config"], "mtrnet model.config")
+    model = mtrnet.init_model(config, decode(payload["input_dim"], int, "mtrnet model.input_dim"))
+    shapes = decode(payload["shapes"], dict[str, tuple[int, ...]], "mtrnet model.shapes")
+    values = decode(payload["parameters"], dict, "mtrnet model.parameters")
+    for key, entries in (("shapes", shapes), ("parameters", values)):
+        check_keys(entries, entries, f"mtrnet model.{key}", required=model.parameters())
+    for name, tensor in model.parameters().items():
+        shape, where = tensor.value.shape, f"mtrnet model.parameters.{name}"
+        if shapes[name] != shape:
+            raise ValueError(f"mtrnet model.shapes.{name}: expected {shape}, got {shapes[name]}")
+        tp = tuple[float, ...] if len(shape) == 1 else tuple[tuple[float, ...], ...]
+        nested = decode(values[name], tp, where)
+        try:
+            value = np.array(nested, dtype=np.float64)
+        except ValueError:  # numpy refuses a ragged list
+            raise ValueError(f"{where}: ragged nested list") from None
+        if value.shape != shape:
+            raise ValueError(f"{where}: expected shape {shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{where}: non-finite value")
+        tensor.value[...] = value  # in place: trained values are views of model.flat
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +137,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(model_payload(method, fitted), out / "model.json")
-    (out / "report.json").write_text(report.to_json() + "\n")
+    _dump_json(report.to_dict(), out / "report.json")
     print(f"trained {harness.METHODS[method].label}; wrote {out / 'model.json'}")
     return 0
 
@@ -122,7 +149,7 @@ def cmd_evaluate(args) -> int:
     if not wanted:
         raise ValueError("dataset carries no ground-truth fields to evaluate against")
     report = metricsmod.evaluate_predictions(d, fitted.predict_cate(d.x), wanted)
-    _dump_json(json.loads(report.to_json()), args.out)
+    _dump_json(report.to_dict(), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -173,9 +200,7 @@ def cmd_theory_check(args) -> int:
 
 
 def cmd_report(args) -> int:
-    results = []
-    for path in args.results:
-        results.extend(harness.read_results_jsonl(path))
+    results = [res for path in args.results for res in harness.read_results_jsonl(path)]
     if not results:
         raise ValueError("no results found")
     harness.write_results(args.out, results, failures=[], dataset_label=args.dataset)

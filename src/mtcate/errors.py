@@ -23,9 +23,9 @@ def check_keys(keys, allowed, where: str, required=()) -> None:
 
 def decode(value, tp, where: str):
     """`value`, read from JSON, as type `tp`: a Spec from an object, a tuple
-    from a list, None for `X | None`, a float from an int, and otherwise
-    exactly `tp` (a bool is no number). A mismatch is a ValueError naming
-    `where`."""
+    from a list, a `dict[str, X]` from an object with each value decoded as
+    X, None for `X | None`, a float from an int, and otherwise exactly `tp`
+    (a bool is no number). A mismatch is a ValueError naming `where`."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType:
         return None if value is None else decode(value, args[0], where)
@@ -33,6 +33,8 @@ def decode(value, tp, where: str):
         return tp.from_dict(value, where)
     if origin is tuple and isinstance(value, (list, tuple)):
         return tuple(decode(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: decode(v, args[1], f"{where}.{k}") for k, v in value.items()}
     if tp is float and type(value) is int:
         return float(value)
     if origin is None and isinstance(value, tp) and (tp is bool or type(value) is not bool):

@@ -5,7 +5,6 @@ reported overall and split by the treatment-observedness domain."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,16 +104,22 @@ def pehe_nn(tau_hat: np.ndarray, x: np.ndarray, t: np.ndarray, y: np.ndarray) ->
 # Domain-split reporting
 
 
+# the observedness domains a report splits each metric by
+SPLITS = ("overall", "t_observed", "t_missing")
+
+
 @dataclass
 class EvalReport(Spec):
     """Metric values per observedness domain plus split sizes and run metadata."""
 
-    metrics: dict = field(default_factory=dict)  # name -> {split: value | None}
+    metrics: dict[str, dict[str, float | None]] = field(default_factory=dict)
     counts: dict = field(default_factory=dict)  # split -> n
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def validate(self) -> None:
+        check_keys(self.metrics, METRICS, "report metric")
+        for metric, by_split in self.metrics.items():
+            check_keys(by_split, SPLITS, f"report.metrics.{metric} split")
 
 
 # Every metric a report can name: name -> (data, tau_hat) -> value. The
@@ -141,11 +146,8 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     tau_hat = np.asarray(tau_hat, dtype=np.float64)
     if tau_hat.shape != (data.n,):
         raise ValueError(f"tau_hat must have shape ({data.n},)")
-    splits = {
-        "overall": np.arange(data.n),
-        "t_observed": np.flatnonzero(data.r == 1),
-        "t_missing": np.flatnonzero(data.r == 0),
-    }
+    splits = dict(zip(SPLITS, (np.arange(data.n), np.flatnonzero(data.r == 1),
+                               np.flatnonzero(data.r == 0))))
     subsets = {split: (data.subset(idx), tau_hat[idx]) for split, idx in splits.items() if idx.size}
     report = EvalReport(counts={split: int(idx.size) for split, idx in splits.items()},
                         metadata=metadata or {})

@@ -329,33 +329,3 @@ def predict_cate(model: MTRNetModel, x) -> np.ndarray:
     f0, f1 = predict_outcomes(model, x)
     return f1 - f0
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-FORMAT_VERSION = 1
-
-
-def model_to_dict(model: MTRNetModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "mtrnet",
-        "input_dim": model.input_dim,
-        "config": model.config.to_dict(),
-        "shapes": {name: list(t.value.shape) for name, t in model.parameters().items()},
-        "parameters": {name: t.value.tolist() for name, t in model.parameters().items()},
-    }
-
-
-def model_from_dict(d: dict) -> MTRNetModel:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {d.get('format_version')}")
-    config = MTRNetConfig.from_dict(d["config"])
-    model = init_model(config, int(d["input_dim"]))
-    for name, tensor in model.parameters().items():
-        value = np.asarray(d["parameters"][name], dtype=np.float64)
-        if list(value.shape) != d["shapes"][name] or value.shape != tensor.value.shape:
-            raise ValueError(f"shape mismatch for parameter {name}")
-        tensor.value[...] = value  # in place: trained values are views of model.flat
-    return model
-

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -308,6 +309,26 @@ def test_bad_train_config_fails_at_load(tmp_path, capsys, payload, named):
     assert not (tmp_path / "fit").exists()
 
 
+DROP = object()
+
+
+def network_payload(*path):
+    """A small network's model_payload with the entry at `path[:-1]` set to
+    `path[-1]`, or removed when that is DROP."""
+    config = mtrnet.MTRNetConfig(rep_layer_size=2, hyp_layer_size=2,
+                                 num_rep_layers=1, num_hyp_layers=1)
+    payload = cli.model_payload("mtrnet", mtrnet.init_model(config, 2))
+    *keys, last, value = path
+    target = payload
+    for key in keys:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return payload
+
+
 @pytest.mark.parametrize("payload, named", [
     ({"kind": "cart", "format_version": 1}, "'cart'"),
     ({"format_version": 1, "beta0": [0.0], "beta1": [1.0]}, "None"),
@@ -323,6 +344,21 @@ def test_bad_train_config_fails_at_load(tmp_path, capsys, payload, named):
     ({"kind": "ols", "format_version": 1, "beta0": [0.0, 1.0], "beta1": [1.0, 1.0, 2.0]},
      "beta0 and beta1"),
     ({"kind": "ols", "format_version": 1, "beta0": [0.0], "beta1": [1.0]}, "beta0 and beta1"),
+    ([1], "model: expected dict, got [1]"),
+    (network_payload("parameters", "h1.0.w", DROP),
+     "missing mtrnet model.parameters key(s) ['h1.0.w']"),
+    (network_payload("input_dim", 2.9), "mtrnet model.input_dim"),
+    (network_payload("input_dim", True), "mtrnet model.input_dim"),
+    (network_payload("shapes", "x"), "mtrnet model.shapes: expected dict"),
+    (network_payload("parameters", [1.0]), "mtrnet model.parameters: expected dict"),
+    (network_payload("shapes", "h1.0.b", [3]), "mtrnet model.shapes.h1.0.b"),
+    (network_payload("parameters", "h1.0.w", "abc"), "mtrnet model.parameters.h1.0.w"),
+    (network_payload("parameters", "h1.0.w", [[0.5, 0.5], [0.5]]),
+     "mtrnet model.parameters.h1.0.w: ragged"),
+    (network_payload("parameters", "h1.0.b", [0.0, 0.0, 0.0]),
+     "mtrnet model.parameters.h1.0.b: expected shape"),
+    (network_payload("parameters", "h1.0.b", [0.0, float("inf")]),
+     "mtrnet model.parameters.h1.0.b: non-finite"),
 ])
 def test_load_fitted_checks_kind_version_and_keys(payload, named):
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -374,3 +410,67 @@ def test_report_rejects_an_unknown_method_before_writing(tmp_path, capsys):
     error = cli_error(capsys, ["report", "--results", str(bad), "--out", str(tmp_path / "rollup")])
     assert error["type"] == "ValueError" and "'nope'" in error["message"]
     assert not (tmp_path / "rollup").exists()
+
+    # each metric entry is checked as it is read
+    bad_entries = [
+        (lambda m: m["sqrt_pehe"].update(overall="abc"), "result.report.metrics.sqrt_pehe.overall"),
+        (lambda m: m["sqrt_pehe"].update(overall=True), "result.report.metrics.sqrt_pehe.overall"),
+        (lambda m: m.update(sqrt_pehe=3), "result.report.metrics.sqrt_pehe"),
+        (lambda m: m.update(pehee={"overall": 1.0}), "'pehee'"),
+        (lambda m: m["sqrt_pehe"].update(everywhere=1.0), "'everywhere'"),
+    ]
+    for edit, named in bad_entries:
+        result = json.loads(lines[1])
+        edit(result["report"]["metrics"])
+        bad.write_text("\n".join([lines[0], json.dumps(result)]))
+        error = cli_error(capsys, ["report", "--results", str(bad),
+                                   "--out", str(tmp_path / "rollup")])
+        assert error["type"] == "ValueError" and named in error["message"], named
+        assert not (tmp_path / "rollup").exists()
+
+
+@pytest.mark.parametrize("content", ["3", "[1]", '"abc"'])
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "experiment", "sweep-m"])
+def test_commands_reject_a_json_file_that_is_not_an_object(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    inputs = {"evaluate": ["--model", str(bad), "--data", str(tmp_path / "data.csv")],
+              "sweep-m": ["--config", str(bad), "--m", "0.5"]}
+    out = tmp_path / "out"
+    error = cli_error(capsys, [command, *inputs.get(command, ["--config", str(bad)]),
+                               "--out", str(out)])
+    assert error == {"type": "ValueError", "message":
+                     f"{bad}: expected dict, got {json.loads(content)!r}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["ols_del", "mtrnet", "tarnet_del", "cfrmmd_del"])
+def test_evaluate_reloads_what_train_wrote(tmp_path, monkeypatch, method):
+    full = tmp_path / "full.csv"
+    config = write_json(tmp_path / "gen.json", {"synthetic": dgp_dict(n=100, seed=4)})
+    assert cli.main(["generate", "--config", config, "--out", str(full)]) == 0
+    trained = []
+    fit_method = harness.fit_method
+    monkeypatch.setattr(harness, "fit_method",
+                        lambda *args: trained.append(fit_method(*args)) or trained[-1])
+    tiny = {"rep_layer_size": 8, "hyp_layer_size": 8, "iterations": 5, "batch_size": 32}
+    config = write_json(tmp_path / "train.json", {
+        "method": method, "data": {"csv": str(full)},
+        **({} if method == "ols_del" else {"config": tiny}),
+    })
+    fit = tmp_path / "fit"
+    assert cli.main(["train", "--config", config, "--out", str(fit)]) == 0
+    assert cli.main(["evaluate", "--model", str(fit / "model.json"), "--data", str(full),
+                     "--out", str(tmp_path / "eval.json")]) == 0
+    evaluated = json.loads((tmp_path / "eval.json").read_text())
+    assert evaluated["metrics"] == json.loads((fit / "report.json").read_text())["metrics"]
+
+    payload = json.loads((fit / "model.json").read_text())
+    reloaded = cli.load_fitted(payload)
+    if method == "ols_del":
+        assert reloaded.beta0.tobytes() == trained[0].beta0.tobytes()
+        assert reloaded.beta1.tobytes() == trained[0].beta1.tobytes()
+    else:
+        assert reloaded.flat.tobytes() == trained[0].flat.tobytes()
+        discriminators = {name.split(".")[0] for name in payload["parameters"]} & {"k_t", "k_r"}
+        assert discriminators == ({"k_t", "k_r"} if method == "mtrnet" else set())

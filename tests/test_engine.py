@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtcate import mtrnet
+from mtcate import cli, mtrnet
 from mtcate.autodiff import Tensor
 from mtcate.baselines import apply_strategy, cfrmmd_train, tarnet_train
 from mtcate.data import Dataset
@@ -129,10 +129,10 @@ def test_flat_buffer_holds_discriminators_only_when_weighted(alpha, beta, in_fla
     assert model.flat.size == model.adam.m.size == sum(t.value.size for t in params.values())
 
 
-def test_model_from_dict_writes_into_the_flat_buffer():
+def test_load_fitted_writes_into_the_flat_buffer():
     data = masked_data(seed=1)
     model, _ = mtrnet.train(data, CONFIG)
-    clone = mtrnet.model_from_dict(mtrnet.model_to_dict(model))
+    clone = cli.load_fitted(cli.model_payload("mtrnet", model))
     for name, t in clone.parameters().items():
         assert np.shares_memory(t.value, clone.flat), name
         assert np.array_equal(t.value, model.parameters()[name].value), name

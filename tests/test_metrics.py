@@ -9,7 +9,7 @@ from mtcate import metrics
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 from mtcate.metrics import (
-    evaluate_predictions, nn_surrogate_effects, pehe_nn,
+    EvalReport, evaluate_predictions, nn_surrogate_effects, pehe_nn,
     pehe_observed, pehe_true, policy_risk,
 )
 
@@ -214,9 +214,10 @@ def test_overall_lies_between_split_values_for_mean_metrics():
 def test_report_json_roundtrip():
     data = toy_dataset([1, 0], [0.0, 0.0])
     report = evaluate_predictions(data, np.zeros(2), ["pehe", "sqrt_pehe"], {"method": "x"})
-    again = json.loads(report.to_json())
+    again = json.loads(json.dumps(report.to_dict()))
     assert again == {"metrics": report.metrics, "counts": report.counts,
                      "metadata": {"method": "x"}}
+    assert EvalReport.from_dict(again) == report
 
 
 def test_evaluate_predictions_checks_every_metric_name_first(monkeypatch):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtcate.autodiff import backward, bce_loss
+from mtcate.cli import load_fitted, model_payload
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, TrainingDivergedError
 from mtcate.mtrnet import (
-    MTRNetConfig, TrainingBatch, compute_weights, init_model, model_from_dict,
-    model_to_dict, predict_cate, predict_outcomes, train, training_step,
+    MTRNetConfig, TrainingBatch, compute_weights, init_model, predict_cate,
+    predict_outcomes, train, training_step,
     _median_bandwidth, _rep_forward,
 )
 from mtcate.nn import AdamState, adam_step, dense_forward
@@ -376,7 +377,7 @@ def test_predict_dimension_mismatch():
 def test_model_json_roundtrip_is_exact():
     data = toy_data(n=60, seed=6)
     model, _ = train(data, small_config(iterations=5, dropout_rate=0.1))
-    clone = model_from_dict(model_to_dict(model))
+    clone = load_fitted(model_payload("mtrnet", model))
     x = np.random.default_rng(5).standard_normal((8, data.d))
     assert np.array_equal(predict_cate(model, x), predict_cate(clone, x))
     for name in model.parameters():
@@ -387,11 +388,11 @@ def test_model_file_with_unweighted_discriminators_still_loads():
     # files written when every network drew both discriminators carry them
     data = toy_data(n=60, seed=6)
     model, _ = train(data, small_config(iterations=3, alpha=0.0, beta=0.0))
-    payload = model_to_dict(model)
+    payload = model_payload("mtrnet", model)
     for name in ("k_t.w", "k_t.b", "k_r.w", "k_r.b"):
         payload["shapes"][name] = [1, 8] if name.endswith("w") else [1]
         payload["parameters"][name] = [[0.5] * 8] if name.endswith("w") else [0.0]
-    clone = model_from_dict(payload)
+    clone = load_fitted(payload)
     assert clone.k_t is None and clone.k_r is None
     assert clone.flat.tobytes() == model.flat.tobytes()
 
@@ -399,10 +400,10 @@ def test_model_file_with_unweighted_discriminators_still_loads():
 def test_model_dict_version_check():
     data = toy_data(n=40, seed=7)
     model, _ = train(data, small_config(iterations=1))
-    payload = model_to_dict(model)
+    payload = model_payload("mtrnet", model)
     payload["format_version"] = 99
-    with pytest.raises(ValueError):
-        model_from_dict(payload)
+    with pytest.raises(ValueError, match="version 99"):
+        load_fitted(payload)
 
 
 def test_config_validation():
