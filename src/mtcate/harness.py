@@ -527,9 +527,14 @@ def write_sweep(out_dir, sweep, dataset_label: str = "synthetic") -> None:
 
 
 def read_results_jsonl(path) -> list[RunResult]:
+    """The results in a results.jsonl file; a line that is not JSON or not
+    a valid result raises a ValueError that starts with `path:line`."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             if line.strip():
-                out.append(RunResult.from_dict(json.loads(line)))
+                try:
+                    out.append(RunResult.from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from exc
     return out

@@ -9,6 +9,11 @@ bound chain can be checked without estimation noise, with the worst-case
 function family realized as the sup-norm unit ball (whose IPM is the exact
 absolute-difference sum, maximized by the sign function).
 
+Every function below takes one world and model, or a stack of worlds of
+equal K and their models with a leading world axis (`Worlds.stack`,
+`TabularModel.stack`), and gives each stacked world the same floats, bit for
+bit, as that world alone: a single world is a stack with no leading axis.
+
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
 domain, u = p(T=0 | R=1). The marginal share p(T=0) coincides with it only
@@ -25,175 +30,234 @@ from .errors import Spec
 
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
 TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
+# worlds a sweep draws before checking them together, so its memory does not
+# grow with the number of worlds
+WORLD_BLOCK = 256
+
+
+def _is_probability(p: np.ndarray) -> np.ndarray:
+    """Per vector along the last axis: nonnegative masses summing to 1
+    (a NaN mass fails the sum)."""
+    return ((np.abs(np.add.reduce(p, axis=-1) - 1.0) <= 1e-9)
+            & (np.minimum.reduce(p, axis=-1, initial=np.inf) >= 0))
+
+
+def _by_point(a: np.ndarray) -> np.ndarray:
+    """(..., 2, K) arm-major to a contiguous (..., K, 2) point-major array."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
 @dataclass
-class DiscreteWorld:
-    p_x: np.ndarray            # (K,) covariate masses
-    p_t1: np.ndarray           # (K,) p(T=1|x), strictly inside (0,1)
-    p_r1: np.ndarray           # (K,) p(R=1|x), strictly inside (0,1)
-    y0_values: list            # per point: support of Y0 | x
-    y0_probs: list
-    y1_values: list
-    y1_probs: list
+class Worlds:
+    """Discrete worlds as arrays with any leading axes: none for one world,
+    one (the world axis) for a stack of worlds with the same K. The outcome
+    laws are zero-padded (see `DiscreteWorld`)."""
+
+    p_x: np.ndarray     # (..., K) covariate masses
+    p_t1: np.ndarray    # (..., K) p(T=1|x), strictly inside (0,1)
+    p_r1: np.ndarray    # (..., K) p(R=1|x), strictly inside (0,1)
+    values: np.ndarray  # (..., 2, K, S) outcome support values, zero-padded
+    probs: np.ndarray   # (..., 2, K, S) their masses, zero-padded
 
     def __post_init__(self):
-        self.p_x = np.asarray(self.p_x, dtype=np.float64)
-        self.p_t1 = np.asarray(self.p_t1, dtype=np.float64)
-        self.p_r1 = np.asarray(self.p_r1, dtype=np.float64)
-        for name in ("y0_values", "y0_probs", "y1_values", "y1_probs"):
-            setattr(self, name, [np.asarray(v, dtype=np.float64) for v in getattr(self, name)])
         self.validate()
+
+    @classmethod
+    def stack(cls, worlds) -> "Worlds":
+        """Worlds of equal K along a new leading axis, supports padded to
+        the largest."""
+        support = max(w.values.shape[-1] for w in worlds)
+        values = np.zeros((len(worlds), 2, worlds[0].k, support))
+        probs = np.zeros_like(values)
+        for i, w in enumerate(worlds):
+            values[i, ..., :w.values.shape[-1]] = w.values
+            probs[i, ..., :w.probs.shape[-1]] = w.probs
+        return cls(np.stack([w.p_x for w in worlds]), np.stack([w.p_t1 for w in worlds]),
+                   np.stack([w.p_r1 for w in worlds]), values, probs)
 
     @property
     def k(self) -> int:
-        return self.p_x.size
+        return self.p_x.shape[-1]
 
     def validate(self) -> None:
-        if abs(self.p_x.sum() - 1.0) > 1e-9 or np.any(self.p_x < 0):
+        if self.p_x.ndim == 0 or not _is_probability(self.p_x).all():
             raise ValueError("p_x must be a probability vector")
         for name, p in (("p_t1", self.p_t1), ("p_r1", self.p_r1)):
             if p.shape != self.p_x.shape:
                 raise ValueError(f"{name} must match p_x in shape")
-            if np.any(p <= 0) or np.any(p >= 1):
+            if not (np.minimum.reduce(p, axis=None, initial=np.inf) > 0
+                    and np.maximum.reduce(p, axis=None, initial=-np.inf) < 1):
                 raise ValueError(f"{name} must be strictly inside (0,1)")
-        for values, probs in ((self.y0_values, self.y0_probs), (self.y1_values, self.y1_probs)):
-            if len(values) != self.k or len(probs) != self.k:
-                raise ValueError("need one outcome law per covariate point")
-            for v, p in zip(values, probs):
-                if v.shape != p.shape or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-                    raise ValueError("each outcome law must be a probability vector")
+        if (self.values.shape != self.probs.shape
+                or self.values.shape[:-1] != (*self.p_x.shape[:-1], 2, self.k)):
+            raise ValueError("need one outcome law per covariate point")
+        # per law (..., 2, K); a failure names the arm of its first bad law
+        for field, lawful, why in (
+                ("values", np.isfinite(self.values).all(axis=-1), "must be finite"),
+                ("probs", _is_probability(self.probs), "must hold a probability vector per point")):
+            if not lawful.all():
+                raise ValueError(f"y{np.nonzero(~lawful)[-2][0]}_{field} {why}")
 
-    # Derived scalars
+    # Derived scalars, one per world
     @property
-    def v(self) -> float:
+    def v(self) -> np.ndarray:
         """p(R=0)."""
-        return float(self.p_x @ (1.0 - self.p_r1))
+        return np.vecdot(self.p_x, 1.0 - self.p_r1)
 
     @property
-    def u_marginal(self) -> float:
+    def u_marginal(self) -> np.ndarray:
         """p(T=0)."""
-        return float(self.p_x @ (1.0 - self.p_t1))
+        return np.vecdot(self.p_x, 1.0 - self.p_t1)
 
     @property
-    def u_observed(self) -> float:
+    def u_observed(self) -> np.ndarray:
         """p(T=0 | R=1)."""
-        return float(self.p_x @ ((1.0 - self.p_t1) * self.p_r1) / (self.p_x @ self.p_r1))
+        return np.vecdot(self.p_x, (1.0 - self.p_t1) * self.p_r1) / np.vecdot(self.p_x, self.p_r1)
 
-    def mean_outcome(self, t: int) -> np.ndarray:
-        values, probs = (self.y0_values, self.y0_probs) if t == 0 else (self.y1_values, self.y1_probs)
-        return np.array([float(v @ p) for v, p in zip(values, probs)])
+    def outcome_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(means, variances) of Y_t | x_k, each (..., 2, K)."""
+        means = np.vecdot(self.values, self.probs)
+        return means, np.vecdot((self.values - means[..., None]) ** 2, self.probs)
 
-    def var_outcome(self, t: int) -> np.ndarray:
-        values, probs = (self.y0_values, self.y0_probs) if t == 0 else (self.y1_values, self.y1_probs)
-        means = self.mean_outcome(t)
-        return np.array([float(((v - m) ** 2) @ p) for v, p, m in zip(values, probs, means)])
+
+class DiscreteWorld(Worlds):
+    """One world from per-point outcome laws: `y0_values[k]` is the support
+    of Y0 | x_k and `y0_probs[k]` its masses (likewise for Y1).
+
+    The constructor pads them once into (2, K, S) arrays, S the largest
+    support: `values[t, k, j]` is the j-th support value of Y_t | x_k and
+    `probs[t, k, j]` its mass. A padded slot has value 0 and mass 0. Every
+    expectation over a support is `np.vecdot` (BLAS ddot, one fused
+    multiply-add per slot), so a padded slot adds an exact zero and the
+    expectation equals the per-point `v @ p` bit for bit; `np.einsum` or
+    `(a * p).sum()` would round differently."""
+
+    def __init__(self, p_x, p_t1, p_r1, y0_values, y0_probs, y1_values, y1_probs):
+        p_x = np.asarray(p_x, dtype=np.float64)
+        k = p_x.size
+        if any(len(arm) != k for arm in (y0_values, y0_probs, y1_values, y1_probs)):
+            raise ValueError("need one outcome law per covariate point")
+        laws = (*y0_values, *y1_values), (*y0_probs, *y1_probs)
+        sizes = [len(v) for v in laws[0]]
+        if sizes != [len(p) for p in laws[1]]:
+            raise ValueError("each outcome law needs one mass per value")
+        width = max(sizes, default=0)
+        values, probs = np.zeros((2, 2 * k, width))
+        for i, size in enumerate(sizes):
+            values[i, :size] = laws[0][i]
+            probs[i, :size] = laws[1][i]
+        super().__init__(p_x, np.asarray(p_t1, dtype=np.float64), np.asarray(p_r1, dtype=np.float64),
+                         values.reshape(2, k, width), probs.reshape(2, k, width))
 
 
 @dataclass
 class TabularModel:
     """Permutation representation phi plus hypothesis tables over the
-    representation points: f_t(x_k) = h_t[phi[k]]."""
+    representation points: f_t(x_k) = h_t[phi[k]]. Like `Worlds`, the
+    arrays may carry a leading model axis."""
 
-    phi: np.ndarray  # (K,) a permutation of 0..K-1
-    h0: np.ndarray   # (K,) indexed by representation point
+    phi: np.ndarray  # (..., K) a permutation of 0..K-1
+    h0: np.ndarray   # (..., K) indexed by representation point
     h1: np.ndarray
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=np.intp)
         self.h0 = np.asarray(self.h0, dtype=np.float64)
         self.h1 = np.asarray(self.h1, dtype=np.float64)
-        if sorted(self.phi.tolist()) != list(range(self.phi.size)):
+        if self.phi.ndim == 0 or not (np.sort(self.phi) == np.arange(self.phi.shape[-1])).all():
             raise ValueError("phi must be a permutation")
         if self.h0.shape != self.phi.shape or self.h1.shape != self.phi.shape:
             raise ValueError("hypothesis tables must match phi in length")
 
+    @classmethod
+    def stack(cls, models) -> "TabularModel":
+        return cls(*(np.stack(tables) for tables in zip(*((m.phi, m.h0, m.h1) for m in models))))
+
     def f(self, t: int) -> np.ndarray:
         """Predictions indexed by covariate point."""
-        return (self.h0, self.h1)[t][self.phi]
+        return np.take_along_axis((self.h0, self.h1)[t], self.phi, axis=-1)
 
 
-def loss_table(world: DiscreteWorld, model: TabularModel) -> np.ndarray:
-    """(K, 2) table of expected pointwise losses."""
-    out = np.empty((world.k, 2))
-    for t in (0, 1):
-        values = (world.y0_values, world.y1_values)[t]
-        probs = (world.y0_probs, world.y1_probs)[t]
-        pred = model.f(t)
-        out[:, t] = [float(((v - pred[k]) ** 2) @ p) for k, (v, p) in enumerate(zip(values, probs))]
-    return out
+def loss_table(world: Worlds, model: TabularModel) -> np.ndarray:
+    """(..., K, 2) table of expected pointwise losses."""
+    preds = np.stack([model.f(0), model.f(1)], axis=-2)
+    return _by_point(np.vecdot((world.values - preds[..., None]) ** 2, world.probs))
 
 
 @dataclass
 class EpsTerms:
-    pehe: float
-    f: float
-    cf: float
-    f_r1: float
-    f_r0: float
-    cf_r1: float
-    cf_r0: float
-    f_r1_t1: float
-    f_r1_t0: float
-    cf_r1_t1: float
-    cf_r1_t0: float
-    sigma2_y: float
-    sigma2_y0: float
-    sigma2_y1: float
+    """Every field holds one value per world: a scalar for one world, a
+    (B,) array for a stack."""
+
+    pehe: np.ndarray
+    f: np.ndarray
+    cf: np.ndarray
+    f_r1: np.ndarray
+    f_r0: np.ndarray
+    cf_r1: np.ndarray
+    cf_r0: np.ndarray
+    f_r1_t1: np.ndarray
+    f_r1_t0: np.ndarray
+    cf_r1_t1: np.ndarray
+    cf_r1_t0: np.ndarray
+    sigma2_y: np.ndarray
+    sigma2_y0: np.ndarray
+    sigma2_y1: np.ndarray
     sigma2_parts: dict  # keys like "y1|t1": variance of Y_t under the arm-s sub-law
-    mean_sq_f: float    # squared distance of predictions to conditional means, factual law
-    mean_sq_cf: float
-    v: float
-    u_observed: float
-    u_marginal: float
-    b: float  # largest pointwise loss: puts every loss inside the sup-norm unit ball
+    mean_sq_f: np.ndarray    # squared distance of predictions to conditional means, factual law
+    mean_sq_cf: np.ndarray
+    v: np.ndarray
+    u_observed: np.ndarray
+    u_marginal: np.ndarray
+    b: np.ndarray  # largest pointwise loss: puts every loss inside the sup-norm unit ball
 
 
-def eps_terms(world: DiscreteWorld, model: TabularModel) -> EpsTerms:
+def eps_terms(world: Worlds, model: TabularModel) -> EpsTerms:
     """Every loss component as an exact finite sum over the joint support."""
+    points = (-2, -1)  # the (K, 2) axes of a point-major table
     l = loss_table(world, model)
     p_x = world.p_x
-    p_t = np.stack([1.0 - world.p_t1, world.p_t1], axis=1)  # (K, 2)
-    p_xt = p_x[:, None] * p_t
+    p_t = np.stack([1.0 - world.p_t1, world.p_t1], axis=-1)  # (..., K, 2)
+    p_xt = p_x[..., None] * p_t
 
-    f = float((p_xt * l).sum())
-    cf = float((p_xt[:, ::-1] * l).sum())
+    f = (p_xt * l).sum(axis=points)
+    cf = (p_xt[..., ::-1] * l).sum(axis=points)
 
     p_r1 = world.p_r1
-    pr1 = float(p_x @ p_r1)
+    pr1 = np.vecdot(p_x, p_r1)[..., None]
     pr0 = 1.0 - pr1
-    px_given_r1 = p_x * p_r1 / pr1
-    px_given_r0 = p_x * (1.0 - p_r1) / pr0
-    f_r1 = float(((px_given_r1[:, None] * p_t) * l).sum())
-    f_r0 = float(((px_given_r0[:, None] * p_t) * l).sum())
-    cf_r1 = float(((px_given_r1[:, None] * p_t[:, ::-1]) * l).sum())
-    cf_r0 = float(((px_given_r0[:, None] * p_t[:, ::-1]) * l).sum())
+    px_given_r1 = (p_x * p_r1 / pr1)[..., None]
+    px_given_r0 = (p_x * (1.0 - p_r1) / pr0)[..., None]
+    f_r1 = ((px_given_r1 * p_t) * l).sum(axis=points)
+    f_r0 = ((px_given_r0 * p_t) * l).sum(axis=points)
+    cf_r1 = ((px_given_r1 * p_t[..., ::-1]) * l).sum(axis=points)
+    cf_r0 = ((px_given_r0 * p_t[..., ::-1]) * l).sum(axis=points)
 
     # p(x | R=1, T=t)
-    px_r1_t = p_x[:, None] * p_r1[:, None] * p_t  # joint over x for (R=1, T=t)
-    px_given_r1_t = px_r1_t / px_r1_t.sum(axis=0, keepdims=True)
-    f_r1_t1 = float(px_given_r1_t[:, 1] @ l[:, 1])
-    f_r1_t0 = float(px_given_r1_t[:, 0] @ l[:, 0])
-    cf_r1_t1 = float(px_given_r1_t[:, 0] @ l[:, 1])  # treated loss over the control population
-    cf_r1_t0 = float(px_given_r1_t[:, 1] @ l[:, 0])
+    px_r1_t = p_x[..., None] * p_r1[..., None] * p_t  # joint over x for (R=1, T=t)
+    px_given_r1_t = px_r1_t / px_r1_t.sum(axis=-2, keepdims=True)
+    f_r1_t1 = np.vecdot(px_given_r1_t[..., 1], l[..., 1])
+    f_r1_t0 = np.vecdot(px_given_r1_t[..., 0], l[..., 0])
+    cf_r1_t1 = np.vecdot(px_given_r1_t[..., 0], l[..., 1])  # treated loss over the control population
+    cf_r1_t0 = np.vecdot(px_given_r1_t[..., 1], l[..., 0])
 
-    m = np.stack([world.mean_outcome(0), world.mean_outcome(1)], axis=1)
-    var = np.stack([world.var_outcome(0), world.var_outcome(1)], axis=1)
-    preds = np.stack([model.f(0), model.f(1)], axis=1)
+    means, variances = world.outcome_moments()
+    m, var = _by_point(means), _by_point(variances)
+    preds = np.stack([model.f(0), model.f(1)], axis=-1)
     sq = (preds - m) ** 2
-    mean_sq_f = float((p_xt * sq).sum())
-    mean_sq_cf = float((p_xt[:, ::-1] * sq).sum())
+    mean_sq_f = (p_xt * sq).sum(axis=points)
+    mean_sq_cf = (p_xt[..., ::-1] * sq).sum(axis=points)
 
     parts = {
-        f"y{t}|t{s}": float(p_xt[:, s] @ var[:, t]) for t in (0, 1) for s in (0, 1)
+        f"y{t}|t{s}": np.vecdot(p_xt[..., s], var[..., t]) for t in (0, 1) for s in (0, 1)
     }
-    sigma2_y0 = min(parts["y0|t0"], parts["y0|t1"])
-    sigma2_y1 = min(parts["y1|t1"], parts["y1|t0"])
-    sigma2_y = min(sigma2_y0, sigma2_y1)
+    sigma2_y0 = np.minimum(parts["y0|t0"], parts["y0|t1"])
+    sigma2_y1 = np.minimum(parts["y1|t1"], parts["y1|t0"])
+    sigma2_y = np.minimum(sigma2_y0, sigma2_y1)
 
     tau_hat = model.f(1) - model.f(0)
-    tau = m[:, 1] - m[:, 0]
-    pehe = float(p_x @ ((tau_hat - tau) ** 2))
+    tau = m[..., 1] - m[..., 0]
+    pehe = np.vecdot(p_x, (tau_hat - tau) ** 2)
 
     return EpsTerms(
         pehe=pehe, f=f, cf=cf, f_r1=f_r1, f_r0=f_r0, cf_r1=cf_r1, cf_r0=cf_r0,
@@ -201,7 +265,7 @@ def eps_terms(world: DiscreteWorld, model: TabularModel) -> EpsTerms:
         sigma2_y=sigma2_y, sigma2_y0=sigma2_y0, sigma2_y1=sigma2_y1,
         sigma2_parts=parts, mean_sq_f=mean_sq_f, mean_sq_cf=mean_sq_cf,
         v=world.v, u_observed=world.u_observed, u_marginal=world.u_marginal,
-        b=float(l.max()),
+        b=l.max(axis=points),
     )
 
 
@@ -209,35 +273,36 @@ def eps_terms(world: DiscreteWorld, model: TabularModel) -> EpsTerms:
 # IPM over the sup-norm unit ball
 
 
-def ipm_supnorm(p1, p2) -> float:
-    """sup over |g| <= 1 of |sum g (p1 - p2)| == sum |p1 - p2|."""
+def ipm_supnorm(p1, p2) -> np.ndarray:
+    """sup over |g| <= 1 of |sum g (p1 - p2)| == sum |p1 - p2|, per pair of
+    mass vectors along the last axis."""
     p1 = np.asarray(p1, dtype=np.float64)
     p2 = np.asarray(p2, dtype=np.float64)
     if p1.shape != p2.shape:
         raise ValueError("mass vectors must have the same shape")
-    for p in (p1, p2):
-        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-            raise ValueError("inputs must be probability vectors")
-    return float(np.abs(p1 - p2).sum())
+    for name, p in (("p1", p1), ("p2", p2)):
+        if not np.all(_is_probability(p)):
+            raise ValueError(f"{name} must hold probability vectors")
+    return np.abs(p1 - p2).sum(axis=-1)
 
 
 def pushforward(masses: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Distribution over representation points induced by the permutation."""
-    out = np.empty_like(np.asarray(masses, dtype=np.float64))
-    out[np.asarray(phi, dtype=np.intp)] = masses
+    out = np.empty_like(masses)
+    np.put_along_axis(out, phi, masses, axis=-1)
     return out
 
 
-def representation_ipms(world: DiscreteWorld, model: TabularModel) -> dict:
+def representation_ipms(world: Worlds, model: TabularModel) -> dict:
     """The two covariate-shift distances in representation space:
     observed-vs-missing and (within the observed domain) control-vs-treated."""
     p_x, p_r1, p_t1 = world.p_x, world.p_r1, world.p_t1
-    pz_r0 = pushforward(p_x * (1.0 - p_r1) / (p_x @ (1.0 - p_r1)), model.phi)
-    pz_r1 = pushforward(p_x * p_r1 / (p_x @ p_r1), model.phi)
+    pz_r0 = pushforward(p_x * (1.0 - p_r1) / world.v[..., None], model.phi)
+    pz_r1 = pushforward(p_x * p_r1 / np.vecdot(p_x, p_r1)[..., None], model.phi)
     joint_t0 = p_x * p_r1 * (1.0 - p_t1)
     joint_t1 = p_x * p_r1 * p_t1
-    pz_r1_t0 = pushforward(joint_t0 / joint_t0.sum(), model.phi)
-    pz_r1_t1 = pushforward(joint_t1 / joint_t1.sum(), model.phi)
+    pz_r1_t0 = pushforward(joint_t0 / joint_t0.sum(axis=-1, keepdims=True), model.phi)
+    pz_r1_t1 = pushforward(joint_t1 / joint_t1.sum(axis=-1, keepdims=True), model.phi)
     return {
         "missingness": ipm_supnorm(pz_r0, pz_r1),
         "treatment": ipm_supnorm(pz_r1_t0, pz_r1_t1),
@@ -253,8 +318,8 @@ class DecompositionReport:
     residuals: dict
 
     @property
-    def max_abs_residual(self) -> float:
-        return max(abs(v) for v in self.residuals.values())
+    def max_abs_residual(self) -> np.ndarray:
+        return np.max(np.abs(list(self.residuals.values())), axis=0)
 
 
 def check_decompositions(e: EpsTerms) -> DecompositionReport:
@@ -282,11 +347,11 @@ class BoundReport:
     ipms: dict
 
     @property
-    def min_slack(self) -> float:
-        return min(self.slacks.values())
+    def min_slack(self) -> np.ndarray:
+        return np.min(list(self.slacks.values()), axis=0)
 
 
-def final_bound_rhs(e: EpsTerms, ipm_treatment: float, ipm_missingness: float) -> float:
+def final_bound_rhs(e: EpsTerms, ipm_treatment, ipm_missingness):
     """The end-to-end right-hand side of the bound chain."""
     return 2.0 * (
         e.f_r1_t1 + e.f_r1_t0 + e.b * ipm_treatment
@@ -294,7 +359,7 @@ def final_bound_rhs(e: EpsTerms, ipm_treatment: float, ipm_missingness: float) -
     )
 
 
-def check_bounds(world: DiscreteWorld, model: TabularModel, e: EpsTerms) -> BoundReport:
+def check_bounds(world: Worlds, model: TabularModel, e: EpsTerms) -> BoundReport:
     """Inequality slacks (right side minus left side, nonnegative when the
     bound holds) for each link of the chain and for the end-to-end bound;
     `e` is eps_terms(world, model)."""
@@ -322,9 +387,18 @@ def check_bounds(world: DiscreteWorld, model: TabularModel, e: EpsTerms) -> Boun
 # Random worlds and sweeps
 
 
+def _flat_dirichlet(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A Dirichlet(1, ..., 1) draw as i.i.d. standard exponentials over their
+    running sum: the numbers `rng.dirichlet(np.ones(size))` draws from the
+    same stream, without its per-call argument checks, which cost more than
+    the draw at these sizes."""
+    g = rng.standard_exponential(size)
+    return g * (1.0 / g.cumsum()[-1])
+
+
 def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int = 4) -> DiscreteWorld:
     k = int(rng.integers(2, max_points + 1))
-    p_x = rng.dirichlet(np.ones(k))
+    p_x = _flat_dirichlet(rng, k)
     p_t1 = rng.uniform(0.05, 0.95, size=k)
     p_r1 = rng.uniform(0.05, 0.95, size=k)
 
@@ -333,7 +407,7 @@ def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int
         for _ in range(k):
             size = int(rng.integers(1, max_support + 1))
             values.append(np.sort(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=size)))
-            probs.append(rng.dirichlet(np.ones(size)))
+            probs.append(_flat_dirichlet(rng, size))
         return values, probs
 
     y0_values, y0_probs = laws()
@@ -372,26 +446,47 @@ class SweepSummary(Spec):
 
 def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     """Exhaustively check the identities and the bound chain on randomly
-    drawn worlds and models; per-world seeds derive from the master seed."""
+    drawn worlds and models.
+
+    World i and its model are drawn one at a time, in index order, from
+    their own seed `SeedSequence([seed, 808, i])`. The worlds are checked in
+    blocks of WORLD_BLOCK, so memory does not grow with `num_worlds`: a
+    block's worlds are stacked by point count K, and each stack goes through
+    one `eps_terms`, `check_decompositions` and `check_bounds` pass. Each
+    stacked world gets the floats it gets alone, by three rules:
+    - only worlds of equal K are stacked, since padding K would regroup
+      numpy's pairwise sums over points;
+    - sums over points run over a world's trailing contiguous (K, 2) axes,
+      which sum as the one-world table does;
+    - every dot product keeps its per-world stride: the loss, mean and
+      variance tables are point-major (..., K, 2), because a ddot down a
+      strided column rounds differently from one over a contiguous copy.
+    The largest residual, the smallest slack and the violation counts fold
+    across stacks in any order, so the summary is the per-world one."""
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     max_res = 0.0
     min_slack = float("inf")
     res_viol = 0
     slack_viol = 0
-    for i in range(num_worlds):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, i]))
-        world = random_world(rng)
-        model = random_model(rng, world.k)
-        e = eps_terms(world, model)
-        dec = check_decompositions(e)
-        bnd = check_bounds(world, model, e)
-        max_res = max(max_res, dec.max_abs_residual)
-        min_slack = min(min_slack, bnd.min_slack)
-        if dec.max_abs_residual > TOLERANCE:
-            res_viol += 1
-        if bnd.min_slack < -TOLERANCE:
-            slack_viol += 1
+    for start in range(0, num_worlds, WORLD_BLOCK):
+        by_k = {}
+        for i in range(start, min(start + WORLD_BLOCK, num_worlds)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 808, i]))
+            world = random_world(rng)
+            by_k.setdefault(world.k, []).append((world, random_model(rng, world.k)))
+        for pairs in by_k.values():
+            worlds = Worlds.stack([w for w, _ in pairs])
+            models = TabularModel.stack([m for _, m in pairs])
+            e = eps_terms(worlds, models)
+            residual = check_decompositions(e).max_abs_residual
+            slack = check_bounds(worlds, models, e).min_slack
+            max_res = max(max_res, float(residual.max()))
+            min_slack = min(min_slack, float(slack.min()))
+            res_viol += int(np.count_nonzero(residual > TOLERANCE))
+            slack_viol += int(np.count_nonzero(slack < -TOLERANCE))
     return SweepSummary(
         num_worlds=num_worlds, max_abs_residual=max_res, min_slack=min_slack,
         residual_violations=res_viol, slack_violations=slack_viol,

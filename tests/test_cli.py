@@ -230,6 +230,10 @@ def test_theory_check_rejects_zero_worlds(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error["type"] == "ValueError" and "num_worlds" in error["message"]
     assert not out.exists()
+    assert cli.main(["theory-check", "--worlds", "5", "--seed", "-1", "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error == {"type": "ValueError", "message": "seed must be >= 0, got -1"}
+    assert not out.exists()
 
 
 
@@ -426,7 +430,21 @@ def test_report_rejects_an_unknown_method_before_writing(tmp_path, capsys):
         error = cli_error(capsys, ["report", "--results", str(bad),
                                    "--out", str(tmp_path / "rollup")])
         assert error["type"] == "ValueError" and named in error["message"], named
+        assert error["message"].startswith(f"{bad}:2: "), named
         assert not (tmp_path / "rollup").exists()
+
+    # a bad line is named by file and line number
+    bad.write_text(lines[0] + "\n{\n")
+    error = cli_error(capsys, ["report", "--results", str(bad), "--out", str(tmp_path / "rollup")])
+    assert error["type"] == "ValueError" and error["message"].startswith(f"{bad}:2: Expecting")
+    result = json.loads(lines[1])
+    result["report"]["metrics"]["sqrt_pehe"]["overall"] = "abc"
+    bad.write_text("\n".join([lines[0], json.dumps(result)]))
+    error = cli_error(capsys, ["report", "--results", str(out / "results.jsonl"), str(bad),
+                               "--out", str(tmp_path / "rollup")])
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{bad}:2: result.report.metrics.sqrt_pehe.overall")
+    assert not (tmp_path / "rollup").exists()
 
 
 @pytest.mark.parametrize("content", ["3", "[1]", '"abc"'])
