@@ -1,8 +1,9 @@
 """Tape-based reverse-mode automatic differentiation on float64 arrays.
 
-Implements exactly the operations needed for dense networks with ELU
-activations, inverted dropout, row normalization, gradient reversal,
-binary cross-entropy loss and an RBF two-sample statistic.
+Implements exactly the operations the training step needs: one affine
+node per dense layer, ELU activations, inverted dropout, row normalization,
+gradient reversal, a weighted squared-error loss (elementwise add and mul
+and a full sum), binary cross-entropy and an RBF two-sample statistic.
 Forward values are plain numpy arrays; each `Tensor` keeps
 vector-Jacobian callbacks to its Tensor parents so `backward` can replay
 the graph once in reverse topological order. An operand that is not a
@@ -82,13 +83,8 @@ def mul(a, b) -> Tensor:
     )
 
 
-def matmul(a, b) -> Tensor:
-    av, bv = value_of(a), value_of(b)
-    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
-
-
 def affine(x, w, b) -> Tensor:
-    """x @ w.T + b, one node with the arithmetic of add(matmul(x, transpose(w)), b)."""
+    """x @ w.T + b, the dense layer, as one node."""
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     return _node(
         xv @ wv.T + bv,
@@ -98,25 +94,10 @@ def affine(x, w, b) -> Tensor:
     )
 
 
-def transpose(a) -> Tensor:
-    return _node(value_of(a).T, (a, lambda g: np.asarray(g).T))
-
-
-def asum(a, axis=None, keepdims=False) -> Tensor:
+def asum(a) -> Tensor:
+    """The sum of every entry, a scalar."""
     av = value_of(a)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, av.shape)
-
-    return _node(av.sum(axis=axis, keepdims=keepdims), (a, vjp))
-
-
-def exp(a) -> Tensor:
-    out_value = np.exp(value_of(a))
-    return _node(out_value, (a, lambda g: g * out_value))
+    return _node(av.sum(), (a, lambda g: np.broadcast_to(g, av.shape)))
 
 
 def elu(a) -> Tensor:

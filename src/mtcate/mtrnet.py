@@ -24,7 +24,7 @@ from .autodiff import (
 from .data import Dataset
 from .errors import DegenerateArmError, Spec, TrainingDivergedError
 from .nn import (
-    AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, l2_penalty, pack,
+    AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, pack,
 )
 
 # SeedSequence domain tags so model init / batching / dropout use
@@ -186,9 +186,13 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
 
     A discriminator (present only when its weight is positive) descends on
     its cross-entropy while the representation ascends on it through a
-    gradient-reversal node. The update is one Adam step on `model.flat`,
-    which holds every parameter of the model. Returns the pre-update value
-    of every term built."""
+    gradient-reversal node. L2 is weight decay on the heads' weights: its
+    value enters the tape as a constant, and after `backward` each head
+    weight's gradient gets l2_lambda*w added twice, in the order the tape
+    adds the two operands of w*w, so the bits are those of the penalty built
+    on the tape. The update is one Adam step on `model.flat`, which holds
+    every parameter of the model. Returns the pre-update value of every term
+    built, each unscaled."""
     cfg = model.config
     if mmd_weight and mmd_bandwidth is None:
         raise ValueError("mmd_weight given without a bandwidth")
@@ -213,7 +217,9 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
 
     total = outcome
     if cfg.l2_lambda > 0:
-        total = add(total, mul(l2_penalty(model.hypothesis_weights()), cfg.l2_lambda))
+        l2 = sum(np.sum(head_w.value * head_w.value) for head_w in model.hypothesis_weights())
+        total = add(total, l2 * cfg.l2_lambda)
+        record["l2"] = float(l2)
     if cfg.alpha > 0 or cfg.beta > 0:
         adv = grad_reverse(rep)
     if cfg.alpha > 0:
@@ -242,6 +248,10 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     missing = [name for name, tensor in params.items() if tensor.grad is None]
     if missing:
         raise RuntimeError(f"the objective does not reach trained parameter(s) {missing}")
+    if cfg.l2_lambda > 0:
+        for head_w in model.hypothesis_weights():
+            decay = cfg.l2_lambda * head_w.value
+            head_w.grad = (head_w.grad + decay) + decay
     np.concatenate([tensor.grad.ravel() for tensor in params.values()], out=model.grad)
     adam_step(model.flat, model.grad, model.adam, cfg.learning_rate)
     return record

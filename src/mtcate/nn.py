@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, affine, asum, mul, value_of
+from .autodiff import Tensor, affine, value_of
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -115,13 +115,3 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     param -= update
     return param
 
-
-def l2_penalty(weight_tensors) -> Tensor:
-    """Sum of squared entries over a list of weight tensors (biases excluded by the caller)."""
-    total = None
-    for w in weight_tensors:
-        term = asum(mul(w, w))
-        total = term if total is None else add(total, term)
-    if total is None:
-        raise ValueError("no weights given")
-    return total

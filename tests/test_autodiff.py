@@ -6,10 +6,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mtcate.autodiff import (
-    Tensor, add, asum, backward, bce_loss, elu, exp, expit, gather_rows, grad_reverse,
-    matmul, mmd2_rbf, mul, transpose, unit_normalize_rows,
+    Tensor, add, asum, backward, bce_loss, elu, expit, gather_rows, grad_reverse, mmd2_rbf, mul,
+    unit_normalize_rows,
 )
 from conftest import max_rel_grad_error
+
+
+# Reference ops the training step does not use, built on Tensor for the
+# gradient checks and the textbook MMD composition below. Every operand is a Tensor.
+
+def matmul(a, b):
+    av, bv = a.value, b.value
+    return Tensor(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
+
+
+def transpose(a):
+    return Tensor(a.value.T, [(a, lambda g: g.T)])
+
+
+def exp(a):
+    out = np.exp(a.value)
+    return Tensor(out, [(a, lambda g: g * out)])
+
+
+def row_sums(a):
+    """The (n, 1) column of row sums."""
+    av = a.value
+    return Tensor(av.sum(axis=1, keepdims=True), [(a, lambda g: np.broadcast_to(g, av.shape))])
 
 
 def test_elu_values():
@@ -132,7 +155,7 @@ def test_backward_linear_map_gradient_structure():
     rng = np.random.default_rng(3)
     w = Tensor(rng.standard_normal((3, 4)))
     x = rng.standard_normal((4, 2))
-    backward(asum(matmul(w, x)))
+    backward(asum(matmul(w, Tensor(x))))
     # d sum(Wx) / dW = outer structure of x: row i of grad = column sums of x
     assert np.allclose(w.grad, np.tile(x.sum(axis=1), (3, 1)), atol=1e-12)
 
@@ -200,8 +223,8 @@ def three_block_mmd2(a, b, bandwidth):
     gamma = -1.0 / (2.0 * bandwidth * bandwidth)
 
     def block(p, q):
-        sp = asum(mul(p, p), axis=1, keepdims=True)
-        sq = asum(mul(q, q), axis=1, keepdims=True)
+        sp = row_sums(mul(p, p))
+        sq = row_sums(mul(q, q))
         d2 = add(add(sp, transpose(sq)), mul(matmul(p, transpose(q)), -2.0))
         k = exp(mul(d2, gamma))
         return mul(asum(k), 1.0 / (p.shape[0] * q.shape[0]))

@@ -304,7 +304,7 @@ def test_cfrmmd_penalty_reduces_representation_imbalance():
         gaps.append(arm_mmd(off, data) - arm_mmd(on, data))
     assert np.median(gaps) >= 0.0
     # the penalty is the only term beyond the outcome loss and L2
-    assert set(history[0]) == {"iteration", "outcome", "mmd2", "total"}
+    assert set(history[0]) == {"iteration", "outcome", "l2", "mmd2", "total"}
 
 
 def test_cfrmmd_deterministic_per_seed():

@@ -1,11 +1,12 @@
 """The lean training engine against a reference engine on the same tape.
 
-The reference is the textbook form: backward zero-fills every node's
-gradient and accumulates into it in place, and Adam keeps one state per
-parameter array. The lean engine assigns each node's first gradient
+The reference is the textbook form: the L2 penalty is built on the tape,
+backward zero-fills every node's gradient and accumulates into it in
+place, and Adam keeps one state per parameter array. The lean engine
+adds the L2 gradient after backward, assigns each node's first gradient
 contribution and makes one Adam update over the flat parameter buffer.
-Both must give bitwise-equal parameters step after step, for MTRNet and
-for the TARNet and CFR-MMD baselines trained by the same engine."""
+Both must give bitwise-equal gradients and parameters step after step, for
+MTRNet and for the TARNet and CFR-MMD baselines trained by the same engine."""
 
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from mtcate import cli, mtrnet
-from mtcate.autodiff import Tensor
+from mtcate.autodiff import Tensor, add, asum, mul
 from mtcate.baselines import apply_strategy, cfrmmd_train, tarnet_train
 from mtcate.data import Dataset
 from mtcate.nn import AdamState, adam_step
@@ -21,8 +22,8 @@ from mtcate.nn import AdamState, adam_step
 ITERATIONS = 6
 
 
-def reference_backward(loss):
-    """Zero-fill, then accumulate in place, in the same DFS topological order."""
+def topological_order(loss):
+    """Every node reachable from `loss`, parents first, in backward's DFS order."""
     order, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -36,6 +37,12 @@ def reference_backward(loss):
         for parent, _ in node._vjps:
             if id(parent) not in seen:
                 stack.append((parent, False))
+    return order
+
+
+def reference_backward(loss):
+    """Zero-fill, then accumulate in place, in the same DFS topological order."""
+    order = topological_order(loss)
     for node in order:
         node.grad = np.zeros_like(node.value)
     loss.grad = np.ones_like(loss.value)
@@ -44,9 +51,19 @@ def reference_backward(loss):
             parent.grad += vjp(node.grad)
 
 
+def l2_penalty(weights):
+    """The sum of squared entries of `weights`, composed on the tape left to right."""
+    total = None
+    for w in weights:
+        term = asum(mul(w, w))
+        total = term if total is None else add(total, term)
+    return total
+
+
 class ReferenceCheck:
     """Wraps mtrnet's backward and adam_step: every step first runs the
-    reference engine, then the lean one, and compares them bitwise."""
+    reference engine on the lean loss plus the L2 penalty on the tape, then
+    the lean one, and compares the gradients and the parameters bitwise."""
 
     def __init__(self, monkeypatch):
         self.model = None
@@ -63,20 +80,24 @@ class ReferenceCheck:
             self.model = model
             self.reference = {name: (t.value.copy(), AdamState.like(t.value))
                               for name, t in model.parameters().items()}
-        return self.lean_step(model, batch, **kwargs)
+        record = self.lean_step(model, batch, **kwargs)
+        assert record["l2"] == self.reference_l2
+        return record
 
     def backward(self, loss):
         trained = self.model.parameters()
-        reference_backward(loss)
+        penalty = l2_penalty(self.model.hypothesis_weights())
+        self.reference_l2 = float(penalty.value)
+        reference_backward(add(loss, mul(penalty, self.model.config.l2_lambda)))
         self.reference_grads = {name: t.grad.copy() for name, t in trained.items()}
         for t in trained.values():
             t.grad = None
         self.lean_backward(loss)
-        for name, t in trained.items():
-            assert t.grad.tobytes() == self.reference_grads[name].tobytes(), name
 
     def adam_step(self, param, grad, state, lr):
         assert param is self.model.flat and state is self.model.adam
+        reference_grad = np.concatenate([g.ravel() for g in self.reference_grads.values()])
+        assert grad.tobytes() == reference_grad.tobytes()
         for name, (value, ref_state) in self.reference.items():
             adam_step(value, self.reference_grads[name], ref_state, lr)
         out = self.lean_adam(param, grad, state, lr)
@@ -102,19 +123,36 @@ CONFIG = mtrnet.MTRNetConfig(rep_layer_size=8, hyp_layer_size=8, iterations=ITER
                              alpha=1.0, beta=4.0, seed=5)
 
 FITS = {
-    "mtrnet": lambda data: mtrnet.train(data, CONFIG),
-    "mtrnet_treatment_only": lambda data: mtrnet.train(data, replace(CONFIG, beta=0.0)),
-    "tarnet_reweight": lambda data: tarnet_train(*apply_strategy(data, "reweight"), CONFIG),
-    "cfrmmd_delete": lambda data: cfrmmd_train(*apply_strategy(data, "delete"), CONFIG),
+    "mtrnet": lambda data, cfg: mtrnet.train(data, cfg),
+    "mtrnet_treatment_only": lambda data, cfg: mtrnet.train(data, replace(cfg, beta=0.0)),
+    "tarnet_reweight": lambda data, cfg: tarnet_train(*apply_strategy(data, "reweight"), cfg),
+    "cfrmmd_delete": lambda data, cfg: cfrmmd_train(*apply_strategy(data, "delete"), cfg),
 }
 
 
 @pytest.mark.parametrize("fit", sorted(FITS))
 def test_lean_engine_is_bitwise_the_reference_engine(monkeypatch, fit):
     check = ReferenceCheck(monkeypatch)
-    model, _ = FITS[fit](masked_data())
+    model, _ = FITS[fit](masked_data(), CONFIG)
     assert check.steps == ITERATIONS and check.model is model
     assert model.adam.step == ITERATIONS
+
+
+@pytest.mark.parametrize("fit", sorted(FITS))
+def test_l2_penalty_adds_only_its_constant_to_the_tape(monkeypatch, fit):
+    """The penalty's one node is the add of its value into the loss, which
+    keeps the loss's rounding; the sum of squares itself is not on the tape."""
+    nodes = []
+    lean_backward = mtrnet.backward
+
+    def counting_backward(loss):
+        nodes.append(len(topological_order(loss)))
+        lean_backward(loss)
+
+    monkeypatch.setattr(mtrnet, "backward", counting_backward)
+    for l2_lambda in (1e-3, 0.0):
+        FITS[fit](masked_data(), replace(CONFIG, iterations=1, l2_lambda=l2_lambda))
+    assert nodes[0] == nodes[1] + 1
 
 
 @pytest.mark.parametrize("alpha, beta, in_flat", [

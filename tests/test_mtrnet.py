@@ -189,7 +189,7 @@ def test_stale_gradient_is_not_applied():
     assert record == step(clean, dataset_batch(data))
     assert model.flat.tobytes() == clean.flat.tobytes()
     assert model.adam.step == 1
-    assert set(record) == {"iteration", "outcome", "total"}
+    assert set(record) == {"iteration", "outcome", "l2", "total"}
 
 
 def test_one_step_descends_outcome_loss():
@@ -268,7 +268,7 @@ def test_train_history_length_and_fields():
     data = toy_data(n=80, seed=3)
     _, history = train(data, small_config(iterations=7))
     assert len(history) == 7
-    assert {"outcome", "treatment_bce", "missingness_bce", "total"} <= set(history[0])
+    assert {"outcome", "l2", "treatment_bce", "missingness_bce", "total"} <= set(history[0])
 
 
 def test_median_bandwidth_matches_difference_tensor_form():

@@ -1,0 +1,49 @@
+"""Every public module-level function and class of the package has a caller
+in the package itself: none survives only because its own test calls it."""
+
+import ast
+from pathlib import Path
+
+import mtcate
+
+SRC = Path(mtcate.__file__).resolve().parent
+
+# Used from outside the package on purpose: the trend workload definition
+# that the benchmark, the trend script and the acceptance tests import.
+USED_OUTSIDE = {("trend", "trend_config")}
+
+
+def public_definitions(tree):
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def references(tree, module):
+    """(module, name) pairs `tree` refers to: a bare name is looked up in
+    `module` itself, a relative import names its module, and an attribute of
+    a relative-imported module names that module."""
+    refs, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module:
+                    refs.add((node.module, alias.name))
+                else:  # from . import harness
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add((module, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            refs.add((modules[node.value.id], node.attr))
+    return refs
+
+
+def test_every_public_definition_is_used_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    assert {"autodiff", "mtrnet", "nn", "trend"} <= set(trees)
+    used = set().union(*(references(tree, module) for module, tree in trees.items()))
+    unused = sorted(f"{module}.{name}" for module, tree in trees.items()
+                    for name in public_definitions(tree)
+                    if (module, name) not in used | USED_OUTSIDE)
+    assert unused == []
