@@ -10,9 +10,9 @@ function family realized as the sup-norm unit ball (whose IPM is the exact
 absolute-difference sum, maximized by the sign function).
 
 Every function below takes one world and model, or a stack of worlds of
-equal K and their models with a leading world axis (`Worlds.stack`,
-`TabularModel.stack`), and gives each stacked world the same floats, bit for
-bit, as that world alone: a single world is a stack with no leading axis.
+equal K and their models with a leading world axis (their fields
+`np.stack`ed), and gives each stacked world the same floats, bit for bit, as
+that world alone: a single world is a stack with no leading axis.
 
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
@@ -50,8 +50,15 @@ def _by_point(a: np.ndarray) -> np.ndarray:
 @dataclass
 class Worlds:
     """Discrete worlds as arrays with any leading axes: none for one world,
-    one (the world axis) for a stack of worlds with the same K. The outcome
-    laws are zero-padded (see `DiscreteWorld`)."""
+    one (the world axis) for a stack of worlds with the same K.
+
+    The outcome laws are zero-padded (2, K, S) arrays: `values[t, k, j]` is
+    the j-th support value of Y_t | x_k and `probs[t, k, j]` its mass, and a
+    padded slot has value 0 and mass 0. Every expectation over a support is
+    `np.vecdot` (BLAS ddot, one fused multiply-add per slot), so a padded
+    slot adds an exact zero and the expectation equals the per-point
+    `v @ p` bit for bit, whatever S; `np.einsum` or `(a * p).sum()` would
+    round differently."""
 
     p_x: np.ndarray     # (..., K) covariate masses
     p_t1: np.ndarray    # (..., K) p(T=1|x), strictly inside (0,1)
@@ -61,19 +68,6 @@ class Worlds:
 
     def __post_init__(self):
         self.validate()
-
-    @classmethod
-    def stack(cls, worlds) -> "Worlds":
-        """Worlds of equal K along a new leading axis, supports padded to
-        the largest."""
-        support = max(w.values.shape[-1] for w in worlds)
-        values = np.zeros((len(worlds), 2, worlds[0].k, support))
-        probs = np.zeros_like(values)
-        for i, w in enumerate(worlds):
-            values[i, ..., :w.values.shape[-1]] = w.values
-            probs[i, ..., :w.probs.shape[-1]] = w.probs
-        return cls(np.stack([w.p_x for w in worlds]), np.stack([w.p_t1 for w in worlds]),
-                   np.stack([w.p_r1 for w in worlds]), values, probs)
 
     @property
     def k(self) -> int:
@@ -120,36 +114,6 @@ class Worlds:
         return means, np.vecdot((self.values - means[..., None]) ** 2, self.probs)
 
 
-class DiscreteWorld(Worlds):
-    """One world from per-point outcome laws: `y0_values[k]` is the support
-    of Y0 | x_k and `y0_probs[k]` its masses (likewise for Y1).
-
-    The constructor pads them once into (2, K, S) arrays, S the largest
-    support: `values[t, k, j]` is the j-th support value of Y_t | x_k and
-    `probs[t, k, j]` its mass. A padded slot has value 0 and mass 0. Every
-    expectation over a support is `np.vecdot` (BLAS ddot, one fused
-    multiply-add per slot), so a padded slot adds an exact zero and the
-    expectation equals the per-point `v @ p` bit for bit; `np.einsum` or
-    `(a * p).sum()` would round differently."""
-
-    def __init__(self, p_x, p_t1, p_r1, y0_values, y0_probs, y1_values, y1_probs):
-        p_x = np.asarray(p_x, dtype=np.float64)
-        k = p_x.size
-        if any(len(arm) != k for arm in (y0_values, y0_probs, y1_values, y1_probs)):
-            raise ValueError("need one outcome law per covariate point")
-        laws = (*y0_values, *y1_values), (*y0_probs, *y1_probs)
-        sizes = [len(v) for v in laws[0]]
-        if sizes != [len(p) for p in laws[1]]:
-            raise ValueError("each outcome law needs one mass per value")
-        width = max(sizes, default=0)
-        values, probs = np.zeros((2, 2 * k, width))
-        for i, size in enumerate(sizes):
-            values[i, :size] = laws[0][i]
-            probs[i, :size] = laws[1][i]
-        super().__init__(p_x, np.asarray(p_t1, dtype=np.float64), np.asarray(p_r1, dtype=np.float64),
-                         values.reshape(2, k, width), probs.reshape(2, k, width))
-
-
 @dataclass
 class TabularModel:
     """Permutation representation phi plus hypothesis tables over the
@@ -168,10 +132,6 @@ class TabularModel:
             raise ValueError("phi must be a permutation")
         if self.h0.shape != self.phi.shape or self.h1.shape != self.phi.shape:
             raise ValueError("hypothesis tables must match phi in length")
-
-    @classmethod
-    def stack(cls, models) -> "TabularModel":
-        return cls(*(np.stack(tables) for tables in zip(*((m.phi, m.h0, m.h1) for m in models))))
 
     def f(self, t: int) -> np.ndarray:
         """Predictions indexed by covariate point."""
@@ -396,31 +356,41 @@ def _flat_dirichlet(rng: np.random.Generator, size: int) -> np.ndarray:
     return g * (1.0 / g.cumsum()[-1])
 
 
-def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int = 4) -> DiscreteWorld:
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int of at least `least`, or a ValueError naming `name`
+    (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int = 4) -> tuple:
+    """A random world's `Worlds` fields (p_x, p_t1, p_r1, values, probs):
+    2 to `max_points` points, each outcome law on 1 to `max_support` sorted
+    values, zero-padded to `max_support`. Y0's laws are drawn point by point
+    before Y1's."""
+    max_points = _count("max_points", max_points, 2)
+    max_support = _count("max_support", max_support, 1)
     k = int(rng.integers(2, max_points + 1))
     p_x = _flat_dirichlet(rng, k)
     p_t1 = rng.uniform(0.05, 0.95, size=k)
     p_r1 = rng.uniform(0.05, 0.95, size=k)
-
-    def laws():
-        values, probs = [], []
-        for _ in range(k):
+    values = np.zeros((2, k, max_support))
+    probs = np.zeros_like(values)
+    for t in (0, 1):
+        for j in range(k):
             size = int(rng.integers(1, max_support + 1))
-            values.append(np.sort(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=size)))
-            probs.append(_flat_dirichlet(rng, size))
-        return values, probs
-
-    y0_values, y0_probs = laws()
-    y1_values, y1_probs = laws()
-    return DiscreteWorld(p_x, p_t1, p_r1, y0_values, y0_probs, y1_values, y1_probs)
+            values[t, j, :size] = np.sort(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=size))
+            probs[t, j, :size] = _flat_dirichlet(rng, size)
+    return p_x, p_t1, p_r1, values, probs
 
 
-def random_model(rng: np.random.Generator, k: int) -> TabularModel:
-    return TabularModel(
-        phi=rng.permutation(k),
-        h0=rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
-        h1=rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
-    )
+def random_model(rng: np.random.Generator, k: int) -> tuple:
+    """A random model's `TabularModel` fields (phi, h0, h1) over K points."""
+    return (rng.permutation(k), rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
+            rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k))
 
 
 @dataclass
@@ -449,11 +419,13 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     drawn worlds and models.
 
     World i and its model are drawn one at a time, in index order, from
-    their own seed `SeedSequence([seed, 808, i])`. The worlds are checked in
-    blocks of WORLD_BLOCK, so memory does not grow with `num_worlds`: a
-    block's worlds are stacked by point count K, and each stack goes through
-    one `eps_terms`, `check_decompositions` and `check_bounds` pass. Each
-    stacked world gets the floats it gets alone, by three rules:
+    their own seed `SeedSequence([seed, 808, i])`, as bare arrays. The
+    worlds are checked in blocks of WORLD_BLOCK, so memory does not grow
+    with `num_worlds`: a block's draws are grouped by point count K, each
+    group's arrays are `np.stack`ed into one `Worlds` and one `TabularModel`,
+    which validate every world of the group once, and each stack goes
+    through one `eps_terms`, `check_decompositions` and `check_bounds` pass.
+    Each stacked world gets the floats it gets alone, by three rules:
     - only worlds of equal K are stacked, since padding K would regroup
       numpy's pairwise sums over points;
     - sums over points run over a world's trailing contiguous (K, 2) axes,
@@ -463,10 +435,8 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
       strided column rounds differently from one over a contiguous copy.
     The largest residual, the smallest slack and the violation counts fold
     across stacks in any order, so the summary is the per-world one."""
-    if num_worlds < 1:
-        raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    num_worlds = _count("num_worlds", num_worlds, 1)
+    seed = _count("seed", seed, 0)
     max_res = 0.0
     min_slack = float("inf")
     res_viol = 0
@@ -476,10 +446,11 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
         for i in range(start, min(start + WORLD_BLOCK, num_worlds)):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 808, i]))
             world = random_world(rng)
-            by_k.setdefault(world.k, []).append((world, random_model(rng, world.k)))
-        for pairs in by_k.values():
-            worlds = Worlds.stack([w for w, _ in pairs])
-            models = TabularModel.stack([m for _, m in pairs])
+            k = world[0].size
+            by_k.setdefault(k, []).append((*world, *random_model(rng, k)))
+        for draws in by_k.values():
+            fields = [np.stack(field) for field in zip(*draws)]
+            worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
             e = eps_terms(worlds, models)
             residual = check_decompositions(e).max_abs_residual
             slack = check_bounds(worlds, models, e).min_slack

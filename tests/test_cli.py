@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mtcate import cli, data as dm, harness, mtrnet
+from mtcate import cli, data as dm, harness, mtrnet, theory
 
 
 def dgp_dict(n=120, d=2, seed=0):
@@ -101,6 +101,17 @@ def test_theory_check_command(tmp_path, capsys):
     assert "identity violations   0" in printed
     payload = json.loads((out / "theory_checks.json").read_text())
     assert payload["num_worlds"] == 25
+
+
+def test_theory_check_output_reads_back(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert cli.main(["theory-check", "--worlds", "300", "--out", str(out)]) == 0
+    payload = json.loads((out / "theory_checks.json").read_text())
+    summary = theory.SweepSummary.from_dict(payload)
+    assert summary.to_dict() == payload
+    assert summary.num_worlds == 300
+    for count in (summary.num_worlds, summary.residual_violations, summary.slack_violations):
+        assert type(count) is int
 
 
 def test_cli_failure_emits_json_error(tmp_path, capsys):

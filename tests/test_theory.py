@@ -6,14 +6,39 @@ from hypothesis import given, settings, strategies as st
 
 from mtcate import theory
 from mtcate.theory import (
-    DiscreteWorld, TabularModel, check_bounds, check_decompositions, eps_terms,
+    TabularModel, Worlds, check_bounds, check_decompositions, eps_terms,
     final_bound_rhs, ipm_supnorm, loss_table, random_model, random_world,
     representation_ipms, run_world_sweep,
 )
 
 
+def discrete_world(p_x, p_t1, p_r1, y0_values, y0_probs, y1_values, y1_probs):
+    """One world from per-point outcome laws: `y0_values[k]` is the support
+    of Y0 | x_k and `y0_probs[k]` its masses (likewise for Y1), zero-padded
+    to the largest support."""
+    k = len(p_x)
+    if any(len(arm) != k for arm in (y0_values, y0_probs, y1_values, y1_probs)):
+        raise ValueError("need one outcome law per covariate point")
+    laws = (*y0_values, *y1_values), (*y0_probs, *y1_probs)
+    sizes = [len(v) for v in laws[0]]
+    if sizes != [len(p) for p in laws[1]]:
+        raise ValueError("each outcome law needs one mass per value")
+    values, probs = np.zeros((2, 2 * k, max(sizes)))
+    for i, size in enumerate(sizes):
+        values[i, :size] = laws[0][i]
+        probs[i, :size] = laws[1][i]
+    return Worlds(*(np.asarray(p, dtype=np.float64) for p in (p_x, p_t1, p_r1)),
+                  values.reshape(2, k, -1), probs.reshape(2, k, -1))
+
+
+def random_pair(rng, **sizes):
+    """A random world and a random model over its points."""
+    world = Worlds(*random_world(rng, **sizes))
+    return world, TabularModel(*random_model(rng, world.k))
+
+
 def two_point_world(p_t1=(0.3, 0.7), p_r1=(0.6, 0.4)):
-    return DiscreteWorld(
+    return discrete_world(
         p_x=[0.5, 0.5], p_t1=list(p_t1), p_r1=list(p_r1),
         y0_values=[[1.0], [0.0, 2.0]], y0_probs=[[1.0], [0.5, 0.5]],
         y1_values=[[2.0, 4.0], [1.0]], y1_probs=[[0.25, 0.75], [1.0]],
@@ -47,7 +72,7 @@ def test_perfect_model_has_zero_pehe():
 
 def test_constant_observedness_collapses_domains():
     world = two_point_world(p_r1=(0.5, 0.5))
-    model = random_model(np.random.default_rng(0), 2)
+    model = TabularModel(*random_model(np.random.default_rng(0), 2))
     e = eps_terms(world, model)
     assert e.f == pytest.approx(e.f_r1, abs=1e-12)
     assert e.f == pytest.approx(e.f_r0, abs=1e-12)
@@ -55,7 +80,7 @@ def test_constant_observedness_collapses_domains():
 
 def test_u_variants_coincide_when_shift_is_absent():
     rng = np.random.default_rng(1)
-    const_t = DiscreteWorld(
+    const_t = discrete_world(
         p_x=[0.25, 0.75], p_t1=[0.4, 0.4], p_r1=[0.2, 0.9],
         y0_values=[[0.0], [1.0]], y0_probs=[[1.0], [1.0]],
         y1_values=[[1.0], [2.0]], y1_probs=[[1.0], [1.0]],
@@ -94,8 +119,7 @@ def mc_estimate(samples):
 
 def test_eps_terms_match_monte_carlo():
     rng = np.random.default_rng(77)
-    world = random_world(rng, max_points=3)
-    model = random_model(rng, world.k)
+    world, model = random_pair(rng, max_points=3)
     e = eps_terms(world, model)
 
     n = 1_000_000
@@ -171,33 +195,31 @@ def test_ipm_is_a_metric_on_the_simplex(k, seed):
 def test_decomposition_residuals_tiny_on_random_worlds():
     for i in range(100):
         rng = np.random.default_rng(2000 + i)
-        world = random_world(rng)
-        model = random_model(rng, world.k)
+        world, model = random_pair(rng)
         assert check_decompositions(eps_terms(world, model)).max_abs_residual <= 1e-10
 
 
 def test_bound_slacks_nonnegative_on_random_worlds():
     for i in range(100):
         rng = np.random.default_rng(3000 + i)
-        world = random_world(rng)
-        model = random_model(rng, world.k)
+        world, model = random_pair(rng)
         assert check_bounds(world, model, eps_terms(world, model)).min_slack >= -1e-10
 
 
 def test_nearly_full_observedness_collapses_factual_loss():
     world = two_point_world(p_r1=(1.0 - 1e-12, 1.0 - 1e-12))
-    model = random_model(np.random.default_rng(4), 2)
+    model = TabularModel(*random_model(np.random.default_rng(4), 2))
     e = eps_terms(world, model)
     assert abs(e.f - e.f_r1) <= 1e-10
 
 
 def test_deterministic_outcomes_reduce_variance_identity():
-    world = DiscreteWorld(
+    world = discrete_world(
         p_x=[0.4, 0.6], p_t1=[0.3, 0.8], p_r1=[0.5, 0.7],
         y0_values=[[1.0], [2.0]], y0_probs=[[1.0], [1.0]],
         y1_values=[[3.0], [0.0]], y1_probs=[[1.0], [1.0]],
     )
-    model = random_model(np.random.default_rng(5), 2)
+    model = TabularModel(*random_model(np.random.default_rng(5), 2))
     e = eps_terms(world, model)
     assert e.sigma2_y == 0.0
     assert e.mean_sq_f == pytest.approx(e.f, abs=1e-14)
@@ -218,7 +240,7 @@ def test_balanced_world_with_perfect_model_trivial_bound():
 
 def test_constant_observedness_makes_domain_link_tight():
     world = two_point_world(p_r1=(0.5, 0.5))
-    model = random_model(np.random.default_rng(6), 2)
+    model = TabularModel(*random_model(np.random.default_rng(6), 2))
     report = check_bounds(world, model, eps_terms(world, model))
     assert report.ipms["missingness"] == pytest.approx(0.0, abs=1e-15)
     assert report.slacks["total_loss_vs_observed_domain"] == pytest.approx(0.0, abs=1e-12)
@@ -226,8 +248,7 @@ def test_constant_observedness_makes_domain_link_tight():
 
 def test_terms_invariant_to_representation_relabeling():
     rng = np.random.default_rng(7)
-    world = random_world(rng)
-    model = random_model(rng, world.k)
+    world, model = random_pair(rng)
     base_terms = vars(eps_terms(world, model))
     base_ipms = representation_ipms(world, model)
     for _ in range(10):
@@ -253,7 +274,7 @@ def test_final_bound_monotone_in_missingness_shift():
     # observed-vs-missing distance moves as p(R=1|x) spreads around 0.5.
     rhs_values = []
     for delta in (0.0, 0.1, 0.2, 0.3, 0.4):
-        world = DiscreteWorld(
+        world = discrete_world(
             p_x=[0.5, 0.5], p_t1=[0.4, 0.4], p_r1=[0.5 + delta, 0.5 - delta],
             y0_values=[[1.0], [1.0]], y0_probs=[[1.0], [1.0]],
             y1_values=[[1.0], [1.0]], y1_probs=[[1.0], [1.0]],
@@ -273,9 +294,9 @@ def test_world_validation():
         fields = dict(p_x=[0.5, 0.5], p_t1=[0.5, 0.5], p_r1=[0.5, 0.5],
                       y0_values=[[0.0], [0.0]], y0_probs=[[1.0], [1.0]],
                       y1_values=[[0.0], [0.0]], y1_probs=[[1.0], [1.0]])
-        return DiscreteWorld(**{**fields, **changes})
+        return discrete_world(**{**fields, **changes})
 
-    world()
+    w = world()
     bad = [
         ({"p_x": [0.5, 0.6]}, "p_x"),
         ({"p_x": [np.nan, np.nan]}, "p_x"),
@@ -295,6 +316,8 @@ def test_world_validation():
     for changes, named in bad:
         with pytest.raises(ValueError, match=named):
             world(**changes)
+    with pytest.raises(ValueError, match="one outcome law per covariate point"):
+        Worlds(w.p_x, w.p_t1, w.p_r1, w.values, np.concatenate([w.probs, w.probs], axis=-1))
     with pytest.raises(ValueError):
         TabularModel(phi=[0, 0], h0=[0.0, 0.0], h1=[0.0, 0.0])
 
@@ -326,6 +349,86 @@ def test_sweep_rejects_a_negative_seed_before_drawing(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         run_world_sweep(5, seed=-1)
     assert drawn == []
+
+
+@pytest.mark.parametrize("args, named", [
+    ((True,), "num_worlds"), ((2.5,), "num_worlds"), (("5",), "num_worlds"),
+    ((5, True), "seed"), ((5, 1.0), "seed"),
+])
+def test_sweep_rejects_non_integer_counts_before_drawing(monkeypatch, args, named):
+    drawn = []
+    monkeypatch.setattr(theory, "random_world", lambda rng: drawn.append(rng))
+    with pytest.raises(ValueError, match=f"{named} must be an integer"):
+        run_world_sweep(*args)
+    assert drawn == []
+
+
+def test_sweep_counts_are_plain_ints():
+    summary = run_world_sweep(np.int64(3), seed=np.int64(1))
+    assert type(summary.num_worlds) is int and summary.to_dict() == run_world_sweep(3, 1).to_dict()
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ({"max_points": 1}, "max_points must be >= 2"), ({"max_points": 2.5}, "max_points"),
+    ({"max_points": True}, "max_points"), ({"max_support": 0}, "max_support must be >= 1"),
+    ({"max_support": 4.0}, "max_support"),
+])
+def test_random_world_rejects_bad_sizes(sizes, named):
+    with pytest.raises(ValueError, match=named):
+        random_world(np.random.default_rng(0), **sizes)
+
+
+def test_sweep_validates_each_world_once_in_its_stack(monkeypatch):
+    validated, modeled = [], []
+    validate, post_init = Worlds.validate, TabularModel.__post_init__
+
+    def recording_validate(self):
+        validated.append(self.p_x.shape)
+        validate(self)
+
+    def recording_post_init(self):
+        modeled.append(np.shape(self.phi))
+        post_init(self)
+
+    monkeypatch.setattr(Worlds, "validate", recording_validate)
+    monkeypatch.setattr(TabularModel, "__post_init__", recording_post_init)
+    run_world_sweep(300, seed=2)
+    for shapes in (validated, modeled):
+        assert all(len(shape) == 2 for shape in shapes)  # no one-world check
+        assert sum(shape[0] for shape in shapes) == 300
+
+
+def test_sweep_rejects_a_drawn_world_with_a_nan_outcome_value(monkeypatch):
+    draw = theory.random_world
+
+    def nan_world(rng):
+        p_x, p_t1, p_r1, values, probs = draw(rng)
+        values[1, 0, 0] = np.nan
+        return p_x, p_t1, p_r1, values, probs
+
+    monkeypatch.setattr(theory, "random_world", nan_world)
+    with pytest.raises(ValueError, match=r"y[01]_values must be finite"):
+        run_world_sweep(3, seed=0)
+
+
+# sha256 of what random_world and random_model draw from seeds 0-49, each
+# world's laws zero-padded to max_support 4, recorded from the code that
+# padded each world to its own largest support: the draw order cannot drift
+PINNED_DRAWS = "3ddc0bac9c3eb82af5caf01a7b10b1c66a427c8ca9ee58206a2214f4db35cd47"
+
+
+def test_random_draws_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng)
+        k = world[0].size
+        assert [a.shape for a in world] == [(k,)] * 3 + [(2, k, 4)] * 2
+        phi, h0, h1 = random_model(rng, k)
+        for a in (*world, h0, h1):
+            digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        digest.update(phi.astype(np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_DRAWS
 
 
 # Recorded from the per-world sweep this blocked sweep replaced: 600 worlds
@@ -369,20 +472,22 @@ def test_stacked_worlds_equal_each_world_alone_bit_for_bit():
     by_k = {}
     for index in range(120):
         world = random_world(rng)
-        by_k.setdefault(world.k, []).append((index, world, random_model(rng, world.k)))
+        k = world[0].size
+        by_k.setdefault(k, []).append((index, (*world, *random_model(rng, k))))
     assert sorted(by_k) == [2, 3, 4, 5]
-    supports = {int(np.count_nonzero(w.probs[t, j])) for group in by_k.values()
-                for _, w, _ in group for t in (0, 1) for j in range(w.k)}
+    supports = {int(np.count_nonzero(draw[4][t, j])) for group in by_k.values()
+                for _, draw in group for t in (0, 1) for j in range(draw[0].size)}
     assert supports == {1, 2, 3, 4}
 
     stacked = {}
     for group in by_k.values():
-        worlds = theory.Worlds.stack([w for _, w, _ in group])
-        models = TabularModel.stack([m for _, _, m in group])
+        fields = [np.stack(field) for field in zip(*(draw for _, draw in group))]
+        worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
         e = eps_terms(worlds, models)
         checks = (e, check_decompositions(e), check_bounds(worlds, models, e))
-        for i, (index, world, model) in enumerate(group):
+        for i, (index, draw) in enumerate(group):
             stacked[index] = _world_values(*checks, i)
+            world, model = Worlds(*draw[:5]), TabularModel(*draw[5:])
             e_alone = eps_terms(world, model)
             alone = _world_values(e_alone, check_decompositions(e_alone),
                                   check_bounds(world, model, e_alone))
