@@ -1,7 +1,13 @@
 """Baseline CATE estimators (per-arm least squares, TARNet, CFR-MMD) and the
 three missing-treatment strategies they are crossed with: delete rows,
 impute labels, or reweight observed rows by inverse observedness
-probability. `harness.fit_method` pairs a strategy with an estimator."""
+probability. `harness.fit_method` pairs a strategy with an estimator.
+
+Imputation and reweighting each fit a logistic classifier, p(T=1|x,R=1) or
+p(R=1|x), on standardized covariates by full-batch Adam at learning rate
+0.1. The fit stops once the largest entry of the mean log-likelihood
+gradient is below 1e-6, and after at most 400 steps; predictions are
+clamped to [0.01, 0.99]."""
 
 from __future__ import annotations
 
@@ -21,8 +27,9 @@ STRATEGIES = ("delete", "impute", "reweight")
 # ---------------------------------------------------------------------------
 # Logistic classifier (shared by imputation and reweighting)
 
-LOGISTIC_ITERATIONS = 400
+LOGISTIC_ITERATIONS = 400  # a cap: the fit stops earlier once the gradient vanishes
 LOGISTIC_LEARNING_RATE = 0.1
+LOGISTIC_GRADIENT_TOLERANCE = 1e-6
 PROPENSITY_CLAMP = (0.01, 0.99)
 
 
@@ -37,12 +44,20 @@ class ObservednessModel:
     feat_scale: np.ndarray
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x) - self.feat_mean) / self.feat_scale
+        z = (mtrnet.check_input(x, self.weights.size) - self.feat_mean) / self.feat_scale
         return np.clip(expit(z @ self.weights + self.bias), *PROPENSITY_CLAMP)
 
 
 def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
+    """Fit a logistic model on standardized covariates by full-batch Adam
+    (learning rate 0.1) on the mean log-likelihood. The loop stops once the
+    largest entry of the gradient (weights and bias) is below
+    LOGISTIC_GRADIENT_TOLERANCE (1e-6), and after LOGISTIC_ITERATIONS (400)
+    steps at most, so labels that never get there (separable ones) take
+    every step. The model clamps its predictions to [0.01, 0.99]."""
     labels = np.asarray(labels, dtype=np.float64)
+    if labels.size == 0:
+        raise EmptyDataError("no rows to fit the classifier on")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0/1")
     if labels.min() == labels.max():
@@ -63,6 +78,8 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
         resid = (expit(z @ w + theta[d]) - labels) / n
         grad[:d] = z.T @ resid
         grad[d] = resid.sum()
+        if np.abs(grad).max() < LOGISTIC_GRADIENT_TOLERANCE:
+            break
         adam_step(theta, grad, state, LOGISTIC_LEARNING_RATE)
     return ObservednessModel(w.copy(), float(theta[d]), mean, scale)
 
@@ -144,9 +161,7 @@ def ols_fit(data: Dataset, weights=None) -> OlsModel:
     Weights are normalized to mean one so scaling them has no effect."""
     if np.any(np.isnan(data.t)):
         raise ValueError("ols_fit needs complete treatments (apply a strategy first)")
-    weights = np.ones(data.n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if weights.shape != (data.n,):
-        raise ValueError("weights must have one entry per row")
+    weights = np.ones(data.n) if weights is None else mtrnet.check_row_weights(weights, data.n)
     betas = []
     for arm in (0.0, 1.0):
         rows = data.t == arm

@@ -289,9 +289,7 @@ def train(data: Dataset, config: MTRNetConfig, *, row_weights=None,
     if t_obs.size == 0 or not (0.0 < t_obs.mean() < 1.0):
         raise DegenerateArmError("training data needs observed rows from both arms")
     if row_weights is not None:
-        row_weights = np.asarray(row_weights, dtype=np.float64)
-        if row_weights.shape != (data.n,):
-            raise ValueError("row_weights must have one entry per row")
+        row_weights = check_row_weights(row_weights, data.n)
 
     model = init_model(config, data.d)
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _BATCH_STREAM]))
@@ -324,6 +322,20 @@ def check_input(x, input_dim: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != input_dim:
         raise ValueError(f"expected (n, {input_dim}) input, got {x.shape}")
     return x
+
+
+def check_row_weights(weights, n: int) -> np.ndarray:
+    """`weights` as a float64 (n,) array of finite, non-negative entries; any
+    other input is a ValueError naming the cause."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(f"row weights must have one entry per row: expected ({n},), "
+                         f"got {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("row weights must be finite")
+    if np.any(weights < 0.0):
+        raise ValueError("row weights must be non-negative")
+    return weights
 
 
 def predict_outcomes(model: MTRNetModel, x):

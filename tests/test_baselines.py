@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtcate import baselines
 from mtcate.autodiff import expit, mmd2_rbf
 from mtcate.baselines import (
-    LOGISTIC_ITERATIONS, LOGISTIC_LEARNING_RATE, apply_strategy, cfrmmd_train,
-    fit_observedness, fit_treatment_classifier, ols_fit, tarnet_train,
+    LOGISTIC_GRADIENT_TOLERANCE, LOGISTIC_ITERATIONS, LOGISTIC_LEARNING_RATE, apply_strategy,
+    cfrmmd_train, fit_observedness, fit_treatment_classifier, ols_fit, tarnet_train,
 )
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
@@ -161,20 +162,40 @@ def test_observedness_single_class_error():
         fit_observedness(full)
 
 
-def separate_adam_logistic(x, labels):
-    """Reference logistic fit: weights and bias stepped by two Adam states."""
+def standardized(x):
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale < 1e-12] = 1.0
-    z = (x - mean) / scale
+    return (x - mean) / scale
+
+
+def separate_adam_logistic(x, labels, tolerance=LOGISTIC_GRADIENT_TOLERANCE):
+    """Reference logistic fit: weights and bias stepped by two Adam states,
+    stopping once every gradient entry is below `tolerance` (0: never)."""
+    z = standardized(x)
     n, d = z.shape
     w, b = np.zeros(d), np.zeros(1)
     state_w, state_b = AdamState.like(w), AdamState.like(b)
     for _ in range(LOGISTIC_ITERATIONS):
         resid = (expit(z @ w + b[0]) - labels) / n
-        adam_step(w, z.T @ resid, state_w, LOGISTIC_LEARNING_RATE)
-        adam_step(b, np.array([resid.sum()]), state_b, LOGISTIC_LEARNING_RATE)
+        grad_w, grad_b = z.T @ resid, np.array([resid.sum()])
+        if max(np.abs(grad_w).max(), abs(grad_b[0])) < tolerance:
+            break
+        adam_step(w, grad_w, state_w, LOGISTIC_LEARNING_RATE)
+        adam_step(b, grad_b, state_b, LOGISTIC_LEARNING_RATE)
     return w, float(b[0])
+
+
+def counting_adam_steps(monkeypatch):
+    """Count the Adam steps the logistic fits take."""
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "adam_step", counted)
+    return steps
 
 
 @pytest.mark.parametrize("fit", [fit_treatment_classifier, fit_observedness])
@@ -190,6 +211,45 @@ def test_logistic_fit_matches_separate_adam_states_bitwise(fit):
     assert model.weights.tobytes() == weights.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
     assert model.weights.flags.owndata  # not a view into the training buffer
+
+
+def test_logistic_fit_stops_at_a_vanishing_gradient(monkeypatch):
+    steps = counting_adam_steps(monkeypatch)
+    data = masked_dataset(n=2000, d=4, seed=12)  # r independent of x: not separable
+    model = fit_observedness(data)
+    assert 0 < len(steps) < LOGISTIC_ITERATIONS
+    # the mean log-likelihood gradient at the fit, in standardized coordinates
+    z = standardized(data.x)
+    resid = (expit(z @ model.weights + model.bias) - data.r) / data.n
+    grad = np.append(z.T @ resid, resid.sum())
+    assert np.abs(grad).max() < LOGISTIC_GRADIENT_TOLERANCE
+
+
+def test_logistic_fit_on_separable_labels_takes_every_step(monkeypatch):
+    steps = counting_adam_steps(monkeypatch)
+    data = masked_dataset(n=400, d=3, seed=7, separable_r=True)
+    model = fit_observedness(data)
+    assert len(steps) == LOGISTIC_ITERATIONS
+    assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+    weights, bias = separate_adam_logistic(data.x, data.r.astype(np.float64), tolerance=0.0)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
+
+def test_classifier_without_rows_is_an_empty_data_error():
+    data = masked_dataset(seed=5)
+    unobserved = Dataset(x=data.x, t=np.full(data.n, np.nan),
+                         r=np.zeros(data.n, dtype=np.int64), y=data.y)
+    with pytest.raises(EmptyDataError, match="no rows"):
+        fit_treatment_classifier(unobserved)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_classifier_checks_its_input_width(width):
+    data = masked_dataset(n=300, d=4, seed=11)
+    model = fit_observedness(data)
+    with pytest.raises(ValueError, match=r"expected \(n, 4\) input"):
+        model.predict_proba(data.x[:3, :width])
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +295,33 @@ def test_ols_rank_deficient_arm():
     data, _, _ = linear_complete(n=8, d=6, seed=12)
     with pytest.raises(SingularDesignError):
         ols_fit(data)
+
+
+def row_weights_with(n, value):
+    w = np.ones(n)
+    w[5] = value
+    return w
+
+
+BAD_ROW_WEIGHTS = [
+    pytest.param(lambda n: row_weights_with(n, np.nan), "must be finite", id="nan"),
+    pytest.param(lambda n: row_weights_with(n, np.inf), "must be finite", id="inf"),
+    pytest.param(lambda n: row_weights_with(n, -0.5), "must be non-negative", id="negative"),
+    pytest.param(lambda n: np.ones(n - 1), "must have one entry per row", id="short"),
+]
+WEIGHTED_FITS = {
+    "ols": lambda data, w: ols_fit(data, w),
+    "tarnet": lambda data, w: tarnet_train(data, w, small_config()),
+    "cfrmmd": lambda data, w: cfrmmd_train(data, w, small_config(alpha=1.0)),
+}
+
+
+@pytest.mark.parametrize("fit", WEIGHTED_FITS.values(), ids=WEIGHTED_FITS.keys())
+@pytest.mark.parametrize("weights, cause", BAD_ROW_WEIGHTS)
+def test_bad_row_weights_fail_before_fitting(fit, weights, cause):
+    data, _, _ = linear_complete(n=80, seed=14)
+    with pytest.raises(ValueError, match=f"row weights {cause}"):
+        fit(data, weights(data.n))
 
 
 def test_ols_requires_complete_treatments():

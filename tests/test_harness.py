@@ -537,9 +537,13 @@ def test_sweep_m_rejects_repeated_fractions_before_running(monkeypatch):
 
 
 def test_parallel_jobs_match_sequential():
-    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=2)
-    seq, _ = run_experiment(cfg, jobs=1, log=None)
-    par, _ = run_experiment(cfg, jobs=2, log=None)
+    # every OLS strategy, so the logistic fits' data-dependent stop crosses the pool
+    cfg = experiment_config([MethodSpec(name, grid=({},))
+                             for name in ("ols_del", "ols_imp", "ols_rew")], num_runs=2)
+    seq, seq_failures = run_experiment(cfg, jobs=1, log=None)
+    par, par_failures = run_experiment(cfg, jobs=2, log=None)
+    assert seq_failures == par_failures == []
+    assert len(seq) == 6
     assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
 
