@@ -36,13 +36,14 @@ class Dataset:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.t = np.asarray(self.t, dtype=np.float64)
-        self.r = np.asarray(self.r, dtype=np.int64)
+        self.r = np.asarray(self.r)  # checked 0/1 before the cast, which would truncate
         self.y = np.asarray(self.y, dtype=np.float64)
         for name in OPTIONAL_COLUMNS:
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, np.asarray(v, dtype=np.float64))
         self.validate()
+        self.r = self.r.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -160,6 +161,8 @@ class SyntheticDGPSpec(Spec):
             raise ValueError("n and d must be >= 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         vectors = {"propensity": self.propensity}
         for name in ("outcome0", "outcome1"):
             outcome = getattr(self, name)
@@ -218,6 +221,8 @@ class MissingnessSpec(Spec):
             raise ValueError(f"m must be in (0,1), got {self.m}")
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must be in (0,1), got {self.q}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def missingness_probabilities(x: np.ndarray, column_means: np.ndarray, q: float) -> np.ndarray:

@@ -60,6 +60,8 @@ class MTRNetConfig(Spec):
             raise ValueError(f"layer sizes, layer counts and batch size must be >= 1: {self}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.dropout_rate < 1.0):

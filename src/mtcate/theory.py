@@ -2,12 +2,13 @@
 
 A world is a fully specified joint law over (x, t, r, y0, y1) on a finite
 covariate set with finite outcome supports, so every expectation is a
-finite sum. A tabular model is a permutation representation (invertible by
-construction) plus per-point hypothesis tables. On such worlds the error
-decompositions hold to rounding error and every link of the generalization
-bound chain can be checked without estimation noise, with the worst-case
-function family realized as the sup-norm unit ball (whose IPM is the exact
-absolute-difference sum, maximized by the sign function).
+finite sum. A tabular model is one prediction per covariate point and
+outcome; its representation is the identity, since an injective relabeling
+of the points cannot change an IPM over the sup-norm unit ball. On such
+worlds the error decompositions hold to rounding error and every link of the
+generalization bound chain can be checked without estimation noise, with the
+worst-case function family realized as the sup-norm unit ball (whose IPM is
+the exact absolute-difference sum, maximized by the sign function).
 
 Every function below takes one world and model, or a stack of worlds of
 equal K and their models with a leading world axis (their fields
@@ -116,31 +117,26 @@ class Worlds:
 
 @dataclass
 class TabularModel:
-    """Permutation representation phi plus hypothesis tables over the
-    representation points: f_t(x_k) = h_t[phi[k]]. Like `Worlds`, the
-    arrays may carry a leading model axis."""
+    """Hypothesis tables over the covariate points, f_t(x_k) = h_t[k]: the
+    representation is the identity. Like `Worlds`, the arrays may carry a
+    leading model axis."""
 
-    phi: np.ndarray  # (..., K) a permutation of 0..K-1
-    h0: np.ndarray   # (..., K) indexed by representation point
-    h1: np.ndarray
+    h0: np.ndarray  # (..., K) prediction of Y0 at each covariate point
+    h1: np.ndarray  # (..., K) prediction of Y1
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=np.intp)
         self.h0 = np.asarray(self.h0, dtype=np.float64)
         self.h1 = np.asarray(self.h1, dtype=np.float64)
-        if self.phi.ndim == 0 or not (np.sort(self.phi) == np.arange(self.phi.shape[-1])).all():
-            raise ValueError("phi must be a permutation")
-        if self.h0.shape != self.phi.shape or self.h1.shape != self.phi.shape:
-            raise ValueError("hypothesis tables must match phi in length")
-
-    def f(self, t: int) -> np.ndarray:
-        """Predictions indexed by covariate point."""
-        return np.take_along_axis((self.h0, self.h1)[t], self.phi, axis=-1)
+        if self.h0.ndim == 0 or self.h1.shape != self.h0.shape:
+            raise ValueError("h0 and h1 must be tables of the same length")
+        for name, h in (("h0", self.h0), ("h1", self.h1)):
+            if not np.isfinite(h).all():
+                raise ValueError(f"{name} must be finite")
 
 
 def loss_table(world: Worlds, model: TabularModel) -> np.ndarray:
     """(..., K, 2) table of expected pointwise losses."""
-    preds = np.stack([model.f(0), model.f(1)], axis=-2)
+    preds = np.stack([model.h0, model.h1], axis=-2)
     return _by_point(np.vecdot((world.values - preds[..., None]) ** 2, world.probs))
 
 
@@ -203,7 +199,7 @@ def eps_terms(world: Worlds, model: TabularModel) -> EpsTerms:
 
     means, variances = world.outcome_moments()
     m, var = _by_point(means), _by_point(variances)
-    preds = np.stack([model.f(0), model.f(1)], axis=-1)
+    preds = np.stack([model.h0, model.h1], axis=-1)
     sq = (preds - m) ** 2
     mean_sq_f = (p_xt * sq).sum(axis=points)
     mean_sq_cf = (p_xt[..., ::-1] * sq).sum(axis=points)
@@ -215,7 +211,7 @@ def eps_terms(world: Worlds, model: TabularModel) -> EpsTerms:
     sigma2_y1 = np.minimum(parts["y1|t1"], parts["y1|t0"])
     sigma2_y = np.minimum(sigma2_y0, sigma2_y1)
 
-    tau_hat = model.f(1) - model.f(0)
+    tau_hat = model.h1 - model.h0
     tau = m[..., 1] - m[..., 0]
     pehe = np.vecdot(p_x, (tau_hat - tau) ** 2)
 
@@ -246,26 +242,19 @@ def ipm_supnorm(p1, p2) -> np.ndarray:
     return np.abs(p1 - p2).sum(axis=-1)
 
 
-def pushforward(masses: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Distribution over representation points induced by the permutation."""
-    out = np.empty_like(masses)
-    np.put_along_axis(out, phi, masses, axis=-1)
-    return out
-
-
-def representation_ipms(world: Worlds, model: TabularModel) -> dict:
-    """The two covariate-shift distances in representation space:
-    observed-vs-missing and (within the observed domain) control-vs-treated."""
+def representation_ipms(world: Worlds) -> dict:
+    """The two covariate-shift distances of the bound, between conditional
+    covariate laws (the representation is the identity): observed-vs-missing
+    and (within the observed domain) control-vs-treated."""
     p_x, p_r1, p_t1 = world.p_x, world.p_r1, world.p_t1
-    pz_r0 = pushforward(p_x * (1.0 - p_r1) / world.v[..., None], model.phi)
-    pz_r1 = pushforward(p_x * p_r1 / np.vecdot(p_x, p_r1)[..., None], model.phi)
+    px_r0 = p_x * (1.0 - p_r1) / world.v[..., None]
+    px_r1 = p_x * p_r1 / np.vecdot(p_x, p_r1)[..., None]
     joint_t0 = p_x * p_r1 * (1.0 - p_t1)
     joint_t1 = p_x * p_r1 * p_t1
-    pz_r1_t0 = pushforward(joint_t0 / joint_t0.sum(axis=-1, keepdims=True), model.phi)
-    pz_r1_t1 = pushforward(joint_t1 / joint_t1.sum(axis=-1, keepdims=True), model.phi)
     return {
-        "missingness": ipm_supnorm(pz_r0, pz_r1),
-        "treatment": ipm_supnorm(pz_r1_t0, pz_r1_t1),
+        "missingness": ipm_supnorm(px_r0, px_r1),
+        "treatment": ipm_supnorm(joint_t0 / joint_t0.sum(axis=-1, keepdims=True),
+                                 joint_t1 / joint_t1.sum(axis=-1, keepdims=True)),
     }
 
 
@@ -319,11 +308,11 @@ def final_bound_rhs(e: EpsTerms, ipm_treatment, ipm_missingness):
     )
 
 
-def check_bounds(world: Worlds, model: TabularModel, e: EpsTerms) -> BoundReport:
+def check_bounds(world: Worlds, e: EpsTerms) -> BoundReport:
     """Inequality slacks (right side minus left side, nonnegative when the
     bound holds) for each link of the chain and for the end-to-end bound;
-    `e` is eps_terms(world, model)."""
-    ipms = representation_ipms(world, model)
+    `e` is eps_terms(world, model) for any model."""
+    ipms = representation_ipms(world)
     u = e.u_observed
 
     total_loss_rhs = 2.0 * (e.f + e.cf - 4.0 * e.sigma2_y)
@@ -388,8 +377,8 @@ def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int
 
 
 def random_model(rng: np.random.Generator, k: int) -> tuple:
-    """A random model's `TabularModel` fields (phi, h0, h1) over K points."""
-    return (rng.permutation(k), rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
+    """A random model's `TabularModel` fields (h0, h1) over K points."""
+    return (rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
             rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k))
 
 
@@ -453,7 +442,7 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
             worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
             e = eps_terms(worlds, models)
             residual = check_decompositions(e).max_abs_residual
-            slack = check_bounds(worlds, models, e).min_slack
+            slack = check_bounds(worlds, e).min_slack
             max_res = max(max_res, float(residual.max()))
             min_slack = min(min_slack, float(slack.min()))
             res_viol += int(np.count_nonzero(residual > TOLERANCE))

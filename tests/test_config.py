@@ -119,6 +119,10 @@ LOAD_FAILURES = [
     (("data", "synthetic", "outcome1"), "kind", "piecewise", "['outcome1.jump_direction']"),
     (("data", "synthetic"), "mixing", [[1.0, 0.0]], "mixing must be d x d"),
     (("data", "synthetic"), "mixing", [[1.0], [0.0]], "mixing must be d x d"),
+    # a negative seed fails here, not later inside numpy's SeedSequence
+    (("data", "synthetic"), "seed", -1, "seed must be >= 0"),
+    (("missingness",), "seed", -1, "seed must be >= 0"),
+    (("methods", 1, "config"), "seed", -1, "seed must be >= 0"),
 ]
 
 

@@ -178,6 +178,13 @@ def test_apply_missingness_requires_fully_observed():
         apply_missingness(masked, MissingnessSpec(m=0.2, q=0.6, seed=0))
 
 
+def test_dataset_rejects_a_fractional_observedness_flag():
+    with pytest.raises(ValueError, match="r must be 0/1"):
+        Dataset(x=np.zeros((3, 1)), t=[1.0, 0.0, 1.0], r=[1.5, 1.9, 1.0], y=[0, 0, 0])
+    whole = Dataset(x=np.zeros((3, 1)), t=[1.0, 0.0, 1.0], r=[1.0, 1.0, 1.0], y=[0, 0, 0])
+    assert whole.r.dtype == np.int64 and whole.r.tolist() == [1, 1, 1]
+
+
 # ---------------------------------------------------------------------------
 # split
 

@@ -47,7 +47,7 @@ def two_point_world(p_t1=(0.3, 0.7), p_r1=(0.6, 0.4)):
 
 def test_loss_table_examples():
     world = two_point_world()
-    model = TabularModel(phi=[0, 1], h0=[1.0, 1.0], h1=[0.0, 0.0])
+    model = TabularModel(h0=[1.0, 1.0], h1=[0.0, 0.0])
     table = loss_table(world, model)
     # deterministic Y0 = 1 at x0, prediction 1 -> 0
     assert table[0, 0] == 0.0
@@ -59,14 +59,14 @@ def test_loss_table_at_conditional_mean_equals_variance():
     world = two_point_world()
     means, variances = world.outcome_moments()
     m1 = means[1]
-    model = TabularModel(phi=[1, 0], h0=[0.0, 0.0], h1=[m1[1], m1[0]])
+    model = TabularModel(h0=[0.0, 0.0], h1=m1)
     assert loss_table(world, model)[:, 1] == pytest.approx(variances[1])
 
 
 def test_perfect_model_has_zero_pehe():
     world = two_point_world()
     m0, m1 = world.outcome_moments()[0]
-    model = TabularModel(phi=[0, 1], h0=m0, h1=m1)
+    model = TabularModel(h0=m0, h1=m1)
     assert eps_terms(world, model).pehe == pytest.approx(0.0, abs=1e-15)
 
 
@@ -108,7 +108,7 @@ def sample_world(world, model, n, rng):
         # a padded slot has mass 0, so it is never drawn
         y0[rows] = rng.choice(world.values[0, j], size=int(rows.sum()), p=world.probs[0, j])
         y1[rows] = rng.choice(world.values[1, j], size=int(rows.sum()), p=world.probs[1, j])
-    f0, f1 = model.f(0)[x], model.f(1)[x]
+    f0, f1 = model.h0[x], model.h1[x]
     return x, t, r, y0, y1, f0, f1
 
 
@@ -203,7 +203,7 @@ def test_bound_slacks_nonnegative_on_random_worlds():
     for i in range(100):
         rng = np.random.default_rng(3000 + i)
         world, model = random_pair(rng)
-        assert check_bounds(world, model, eps_terms(world, model)).min_slack >= -1e-10
+        assert check_bounds(world, eps_terms(world, model)).min_slack >= -1e-10
 
 
 def test_nearly_full_observedness_collapses_factual_loss():
@@ -229,9 +229,9 @@ def test_deterministic_outcomes_reduce_variance_identity():
 def test_balanced_world_with_perfect_model_trivial_bound():
     world = two_point_world(p_t1=(0.5, 0.5), p_r1=(0.5, 0.5))
     means = world.outcome_moments()[0]
-    model = TabularModel(phi=[0, 1], h0=means[0], h1=means[1])
+    model = TabularModel(h0=means[0], h1=means[1])
     e = eps_terms(world, model)
-    report = check_bounds(world, model, e)
+    report = check_bounds(world, e)
     assert report.ipms["missingness"] == pytest.approx(0.0, abs=1e-15)
     assert report.ipms["treatment"] == pytest.approx(0.0, abs=1e-15)
     assert e.pehe == pytest.approx(0.0, abs=1e-15)
@@ -241,32 +241,17 @@ def test_balanced_world_with_perfect_model_trivial_bound():
 def test_constant_observedness_makes_domain_link_tight():
     world = two_point_world(p_r1=(0.5, 0.5))
     model = TabularModel(*random_model(np.random.default_rng(6), 2))
-    report = check_bounds(world, model, eps_terms(world, model))
+    report = check_bounds(world, eps_terms(world, model))
     assert report.ipms["missingness"] == pytest.approx(0.0, abs=1e-15)
     assert report.slacks["total_loss_vs_observed_domain"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_terms_invariant_to_representation_relabeling():
-    rng = np.random.default_rng(7)
-    world, model = random_pair(rng)
-    base_terms = vars(eps_terms(world, model))
-    base_ipms = representation_ipms(world, model)
-    for _ in range(10):
-        # relabel h so that h'_t[perm[z]] == h_t[z], keeping f unchanged
-        perm = rng.permutation(world.k)
-        h0p = np.empty(world.k)
-        h1p = np.empty(world.k)
-        h0p[perm] = model.h0
-        h1p[perm] = model.h1
-        relabeled = TabularModel(phi=perm[model.phi], h0=h0p, h1=h1p)
-        terms = vars(eps_terms(world, relabeled))
-        for key, value in base_terms.items():
-            if key == "sigma2_parts":
-                continue
-            assert terms[key] == pytest.approx(value, abs=1e-12), key
-        ipms = representation_ipms(world, relabeled)
-        assert ipms["missingness"] == pytest.approx(base_ipms["missingness"], abs=1e-12)
-        assert ipms["treatment"] == pytest.approx(base_ipms["treatment"], abs=1e-12)
+def test_representation_ipms_exact_values():
+    # p(x|R=0) = (0.4, 0.6) against p(x|R=1) = (0.6, 0.4); inside R=1,
+    # p(x|T=0) = (7/9, 2/9) against p(x|T=1) = (9/23, 14/23)
+    ipms = representation_ipms(two_point_world())
+    assert ipms["missingness"] == pytest.approx(0.4, rel=1e-15)
+    assert ipms["treatment"] == pytest.approx(160 / 207, rel=1e-15)
 
 
 def test_final_bound_monotone_in_missingness_shift():
@@ -279,9 +264,9 @@ def test_final_bound_monotone_in_missingness_shift():
             y0_values=[[1.0], [1.0]], y0_probs=[[1.0], [1.0]],
             y1_values=[[1.0], [1.0]], y1_probs=[[1.0], [1.0]],
         )
-        model = TabularModel(phi=[1, 0], h0=[0.0, 0.0], h1=[0.0, 0.0])
+        model = TabularModel(h0=[0.0, 0.0], h1=[0.0, 0.0])
         e = eps_terms(world, model)
-        ipms = representation_ipms(world, model)
+        ipms = representation_ipms(world)
         assert e.v == pytest.approx(0.5, abs=1e-15)  # spread keeps p(R=0) fixed
         assert e.b == 1.0  # every pointwise loss is (1 - 0)^2
         rhs_values.append(final_bound_rhs(e, ipm_treatment=ipms["treatment"],
@@ -318,8 +303,15 @@ def test_world_validation():
             world(**changes)
     with pytest.raises(ValueError, match="one outcome law per covariate point"):
         Worlds(w.p_x, w.p_t1, w.p_r1, w.values, np.concatenate([w.probs, w.probs], axis=-1))
-    with pytest.raises(ValueError):
-        TabularModel(phi=[0, 0], h0=[0.0, 0.0], h1=[0.0, 0.0])
+    bad_models = [
+        ({"h0": [np.nan, 0.0]}, "h0 must be finite"),
+        ({"h1": [0.0, np.inf]}, "h1 must be finite"),
+        ({"h1": [0.0]}, "h0 and h1"),
+        ({"h0": 0.0, "h1": 0.0}, "h0 and h1"),
+    ]
+    for changes, named in bad_models:
+        with pytest.raises(ValueError, match=named):
+            TabularModel(**{"h0": [0.0, 0.0], "h1": [0.0, 0.0], **changes})
 
 
 def test_sweep_summary_reports_no_violations():
@@ -335,7 +327,7 @@ def test_sweep_builds_one_loss_table_per_world(monkeypatch):
     worlds_covered = []
 
     def counting_loss_table(world, model):
-        worlds_covered.append(model.phi.shape[0])  # a stack's leading world axis
+        worlds_covered.append(model.h0.shape[0])  # a stack's leading world axis
         return loss_table(world, model)
 
     monkeypatch.setattr(theory, "loss_table", counting_loss_table)
@@ -387,7 +379,7 @@ def test_sweep_validates_each_world_once_in_its_stack(monkeypatch):
         validate(self)
 
     def recording_post_init(self):
-        modeled.append(np.shape(self.phi))
+        modeled.append(np.shape(self.h0))
         post_init(self)
 
     monkeypatch.setattr(Worlds, "validate", recording_validate)
@@ -411,31 +403,47 @@ def test_sweep_rejects_a_drawn_world_with_a_nan_outcome_value(monkeypatch):
         run_world_sweep(3, seed=0)
 
 
-# sha256 of what random_world and random_model draw from seeds 0-49, each
-# world's laws zero-padded to max_support 4, recorded from the code that
-# padded each world to its own largest support: the draw order cannot drift
-PINNED_DRAWS = "3ddc0bac9c3eb82af5caf01a7b10b1c66a427c8ca9ee58206a2214f4db35cd47"
+def test_sweep_rejects_a_drawn_model_with_a_nan_prediction(monkeypatch):
+    draw = theory.random_model
+
+    def nan_model(rng, k):
+        h0, h1 = draw(rng, k)
+        h0[0] = np.nan
+        return h0, h1
+
+    monkeypatch.setattr(theory, "random_model", nan_model)
+    with pytest.raises(ValueError, match="h0 must be finite"):
+        run_world_sweep(20, seed=1)
+
+
+# sha256 of what random_world draws from seeds 0-49, each world's laws
+# zero-padded to max_support 4 (recorded from the code that padded each world
+# to its own largest support), and of what random_model then draws from the
+# same streams: the draw order cannot drift
+PINNED_DRAWS = {
+    "worlds": "ee3e4d5dc5aad0299d4f70ef4453e6a25b3594d553529eef9cff824368841693",
+    "models": "074fea08ec9f7f602c90cc368f912d426cb8d323cd490c730dda89d50f981fe2",
+}
 
 
 def test_random_draws_are_pinned():
-    digest = hashlib.sha256()
+    digests = {name: hashlib.sha256() for name in PINNED_DRAWS}
     for seed in range(50):
         rng = np.random.default_rng(seed)
         world = random_world(rng)
         k = world[0].size
         assert [a.shape for a in world] == [(k,)] * 3 + [(2, k, 4)] * 2
-        phi, h0, h1 = random_model(rng, k)
-        for a in (*world, h0, h1):
-            digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-        digest.update(phi.astype(np.int64).tobytes())
-    assert digest.hexdigest() == PINNED_DRAWS
+        model = random_model(rng, k)
+        for name, arrays in (("worlds", world), ("models", model)):
+            for a in arrays:
+                digests[name].update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_DRAWS
 
 
-# Recorded from the per-world sweep this blocked sweep replaced: 600 worlds
-# span three blocks of WORLD_BLOCK and every K from 2 to 5.
+# 600 worlds span three blocks of WORLD_BLOCK and every K from 2 to 5.
 PINNED_SWEEPS = {
-    5: (5.329070518200751e-15, 0.004508416672614146),
-    2024: (2.6645352591003757e-15, 0.00949674318346716),
+    5: (3.552713678800501e-15, 0.004508416672614146),
+    2024: (2.6645352591003757e-15, 0.01881108781484242),
 }
 
 
@@ -462,9 +470,8 @@ def _world_values(e, dec, bnd, i=...):
     return np.array([np.asarray(v)[i] for v in values], dtype=np.float64)
 
 
-# sha256 of _world_values over the 120 worlds below, in draw order, recorded
-# from the per-world code this batched code replaced
-PINNED_WORLD_VALUES = "7e0e837b6953098f72715db8b1344cdd2ec2ca0be33f0e7f5562e28543ac214b"
+# sha256 of _world_values over the 120 worlds below, in draw order
+PINNED_WORLD_VALUES = "96757ed6aeab4f60d5667a350ec558788ac966cbe0764c0df72e3d8b10b74cdd"
 
 
 def test_stacked_worlds_equal_each_world_alone_bit_for_bit():
@@ -484,13 +491,13 @@ def test_stacked_worlds_equal_each_world_alone_bit_for_bit():
         fields = [np.stack(field) for field in zip(*(draw for _, draw in group))]
         worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
         e = eps_terms(worlds, models)
-        checks = (e, check_decompositions(e), check_bounds(worlds, models, e))
+        checks = (e, check_decompositions(e), check_bounds(worlds, e))
         for i, (index, draw) in enumerate(group):
             stacked[index] = _world_values(*checks, i)
             world, model = Worlds(*draw[:5]), TabularModel(*draw[5:])
             e_alone = eps_terms(world, model)
             alone = _world_values(e_alone, check_decompositions(e_alone),
-                                  check_bounds(world, model, e_alone))
+                                  check_bounds(world, e_alone))
             assert (_bits(stacked[index]) == _bits(alone)).all(), index
     digest = hashlib.sha256(b"".join(stacked[i].tobytes() for i in range(120))).hexdigest()
     assert digest == PINNED_WORLD_VALUES
