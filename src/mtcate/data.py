@@ -10,6 +10,7 @@ to estimators.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,6 +160,14 @@ class SyntheticDGPSpec(Spec):
     def validate(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
+        numbers = {"propensity": self.propensity, "noise_sd": (self.noise_sd,),
+                   "mixing": sum(self.mixing or (), ())}
+        numbers.update({f"{name}.{key}": value if isinstance(value, tuple) else (value,)
+                        for name in ("outcome0", "outcome1")
+                        for key, value in vars(getattr(self, name)).items() if key != "kind"})
+        nonfinite = [key for key, value in numbers.items() if not all(map(math.isfinite, value))]
+        if nonfinite:
+            raise ValueError(f"{nonfinite} must be finite")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
         if self.seed < 0:

@@ -62,12 +62,13 @@ class MTRNetConfig(Spec):
             raise ValueError("iterations must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l2_lambda < 0 or self.alpha < 0 or self.beta < 0:
-            raise ValueError("l2_lambda, alpha, beta must be >= 0")
+        for name in ("l2_lambda", "alpha", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass

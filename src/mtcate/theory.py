@@ -10,10 +10,11 @@ generalization bound chain can be checked without estimation noise, with the
 worst-case function family realized as the sup-norm unit ball (whose IPM is
 the exact absolute-difference sum, maximized by the sign function).
 
-Every function below takes one world and model, or a stack of worlds of
-equal K and their models with a leading world axis (their fields
-`np.stack`ed), and gives each stacked world the same floats, bit for bit, as
-that world alone: a single world is a stack with no leading axis.
+Every check below takes one world and model, or a stack of worlds of
+equal K and their models with a leading world axis, and gives each stacked
+world the same floats, bit for bit, as that world alone: a single world is
+a stack with no leading axis. Random worlds and models are drawn as such
+stacks, each field of a whole K-group in one Generator call.
 
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import Spec
 
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
+MAX_POINTS = 5  # a random world has 2 to MAX_POINTS covariate points
 TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
 # worlds a sweep draws before checking them together, so its memory does not
 # grow with the number of worlds
@@ -70,10 +72,6 @@ class Worlds:
     def __post_init__(self):
         self.validate()
 
-    @property
-    def k(self) -> int:
-        return self.p_x.shape[-1]
-
     def validate(self) -> None:
         if self.p_x.ndim == 0 or not _is_probability(self.p_x).all():
             raise ValueError("p_x must be a probability vector")
@@ -84,7 +82,7 @@ class Worlds:
                     and np.maximum.reduce(p, axis=None, initial=-np.inf) < 1):
                 raise ValueError(f"{name} must be strictly inside (0,1)")
         if (self.values.shape != self.probs.shape
-                or self.values.shape[:-1] != (*self.p_x.shape[:-1], 2, self.k)):
+                or self.values.shape[:-1] != (*self.p_x.shape[:-1], 2, self.p_x.shape[-1])):
             raise ValueError("need one outcome law per covariate point")
         # per law (..., 2, K); a failure names the arm of its first bad law
         for field, lawful, why in (
@@ -336,13 +334,10 @@ def check_bounds(world: Worlds, e: EpsTerms) -> BoundReport:
 # Random worlds and sweeps
 
 
-def _flat_dirichlet(rng: np.random.Generator, size: int) -> np.ndarray:
-    """A Dirichlet(1, ..., 1) draw as i.i.d. standard exponentials over their
-    running sum: the numbers `rng.dirichlet(np.ones(size))` draws from the
-    same stream, without its per-call argument checks, which cost more than
-    the draw at these sizes."""
-    g = rng.standard_exponential(size)
-    return g * (1.0 / g.cumsum()[-1])
+def _normalized(g: np.ndarray) -> np.ndarray:
+    """Rows over their running sums: on standard exponentials, the numbers
+    `rng.dirichlet(np.ones(k), size=n)` draws from the same stream."""
+    return g * (1.0 / g.cumsum(axis=-1)[..., -1:])
 
 
 def _count(name: str, value, least: int) -> int:
@@ -355,31 +350,29 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
-def random_world(rng: np.random.Generator, max_points: int = 5, max_support: int = 4) -> tuple:
-    """A random world's `Worlds` fields (p_x, p_t1, p_r1, values, probs):
-    2 to `max_points` points, each outcome law on 1 to `max_support` sorted
-    values, zero-padded to `max_support`. Y0's laws are drawn point by point
-    before Y1's."""
-    max_points = _count("max_points", max_points, 2)
+def random_world(rng: np.random.Generator, k: int, n: int, max_support: int = 4) -> tuple:
+    """`n` random worlds of `k` points as stacked `Worlds` fields (p_x, p_t1,
+    p_r1, values, probs), each field drawn for all `n` at once: each outcome
+    law holds 1 to `max_support` sorted values, zero-padded to `max_support`."""
+    k, n = _count("k", k, 2), _count("n", n, 1)
     max_support = _count("max_support", max_support, 1)
-    k = int(rng.integers(2, max_points + 1))
-    p_x = _flat_dirichlet(rng, k)
-    p_t1 = rng.uniform(0.05, 0.95, size=k)
-    p_r1 = rng.uniform(0.05, 0.95, size=k)
-    values = np.zeros((2, k, max_support))
-    probs = np.zeros_like(values)
-    for t in (0, 1):
-        for j in range(k):
-            size = int(rng.integers(1, max_support + 1))
-            values[t, j, :size] = np.sort(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=size))
-            probs[t, j, :size] = _flat_dirichlet(rng, size)
-    return p_x, p_t1, p_r1, values, probs
+    p_x = _normalized(rng.standard_exponential((n, k)))
+    p_t1, p_r1 = rng.uniform(0.05, 0.95, size=(2, n, k))
+    sizes = rng.integers(1, max_support + 1, size=(n, 2, k, 1))
+    padding = np.arange(max_support) >= sizes
+    values = rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=padding.shape)
+    values[padding] = np.inf  # sorts the padding after the support
+    values.sort(axis=-1)
+    values[padding] = 0.0
+    probs = rng.standard_exponential(padding.shape)
+    probs[padding] = 0.0
+    return p_x, p_t1, p_r1, values, _normalized(probs)
 
 
-def random_model(rng: np.random.Generator, k: int) -> tuple:
-    """A random model's `TabularModel` fields (h0, h1) over K points."""
-    return (rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k),
-            rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=k))
+def random_model(rng: np.random.Generator, k: int, n: int) -> tuple:
+    """`n` random models' stacked `TabularModel` fields (h0, h1) over `k` points."""
+    n, k = _count("n", n, 1), _count("k", k, 1)
+    return tuple(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=(2, n, k)))
 
 
 @dataclass
@@ -407,14 +400,16 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     """Exhaustively check the identities and the bound chain on randomly
     drawn worlds and models.
 
-    World i and its model are drawn one at a time, in index order, from
-    their own seed `SeedSequence([seed, 808, i])`, as bare arrays. The
-    worlds are checked in blocks of WORLD_BLOCK, so memory does not grow
-    with `num_worlds`: a block's draws are grouped by point count K, each
-    group's arrays are `np.stack`ed into one `Worlds` and one `TabularModel`,
-    which validate every world of the group once, and each stack goes
-    through one `eps_terms`, `check_decompositions` and `check_bounds` pass.
-    Each stacked world gets the floats it gets alone, by three rules:
+    The worlds are drawn and checked in blocks of WORLD_BLOCK, so memory
+    does not grow with `num_worlds`. Block j draws from its own seed
+    `SeedSequence([seed, 808, j])`: first the point count K (2 to
+    MAX_POINTS) of each of its worlds, then, for each K in increasing order,
+    that K-group's worlds and models, a field at a time (`random_world`,
+    `random_model`). So a full block's worlds depend on (seed, j) alone.
+    Each group becomes one `Worlds` and one `TabularModel`, which validate
+    every world of the group once, and goes through one `eps_terms`,
+    `check_decompositions` and `check_bounds` pass. Each stacked world gets
+    the floats it gets alone, by three rules:
     - only worlds of equal K are stacked, since padding K would regroup
       numpy's pairwise sums over points;
     - sums over points run over a world's trailing contiguous (K, 2) axes,
@@ -426,20 +421,14 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     across stacks in any order, so the summary is the per-world one."""
     num_worlds = _count("num_worlds", num_worlds, 1)
     seed = _count("seed", seed, 0)
-    max_res = 0.0
-    min_slack = float("inf")
-    res_viol = 0
-    slack_viol = 0
-    for start in range(0, num_worlds, WORLD_BLOCK):
-        by_k = {}
-        for i in range(start, min(start + WORLD_BLOCK, num_worlds)):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 808, i]))
-            world = random_world(rng)
-            k = world[0].size
-            by_k.setdefault(k, []).append((*world, *random_model(rng, k)))
-        for draws in by_k.values():
-            fields = [np.stack(field) for field in zip(*draws)]
-            worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
+    max_res, min_slack = 0.0, float("inf")
+    res_viol = slack_viol = 0
+    for block, start in enumerate(range(0, num_worlds, WORLD_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, block]))
+        ks = rng.integers(2, MAX_POINTS + 1, size=min(WORLD_BLOCK, num_worlds - start))
+        for k, n in zip(*np.unique(ks, return_counts=True)):
+            worlds = Worlds(*random_world(rng, k, n))
+            models = TabularModel(*random_model(rng, k, n))
             e = eps_terms(worlds, models)
             residual = check_decompositions(e).max_abs_residual
             slack = check_bounds(worlds, e).min_slack

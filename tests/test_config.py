@@ -123,6 +123,14 @@ LOAD_FAILURES = [
     (("data", "synthetic"), "seed", -1, "seed must be >= 0"),
     (("missingness",), "seed", -1, "seed must be >= 0"),
     (("methods", 1, "config"), "seed", -1, "seed must be >= 0"),
+    # a non-finite number fails at load, naming its field
+    (("methods", 1, "config"), "learning_rate", float("inf"), "learning_rate must be positive and"),
+    (("methods", 1, "config"), "learning_rate", float("nan"), "learning_rate must be positive and"),
+    (("methods", 1, "config"), "l2_lambda", float("nan"), "l2_lambda must be finite"),
+    (("methods", 1, "config"), "alpha", float("nan"), "alpha must be finite"),
+    (("methods", 1, "config"), "beta", float("inf"), "beta must be finite"),
+    # (test_datagen checks each family of the data generator's numbers)
+    (("data", "synthetic"), "propensity", [float("nan")] * 2, "['propensity'] must be finite"),
 ]
 
 

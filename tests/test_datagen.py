@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,21 @@ def test_generate_noiseless_outcomes_are_exact():
     assert np.array_equal(d.y, np.where(d.t == 1.0, mu1, mu0))
     assert np.array_equal(d.tau, mu1 - mu0)
     assert np.all(d.r == 1)
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"propensity": (np.nan,) * 3}, "['propensity']"),
+    ({"noise_sd": np.nan}, "['noise_sd']"),
+    ({"mixing": ((1.0, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, 1.0))}, "['mixing']"),
+    ({"outcome0": OutcomeSpec(kind="piecewise", linear=(1.0,) * 3, jump=np.nan,
+                              jump_direction=(1.0,) * 3)}, "['outcome0.jump']"),
+    ({"outcome1": OutcomeSpec(kind="quadratic", linear=(1.0,) * 3,
+                              quadratic=(0.0, -np.inf, 0.0))}, "['outcome1.quadratic']"),
+])
+def test_generate_rejects_a_non_finite_number_naming_its_field(changes, named):
+    spec = replace(linear_spec(), **changes)
+    with pytest.raises(ValueError, match=re.escape(f"{named} must be finite")):
+        generate(spec)
 
 
 def test_generate_zero_propensity_balances_arms():

@@ -31,10 +31,14 @@ def discrete_world(p_x, p_t1, p_r1, y0_values, y0_probs, y1_values, y1_probs):
                   values.reshape(2, k, -1), probs.reshape(2, k, -1))
 
 
-def random_pair(rng, **sizes):
-    """A random world and a random model over its points."""
-    world = Worlds(*random_world(rng, **sizes))
-    return world, TabularModel(*random_model(rng, world.k))
+def random_table(rng, k):
+    """One random model over `k` points."""
+    return TabularModel(*(h[0] for h in random_model(rng, k, 1)))
+
+
+def random_pair(rng, k):
+    """One random world of `k` points and a random model over them."""
+    return Worlds(*(field[0] for field in random_world(rng, k, 1))), random_table(rng, k)
 
 
 def two_point_world(p_t1=(0.3, 0.7), p_r1=(0.6, 0.4)):
@@ -72,7 +76,7 @@ def test_perfect_model_has_zero_pehe():
 
 def test_constant_observedness_collapses_domains():
     world = two_point_world(p_r1=(0.5, 0.5))
-    model = TabularModel(*random_model(np.random.default_rng(0), 2))
+    model = random_table(np.random.default_rng(0), 2)
     e = eps_terms(world, model)
     assert e.f == pytest.approx(e.f_r1, abs=1e-12)
     assert e.f == pytest.approx(e.f_r0, abs=1e-12)
@@ -119,7 +123,7 @@ def mc_estimate(samples):
 
 def test_eps_terms_match_monte_carlo():
     rng = np.random.default_rng(77)
-    world, model = random_pair(rng, max_points=3)
+    world, model = random_pair(rng, 3)
     e = eps_terms(world, model)
 
     n = 1_000_000
@@ -195,20 +199,20 @@ def test_ipm_is_a_metric_on_the_simplex(k, seed):
 def test_decomposition_residuals_tiny_on_random_worlds():
     for i in range(100):
         rng = np.random.default_rng(2000 + i)
-        world, model = random_pair(rng)
+        world, model = random_pair(rng, 2 + i % 4)
         assert check_decompositions(eps_terms(world, model)).max_abs_residual <= 1e-10
 
 
 def test_bound_slacks_nonnegative_on_random_worlds():
     for i in range(100):
         rng = np.random.default_rng(3000 + i)
-        world, model = random_pair(rng)
+        world, model = random_pair(rng, 2 + i % 4)
         assert check_bounds(world, eps_terms(world, model)).min_slack >= -1e-10
 
 
 def test_nearly_full_observedness_collapses_factual_loss():
     world = two_point_world(p_r1=(1.0 - 1e-12, 1.0 - 1e-12))
-    model = TabularModel(*random_model(np.random.default_rng(4), 2))
+    model = random_table(np.random.default_rng(4), 2)
     e = eps_terms(world, model)
     assert abs(e.f - e.f_r1) <= 1e-10
 
@@ -219,7 +223,7 @@ def test_deterministic_outcomes_reduce_variance_identity():
         y0_values=[[1.0], [2.0]], y0_probs=[[1.0], [1.0]],
         y1_values=[[3.0], [0.0]], y1_probs=[[1.0], [1.0]],
     )
-    model = TabularModel(*random_model(np.random.default_rng(5), 2))
+    model = random_table(np.random.default_rng(5), 2)
     e = eps_terms(world, model)
     assert e.sigma2_y == 0.0
     assert e.mean_sq_f == pytest.approx(e.f, abs=1e-14)
@@ -240,7 +244,7 @@ def test_balanced_world_with_perfect_model_trivial_bound():
 
 def test_constant_observedness_makes_domain_link_tight():
     world = two_point_world(p_r1=(0.5, 0.5))
-    model = TabularModel(*random_model(np.random.default_rng(6), 2))
+    model = random_table(np.random.default_rng(6), 2)
     report = check_bounds(world, eps_terms(world, model))
     assert report.ipms["missingness"] == pytest.approx(0.0, abs=1e-15)
     assert report.slacks["total_loss_vs_observed_domain"] == pytest.approx(0.0, abs=1e-12)
@@ -337,7 +341,7 @@ def test_sweep_builds_one_loss_table_per_world(monkeypatch):
 
 def test_sweep_rejects_a_negative_seed_before_drawing(monkeypatch):
     drawn = []
-    monkeypatch.setattr(theory, "random_world", lambda rng: drawn.append(rng))
+    monkeypatch.setattr(theory, "random_world", lambda *args: drawn.append(args))
     with pytest.raises(ValueError, match="seed"):
         run_world_sweep(5, seed=-1)
     assert drawn == []
@@ -349,7 +353,7 @@ def test_sweep_rejects_a_negative_seed_before_drawing(monkeypatch):
 ])
 def test_sweep_rejects_non_integer_counts_before_drawing(monkeypatch, args, named):
     drawn = []
-    monkeypatch.setattr(theory, "random_world", lambda rng: drawn.append(rng))
+    monkeypatch.setattr(theory, "random_world", lambda *args: drawn.append(args))
     with pytest.raises(ValueError, match=f"{named} must be an integer"):
         run_world_sweep(*args)
     assert drawn == []
@@ -361,13 +365,27 @@ def test_sweep_counts_are_plain_ints():
 
 
 @pytest.mark.parametrize("sizes, named", [
-    ({"max_points": 1}, "max_points must be >= 2"), ({"max_points": 2.5}, "max_points"),
-    ({"max_points": True}, "max_points"), ({"max_support": 0}, "max_support must be >= 1"),
-    ({"max_support": 4.0}, "max_support"),
+    ({"k": 1, "n": 3}, "k must be >= 2"), ({"k": 2.5, "n": 3}, "k must be an integer"),
+    ({"k": True, "n": 3}, "k must be an integer"),
+    ({"k": 3, "n": 3, "max_support": 0}, "max_support must be >= 1"),
+    ({"k": 3, "n": 3, "max_support": 4.0}, "max_support"),
+    ({"k": 3, "n": 3, "max_support": True}, "max_support must be an integer"),
+    ({"k": 3, "n": 0}, "n must be >= 1"), ({"k": 3, "n": 2.0}, "n must be an integer"),
+    ({"k": 3, "n": True}, "n must be an integer"),
 ])
 def test_random_world_rejects_bad_sizes(sizes, named):
     with pytest.raises(ValueError, match=named):
         random_world(np.random.default_rng(0), **sizes)
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ((0, 3), "k must be >= 1"), ((2.0, 3), "k must be an integer"),
+    ((True, 3), "k must be an integer"), ((2, 0), "n must be >= 1"),
+    ((2, "3"), "n must be an integer"), ((2, False), "n must be an integer"),
+])
+def test_random_model_rejects_bad_sizes(sizes, named):
+    with pytest.raises(ValueError, match=named):
+        random_model(np.random.default_rng(0), *sizes)
 
 
 def test_sweep_validates_each_world_once_in_its_stack(monkeypatch):
@@ -393,9 +411,9 @@ def test_sweep_validates_each_world_once_in_its_stack(monkeypatch):
 def test_sweep_rejects_a_drawn_world_with_a_nan_outcome_value(monkeypatch):
     draw = theory.random_world
 
-    def nan_world(rng):
-        p_x, p_t1, p_r1, values, probs = draw(rng)
-        values[1, 0, 0] = np.nan
+    def nan_world(rng, k, n):
+        p_x, p_t1, p_r1, values, probs = draw(rng, k, n)
+        values[-1, 1, 0, 0] = np.nan
         return p_x, p_t1, p_r1, values, probs
 
     monkeypatch.setattr(theory, "random_world", nan_world)
@@ -406,9 +424,9 @@ def test_sweep_rejects_a_drawn_world_with_a_nan_outcome_value(monkeypatch):
 def test_sweep_rejects_a_drawn_model_with_a_nan_prediction(monkeypatch):
     draw = theory.random_model
 
-    def nan_model(rng, k):
-        h0, h1 = draw(rng, k)
-        h0[0] = np.nan
+    def nan_model(rng, k, n):
+        h0, h1 = draw(rng, k, n)
+        h0[-1, 0] = np.nan
         return h0, h1
 
     monkeypatch.setattr(theory, "random_model", nan_model)
@@ -416,13 +434,12 @@ def test_sweep_rejects_a_drawn_model_with_a_nan_prediction(monkeypatch):
         run_world_sweep(20, seed=1)
 
 
-# sha256 of what random_world draws from seeds 0-49, each world's laws
-# zero-padded to max_support 4 (recorded from the code that padded each world
-# to its own largest support), and of what random_model then draws from the
-# same streams: the draw order cannot drift
+# sha256 of what random_world draws from seeds 0-49 (3 worlds of 2 + seed % 4
+# points each, laws zero-padded to max_support 4), and of what random_model
+# then draws from the same streams: the draw order cannot drift
 PINNED_DRAWS = {
-    "worlds": "ee3e4d5dc5aad0299d4f70ef4453e6a25b3594d553529eef9cff824368841693",
-    "models": "074fea08ec9f7f602c90cc368f912d426cb8d323cd490c730dda89d50f981fe2",
+    "worlds": "1b186bf65fc0c58d060f3a55f101100eaf0e2ffe0fd9838dd6e5ae0a6af4821f",
+    "models": "5b06eb77ce4bed9afa6afb29f396db13a1670b33273329fe5304691f8930057c",
 }
 
 
@@ -430,20 +447,65 @@ def test_random_draws_are_pinned():
     digests = {name: hashlib.sha256() for name in PINNED_DRAWS}
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        world = random_world(rng)
-        k = world[0].size
-        assert [a.shape for a in world] == [(k,)] * 3 + [(2, k, 4)] * 2
-        model = random_model(rng, k)
+        k = 2 + seed % 4
+        world = random_world(rng, k, 3)
+        assert [a.shape for a in world] == [(3, k)] * 3 + [(3, 2, k, 4)] * 2
+        model = random_model(rng, k, 3)
+        assert [a.shape for a in model] == [(3, k)] * 2
         for name, arrays in (("worlds", world), ("models", model)):
             for a in arrays:
                 digests[name].update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_DRAWS
 
 
+def test_block_draws_follow_their_laws(monkeypatch):
+    def within_5_sd(counts, total, p):
+        return np.all(np.abs(np.asarray(counts) - total * p) <= 5 * np.sqrt(total * p * (1 - p)))
+
+    groups = []
+    draw = theory.random_world
+
+    def recording_world(rng, k, n):
+        groups.append((k, n))
+        return draw(rng, k, n)
+
+    monkeypatch.setattr(theory, "random_world", recording_world)
+    run_world_sweep(4096, seed=9)
+    per_k = {k: sum(n for kk, n in groups if kk == k) for k in range(2, 6)}
+    assert sum(per_k.values()) == 4096 and within_5_sd(list(per_k.values()), 4096, 1 / 4)
+
+    rng = np.random.default_rng(10)
+    for k in range(2, 6):
+        p_x, p_t1, p_r1, values, probs = draw(rng, k, 2000)
+        sizes = np.count_nonzero(probs, axis=-1)
+        laws = sizes.size
+        assert within_5_sd([np.count_nonzero(sizes == s) for s in (1, 2, 3, 4)], laws, 1 / 4)
+        padding = np.arange(4) >= sizes[..., None]
+        assert (values[padding] == 0.0).all() and (probs[padding] == 0.0).all()
+        assert (np.diff(values, axis=-1)[~padding[..., 1:]] >= 0.0).all()  # sorted support
+        assert ((values >= -2.0) & (values < 2.0)).all()
+        assert (probs[~padding] > 0.0).all()
+        for masses in (p_x, probs):
+            assert (np.abs(masses.sum(axis=-1) - 1.0) <= 1e-12).all()
+        for p in (p_t1, p_r1):
+            assert p.shape == (2000, k) and ((p >= 0.05) & (p < 0.95)).all()
+        for h in random_model(rng, k, 2000):
+            assert h.shape == (2000, k) and ((h >= -2.0) & (h < 2.0)).all()
+
+
+def test_flat_dirichlet_draws_what_numpy_dirichlet_draws():
+    for seed in range(200):
+        for k in (2, 3, 4, 5):
+            for n in (1, 3):
+                p_x = random_world(np.random.default_rng(seed), k, n)[0]
+                expected = np.random.default_rng(seed).dirichlet(np.ones(k), size=n)
+                assert (_bits(p_x) == _bits(expected)).all()
+
+
 # 600 worlds span three blocks of WORLD_BLOCK and every K from 2 to 5.
 PINNED_SWEEPS = {
-    5: (3.552713678800501e-15, 0.004508416672614146),
-    2024: (2.6645352591003757e-15, 0.01881108781484242),
+    5: (3.552713678800501e-15, 0.0037034604589685216),
+    2024: (3.552713678800501e-15, 0.005126181548970488),
 }
 
 
@@ -458,6 +520,36 @@ def test_sweep_summary_is_pinned(seed):
     }
 
 
+def test_a_full_block_depends_on_the_seed_and_block_alone(monkeypatch):
+    def recorded_sweep(num_worlds, seed):
+        tables = []
+
+        def recording_loss_table(world, model):
+            tables.append([np.copy(a) for a in (*vars(world).values(), model.h0, model.h1)])
+            return loss_table(world, model)
+
+        monkeypatch.setattr(theory, "loss_table", recording_loss_table)
+        run_world_sweep(num_worlds, seed=seed)
+        return tables
+
+    block = recorded_sweep(theory.WORLD_BLOCK, 6)
+    two_blocks = recorded_sweep(2 * theory.WORLD_BLOCK, 6)
+    assert sum(arrays[0].shape[0] for arrays in block) == theory.WORLD_BLOCK
+    assert len(two_blocks) > len(block)
+    for ours, theirs in zip(block, two_blocks):
+        assert all(a.shape == b.shape and (_bits(a) == _bits(b)).all()
+                   for a, b in zip(ours, theirs))
+    assert not all(a.shape == b.shape and (a == b).all()
+                   for a, b in zip(block[0], two_blocks[len(block)]))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_twenty_thousand_worlds_have_no_violations(seed):
+    summary = run_world_sweep(20_000, seed=seed)
+    assert summary.residual_violations == 0 and summary.slack_violations == 0
+    assert summary.max_abs_residual <= 1e-10 and summary.min_slack >= -1e-10
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
@@ -470,42 +562,28 @@ def _world_values(e, dec, bnd, i=...):
     return np.array([np.asarray(v)[i] for v in values], dtype=np.float64)
 
 
-# sha256 of _world_values over the 120 worlds below, in draw order
-PINNED_WORLD_VALUES = "96757ed6aeab4f60d5667a350ec558788ac966cbe0764c0df72e3d8b10b74cdd"
+# sha256 of _world_values over the 120 worlds below (30 of each K), in draw order
+PINNED_WORLD_VALUES = "aebe41e75c6c0e26065a3ba7508f95a96f9939d5bda3e9093ec910baa454f62f"
 
 
 def test_stacked_worlds_equal_each_world_alone_bit_for_bit():
     rng = np.random.default_rng(11)
-    by_k = {}
-    for index in range(120):
-        world = random_world(rng)
-        k = world[0].size
-        by_k.setdefault(k, []).append((index, (*world, *random_model(rng, k))))
-    assert sorted(by_k) == [2, 3, 4, 5]
-    supports = {int(np.count_nonzero(draw[4][t, j])) for group in by_k.values()
-                for _, draw in group for t in (0, 1) for j in range(draw[0].size)}
-    assert supports == {1, 2, 3, 4}
-
-    stacked = {}
-    for group in by_k.values():
-        fields = [np.stack(field) for field in zip(*(draw for _, draw in group))]
+    stacked = []
+    supports = set()
+    for k in (2, 3, 4, 5):
+        fields = (*random_world(rng, k, 30), *random_model(rng, k, 30))
+        supports.update(np.count_nonzero(fields[4], axis=-1).ravel().tolist())
         worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
         e = eps_terms(worlds, models)
         checks = (e, check_decompositions(e), check_bounds(worlds, e))
-        for i, (index, draw) in enumerate(group):
-            stacked[index] = _world_values(*checks, i)
-            world, model = Worlds(*draw[:5]), TabularModel(*draw[5:])
+        for i in range(30):
+            stacked.append(_world_values(*checks, i))
+            world = Worlds(*(f[i] for f in fields[:5]))
+            model = TabularModel(*(f[i] for f in fields[5:]))
             e_alone = eps_terms(world, model)
             alone = _world_values(e_alone, check_decompositions(e_alone),
                                   check_bounds(world, e_alone))
-            assert (_bits(stacked[index]) == _bits(alone)).all(), index
-    digest = hashlib.sha256(b"".join(stacked[i].tobytes() for i in range(120))).hexdigest()
+            assert (_bits(stacked[-1]) == _bits(alone)).all(), (k, i)
+    assert supports == {1, 2, 3, 4}
+    digest = hashlib.sha256(b"".join(values.tobytes() for values in stacked)).hexdigest()
     assert digest == PINNED_WORLD_VALUES
-
-
-def test_flat_dirichlet_draws_what_numpy_dirichlet_draws():
-    for seed in range(200):
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        for size in (1, 2, 3, 4, 5):
-            expected = numpys.dirichlet(np.ones(size))
-            assert (_bits(theory._flat_dirichlet(ours, size)) == _bits(expected)).all()
