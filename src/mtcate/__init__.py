@@ -1,9 +1,10 @@
 """CATE estimation with partially missing treatment labels.
 
 Library layout:
-  autodiff / nn   minimal dense-network engine (reverse mode, Adam)
+  nn              dense layers and layer functions with their gradients, Adam
   data            synthetic generator, missingness mechanism, CSV round trip
-  mtrnet          the adversarially balanced representation network
+  mtrnet          the adversarially balanced representation network, its
+                  hand-written forward and backward pass
   baselines       per-arm OLS, TARNet, CFR-MMD x {delete, impute, reweight}
   metrics         PEHE variants, policy risk, domain-split reports
   theory          exact identity/bound checks on finite discrete worlds

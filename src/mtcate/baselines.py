@@ -16,10 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mtrnet
-from .autodiff import expit
 from .data import Dataset
 from .errors import DegenerateLabelsError, EmptyDataError, SingularDesignError
-from .nn import AdamState, adam_step
+from .nn import AdamState, adam_step, expit
 
 STRATEGIES = ("delete", "impute", "reweight")
 

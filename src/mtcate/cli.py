@@ -51,8 +51,8 @@ def model_payload(method: str, fitted) -> dict:
     params = fitted.parameters()
     return {**envelope, "kind": "mtrnet", "input_dim": fitted.input_dim,
             "config": fitted.config.to_dict(),
-            "shapes": {name: list(t.value.shape) for name, t in params.items()},
-            "parameters": {name: t.value.tolist() for name, t in params.items()}}
+            "shapes": {name: list(p.shape) for name, p in params.items()},
+            "parameters": {name: p.tolist() for name, p in params.items()}}
 
 
 def load_fitted(payload: dict):
@@ -81,8 +81,8 @@ def load_fitted(payload: dict):
     values = decode(payload["parameters"], dict, "mtrnet model.parameters")
     for key, entries in (("shapes", shapes), ("parameters", values)):
         check_keys(entries, entries, f"mtrnet model.{key}", required=model.parameters())
-    for name, tensor in model.parameters().items():
-        shape, where = tensor.value.shape, f"mtrnet model.parameters.{name}"
+    for name, param in model.parameters().items():
+        shape, where = param.shape, f"mtrnet model.parameters.{name}"
         if shapes[name] != shape:
             raise ValueError(f"mtrnet model.shapes.{name}: expected {shape}, got {shapes[name]}")
         tp = tuple[float, ...] if len(shape) == 1 else tuple[tuple[float, ...], ...]
@@ -95,7 +95,7 @@ def load_fitted(payload: dict):
             raise ValueError(f"{where}: expected shape {shape}, got {value.shape}")
         if not np.isfinite(value).all():
             raise ValueError(f"{where}: non-finite value")
-        tensor.value[...] = value  # in place: trained values are views of model.flat
+        param[...] = value  # in place: trained values are views of model.flat
     return model
 
 

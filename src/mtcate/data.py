@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import expit
+from .nn import expit
 from .errors import CsvParseError, Spec, TooFewRowsError
 
 OPTIONAL_COLUMNS = ("y0", "y1", "tau", "e", "t_true")

@@ -170,8 +170,8 @@ class MethodSpec:
 class ExperimentConfig(Spec):
     dgp: SyntheticDGPSpec | None
     csv_path: str | None
-    missingness: MissingnessSpec | None
     methods: tuple
+    missingness: MissingnessSpec | None = None  # None keeps the data's own labels
     num_runs: int = 10
     master_seed: int = 0
     metrics: tuple[str, ...] = ()  # empty means: use whatever the data supports

@@ -140,7 +140,10 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     """Evaluate each metric on all rows, the r=1 rows and the r=0 rows; the
     three subsets are built once per report.
 
-    Empty splits yield None ("absent") rather than an error."""
+    A split that lacks the rows a metric needs yields None ("absent"): an
+    empty split, or a domain split without both observed arms (pehe_nn;
+    t_missing has no observed treatment at all) or whose randomized subset
+    misses a stratum (policy_risk). All rows lacking them is an error."""
     metrics = list(metrics)
     check_keys(metrics, METRICS, "metric")
     tau_hat = np.asarray(tau_hat, dtype=np.float64)
@@ -152,10 +155,14 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     report = EvalReport(counts={split: int(idx.size) for split, idx in splits.items()},
                         metadata=metadata or {})
     for metric in metrics:
-        report.metrics[metric] = {
-            split: METRICS[metric](*subsets[split]) if split in subsets else None
-            for split in splits
-        }
+        values = report.metrics[metric] = {}
+        for split in splits:
+            try:
+                values[split] = METRICS[metric](*subsets[split]) if split in subsets else None
+            except (DegenerateArmError, StratumEmptyError):
+                if split == "overall":
+                    raise
+                values[split] = None
     return report
 
 

@@ -3,12 +3,17 @@
 One shared representation feeds four heads: per-arm outcome regressors
 h0/h1, a treatment discriminator and an observedness discriminator. The
 discriminators descend on their own cross-entropy losses while the
-representation ascends on them through a gradient-reversal node, which
-pushes the representation towards being uninformative of both treatment
-and missingness. A discriminator whose weight (alpha, beta) is 0 is neither
+representation ascends on them through a gradient reversal, which pushes
+the representation towards being uninformative of both treatment and
+missingness. A discriminator whose weight (alpha, beta) is 0 is neither
 drawn nor trained, so the TARNet and CFR-MMD baselines are the
-adversary-free subset of the same model and engine (optional per-row
-weights / kernel penalty).
+adversary-free subset of the same model and training step (optional
+per-row weights / kernel penalty).
+
+The graph is fixed by the config, so a training step differentiates it by
+hand: its forward pass caches each layer's input, ELU derivative and
+dropout mask, and `backward` walks that cache in reverse, writing every
+parameter's gradient into its own slice of `model.grad`.
 """
 
 from __future__ import annotations
@@ -17,14 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, add, asum, backward, bce_loss, elu, gather_rows, grad_reverse,
-    mmd2_rbf, mul, pairwise_sq_dists, unit_normalize_rows,
-)
 from .data import Dataset
 from .errors import DegenerateArmError, Spec, TrainingDivergedError
 from .nn import (
-    AdamState, DenseLayer, adam_step, dense_forward, dropout_mask, init_dense, pack,
+    AdamState, DenseLayer, adam_step, binary_cross_entropy, dense_backward, dense_forward,
+    dropout_mask, elu, init_dense, mmd2_rbf, normalize_rows, normalize_rows_backward, pack,
+    pairwise_sq_dists,
 )
 
 # SeedSequence domain tags so model init / batching / dropout use
@@ -89,30 +92,29 @@ class MTRNetModel:
     h1: list[DenseLayer]
     k_t: DenseLayer | None  # the treatment discriminator, when config.alpha > 0
     k_r: DenseLayer | None  # the observedness discriminator, when config.beta > 0
-    _parameters: dict[str, Tensor] = field(init=False, repr=False)
+    _parameters: dict[str, np.ndarray] = field(init=False, repr=False)
     flat: np.ndarray = field(init=False)  # every parameter's value, end to end
     adam: AdamState = field(init=False)  # one Adam state over `flat`
     grad: np.ndarray = field(init=False)  # a step's gradients, laid out like `flat`
 
     def __post_init__(self):
-        params = {}
-        for group, layers in (("phi", self.phi), ("h0", self.h0), ("h1", self.h1)):
-            for i, layer in enumerate(layers):
-                params[f"{group}.{i}.w"], params[f"{group}.{i}.b"] = layer.weights, layer.bias
+        layers = {}
+        for group, stack in (("phi", self.phi), ("h0", self.h0), ("h1", self.h1)):
+            for i, layer in enumerate(stack):
+                layers[f"{group}.{i}"] = layer
         for group, layer in (("k_t", self.k_t), ("k_r", self.k_r)):
             if layer is not None:
-                params[f"{group}.w"], params[f"{group}.b"] = layer.weights, layer.bias
-        self._parameters = params
-        self.flat = pack(list(params.values()))
+                layers[group] = layer
+        self.flat, self.grad = pack(list(layers.values()))
+        self._parameters = {}
+        for name, layer in layers.items():
+            self._parameters[f"{name}.w"], self._parameters[f"{name}.b"] = layer.weights, layer.bias
         self.adam = AdamState.like(self.flat)
-        self.grad = np.empty_like(self.flat)
 
-    def parameters(self) -> dict[str, Tensor]:
-        """Every parameter by name, in `flat`'s order; all of them are trained."""
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Every parameter by name, in `flat`'s order (each a view of it);
+        all of them are trained."""
         return self._parameters
-
-    def hypothesis_weights(self) -> list[Tensor]:
-        return [layer.weights for layer in self.h0 + self.h1]
 
     def predict_cate(self, x) -> np.ndarray:
         return predict_cate(self, x)
@@ -162,23 +164,63 @@ def compute_weights(t, r):
     return w, u, n_o
 
 
-def _dense_elu_dropout(layers, h, drop: float, rng) -> Tensor:
+# ---------------------------------------------------------------------------
+# Forward and backward passes. A cache entry is (layer, input, ELU
+# derivative, dropout mask), the last two None where the layer has none.
+
+
+def _stack_forward(layers, h, drop: float, rng, cache: list) -> np.ndarray:
     """The encoder's and the heads' hidden stack: ELU(dense(h)) per layer,
     each followed by a dropout mask when drop > 0."""
     for layer in layers:
-        h = elu(dense_forward(layer, h))
-        if drop > 0:
-            h = mul(h, dropout_mask(h.shape, drop, rng))
+        out, deriv = elu(dense_forward(layer, h))
+        mask = dropout_mask(out.shape, drop, rng) if drop > 0 else None
+        cache.append((layer, h, deriv, mask))
+        h = out if mask is None else out * mask
     return h
 
 
-def _rep_forward(model: MTRNetModel, x, train_mode: bool, rng) -> Tensor:
-    drop = model.config.dropout_rate if train_mode else 0.0
-    return unit_normalize_rows(_dense_elu_dropout(model.phi, x, drop, rng))
+def _head_forward(layers, z, drop: float, rng, cache: list) -> np.ndarray:
+    h = _stack_forward(layers[:-1], z, drop, rng, cache)
+    cache.append((layers[-1], h, None, None))
+    return dense_forward(layers[-1], h)
 
 
-def _head_forward(layers, z, drop: float, rng) -> Tensor:
-    return dense_forward(layers[-1], _dense_elu_dropout(layers[:-1], z, drop, rng))
+def _stack_backward(cache: list, g: np.ndarray, input_grad: bool = True):
+    """Walk `cache` in reverse from the output gradient `g`, writing each
+    layer's gradients; returns the input's gradient, or None when
+    `input_grad` is False (the input is data)."""
+    for i in range(len(cache) - 1, -1, -1):
+        layer, x, deriv, mask = cache[i]
+        if mask is not None:
+            g = g * mask
+        if deriv is not None:
+            g = g * deriv
+        dense_backward(layer, x, g)
+        g = g @ layer.weights if i or input_grad else None
+    return g
+
+
+def _rep_forward(model: MTRNetModel, x) -> np.ndarray:
+    """The representation in evaluation mode (no dropout)."""
+    return normalize_rows(_stack_forward(model.phi, x, 0.0, None, []))[0]
+
+
+@dataclass
+class StepCache:
+    """What `backward` reads from a training step's forward pass: the layer
+    caches, and the gradient of the objective with respect to each loss's
+    input (None for a term the objective does not have)."""
+
+    encoder: list
+    rep: np.ndarray  # the normalized representation of the batch
+    rep_norm: tuple  # normalize_rows' (divisor, big)
+    obs: np.ndarray  # the observed rows of the batch
+    arms: tuple  # each arm's rows among the observed ones, t = 0 first
+    heads: list  # (cache, output gradient) per arm's outcome head
+    mmd_grad: np.ndarray | None  # of the arms' representations, stacked
+    k_t: tuple | None  # (cache, logit gradient) of each discriminator
+    k_r: tuple | None
 
 
 def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Generator,
@@ -189,17 +231,15 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
 
     A discriminator (present only when its weight is positive) descends on
     its cross-entropy while the representation ascends on it through a
-    gradient-reversal node. L2 is weight decay on the heads' weights: its
-    value enters the tape as a constant, and after `backward` each head
-    weight's gradient gets l2_lambda*w added twice, in the order the tape
-    adds the two operands of w*w, so the bits are those of the penalty built
-    on the tape. The update is one Adam step on `model.flat`, which holds
-    every parameter of the model. Returns the pre-update value of every term
-    built, each unscaled."""
+    gradient reversal. L2 is weight decay on the heads' weights. The update
+    is one Adam step on `model.flat`, which holds every parameter of the
+    model. Returns the pre-update value of every term built, each unscaled."""
     cfg = model.config
     if mmd_weight and mmd_bandwidth is None:
         raise ValueError("mmd_weight given without a bandwidth")
-    rep = _rep_forward(model, batch.x, train_mode=True, rng=rng)
+    encoder = []
+    rep, divisor, big = normalize_rows(
+        _stack_forward(model.phi, batch.x, cfg.dropout_rate, rng, encoder))
 
     w, _, n_o = compute_weights(batch.t, batch.r)
     obs = np.flatnonzero(batch.r == 1)
@@ -207,57 +247,97 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     y_obs = batch.y[obs]
     if batch.row_weights is not None:
         w = w * np.asarray(batch.row_weights, dtype=np.float64)[obs]
-    rep_obs = gather_rows(rep, obs)
+    rep_obs = rep[obs]
     arms = (np.flatnonzero(t_obs == 0.0), np.flatnonzero(t_obs == 1.0))
-    arm_reps = [gather_rows(rep_obs, arm) for arm in arms]
-    terms = []
+    arm_reps = [rep_obs[arm] for arm in arms]
+    terms, heads = [], []
     for arm, arm_rep, layers in zip(arms, arm_reps, (model.h0, model.h1)):
-        pred = _head_forward(layers, arm_rep, cfg.dropout_rate, rng)
-        diff = add(pred, -y_obs[arm][:, None])
-        terms.append(asum(mul(mul(diff, diff), w[arm][:, None])))
-    outcome = mul(add(terms[0], terms[1]), 1.0 / n_o)
-    record = {"iteration": iteration, "outcome": float(outcome.value)}
+        cache = []
+        diff = _head_forward(layers, arm_rep, cfg.dropout_rate, rng, cache) - y_obs[arm][:, None]
+        row_w = w[arm][:, None]
+        terms.append((diff * diff * row_w).sum())
+        # d/d diff of sum(w diff^2) / n_o, as the product rule's two equal halves
+        half = (1.0 / n_o) * row_w * diff
+        heads.append((cache, half + half))
+    outcome = (terms[0] + terms[1]) * (1.0 / n_o)
+    record = {"iteration": iteration, "outcome": float(outcome)}
 
     total = outcome
     if cfg.l2_lambda > 0:
-        l2 = sum(np.sum(head_w.value * head_w.value) for head_w in model.hypothesis_weights())
-        total = add(total, l2 * cfg.l2_lambda)
+        l2 = sum(np.sum(layer.weights * layer.weights) for layer in model.h0 + model.h1)
+        total = total + l2 * cfg.l2_lambda
         record["l2"] = float(l2)
-    if cfg.alpha > 0 or cfg.beta > 0:
-        adv = grad_reverse(rep)
+    k_t = k_r = mmd_grad = None
     if cfg.alpha > 0:
-        logit_t = dense_forward(model.k_t, gather_rows(adv, obs))
-        treatment = bce_loss(logit_t, t_obs[:, None])
-        total = add(total, mul(treatment, cfg.alpha))
-        record["treatment_bce"] = float(treatment.value)
+        cache = [(model.k_t, rep_obs, None, None)]
+        treatment, logit_grad = binary_cross_entropy(
+            dense_forward(model.k_t, rep_obs), t_obs[:, None], cfg.alpha)
+        k_t = (cache, logit_grad)
+        total = total + treatment * cfg.alpha
+        record["treatment_bce"] = float(treatment)
     if cfg.beta > 0:
-        logit_r = dense_forward(model.k_r, adv)
-        missingness = bce_loss(logit_r, batch.r.astype(np.float64)[:, None])
-        total = add(total, mul(missingness, cfg.beta))
-        record["missingness_bce"] = float(missingness.value)
+        cache = [(model.k_r, rep, None, None)]
+        missingness, logit_grad = binary_cross_entropy(
+            dense_forward(model.k_r, rep), batch.r.astype(np.float64)[:, None], cfg.beta)
+        k_r = (cache, logit_grad)
+        total = total + missingness * cfg.beta
+        record["missingness_bce"] = float(missingness)
     if mmd_weight:
-        mmd = mmd2_rbf(*arm_reps, mmd_bandwidth)
-        total = add(total, mul(mmd, mmd_weight))
-        record["mmd2"] = float(mmd.value)
-    record["total"] = float(total.value)
+        mmd, mmd_grad = mmd2_rbf(*arm_reps, mmd_bandwidth, mmd_weight)
+        total = total + mmd * mmd_weight
+        record["mmd2"] = float(mmd)
+    record["total"] = float(total)
 
     if not np.isfinite(record["total"]):
         raise TrainingDivergedError(iteration)
 
-    params = model.parameters()
-    for tensor in params.values():
-        tensor.grad = None  # never apply a gradient left by an earlier graph
-    backward(total)
-    missing = [name for name, tensor in params.items() if tensor.grad is None]
-    if missing:
-        raise RuntimeError(f"the objective does not reach trained parameter(s) {missing}")
-    if cfg.l2_lambda > 0:
-        for head_w in model.hypothesis_weights():
-            decay = cfg.l2_lambda * head_w.value
-            head_w.grad = (head_w.grad + decay) + decay
-    np.concatenate([tensor.grad.ravel() for tensor in params.values()], out=model.grad)
+    backward(StepCache(encoder, rep, (divisor, big), obs, arms, heads, mmd_grad, k_t, k_r),
+             model)
     adam_step(model.flat, model.grad, model.adam, cfg.learning_rate)
     return record
+
+
+def backward(step: StepCache, model: MTRNetModel) -> None:
+    """Write the gradient of the step's objective into `model.grad`, every
+    slice of it, so nothing from an earlier step survives.
+
+    Each vector-Jacobian product keeps the arithmetic of reverse-mode
+    differentiation of the same graph (the L2 decay's (g + d) + d, the
+    squared error's c + c), and no array receives more than two gradient
+    contributions, whose sum does not depend on their order. So the bits
+    are those of differentiating the objective on a general tape."""
+    rep_obs_grad = np.empty((step.obs.size, step.rep.shape[1]))
+    stacked = 0
+    for arm, (cache, g) in zip(step.arms, step.heads):
+        g = _stack_backward(cache, g)
+        if step.mmd_grad is not None:
+            g = g + step.mmd_grad[stacked:stacked + arm.size]
+            stacked += arm.size
+        rep_obs_grad[arm] = g
+    lam = model.config.l2_lambda
+    if lam > 0:  # weight decay: lam * w added twice, as the two halves of w * w
+        for layer in model.h0 + model.h1:
+            decay = lam * layer.weights
+            layer.weights_grad += decay
+            layer.weights_grad += decay
+    # Scattering each arm's gradient into zeros and summing the two gives
+    # 0.0 + g on every observed row, which turns a -0.0 into +0.0. The arms
+    # partition the observed rows, so adding 0.0 in place is that sum.
+    rep_obs_grad += 0.0
+    rep_grad = np.zeros_like(step.rep)
+    rep_grad[step.obs] = rep_obs_grad
+
+    adversary_grad = None
+    if step.k_t is not None:
+        adversary_grad = np.zeros_like(step.rep)
+        adversary_grad[step.obs] = _stack_backward(*step.k_t)
+    if step.k_r is not None:
+        g = _stack_backward(*step.k_r)
+        adversary_grad = g if adversary_grad is None else adversary_grad + g
+    if adversary_grad is not None:  # the gradient reversal
+        rep_grad -= adversary_grad
+    _stack_backward(step.encoder, normalize_rows_backward(rep_grad, step.rep, *step.rep_norm),
+                    input_grad=False)
 
 
 def _sample_batch_indices(rng, data: Dataset, batch_size: int) -> np.ndarray:
@@ -277,7 +357,7 @@ def _median_bandwidth(model: MTRNetModel, batch: TrainingBatch) -> float:
     """Median pairwise distance between initial representations of the first
     batch's observed rows, from the squared distances the MMD kernel uses
     (clamped at 0 against rounding), in n x n memory."""
-    rep = _rep_forward(model, batch.x, train_mode=False, rng=None).value
+    rep = _rep_forward(model, batch.x)
     rep = rep[batch.r == 1]
     iu = np.triu_indices(rep.shape[0], k=1)
     dist = np.sqrt(np.maximum(pairwise_sq_dists(rep)[iu], 0.0))
@@ -344,10 +424,10 @@ def check_row_weights(weights, n: int) -> np.ndarray:
 def predict_outcomes(model: MTRNetModel, x):
     """(f0(x), f1(x)) in evaluation mode (no dropout)."""
     x = check_input(x, model.input_dim)
-    rep = _rep_forward(model, x, train_mode=False, rng=None)
-    f0 = _head_forward(model.h0, rep, 0.0, None)
-    f1 = _head_forward(model.h1, rep, 0.0, None)
-    return f0.value[:, 0], f1.value[:, 0]
+    rep = _rep_forward(model, x)
+    f0 = _head_forward(model.h0, rep, 0.0, None, [])
+    f1 = _head_forward(model.h1, rep, 0.0, None, [])
+    return f0[:, 0], f1[:, 0]
 
 
 def predict_cate(model: MTRNetModel, x) -> np.ndarray:

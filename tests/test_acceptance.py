@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from mtcate import cli
-from mtcate.autodiff import mmd2_rbf
 from mtcate.baselines import tarnet_train
 from mtcate.data import (
     Dataset, MissingnessSpec, OutcomeSpec, SyntheticDGPSpec, apply_missingness,
@@ -20,9 +19,10 @@ from mtcate.data import (
 )
 from mtcate.harness import ExperimentConfig, MethodSpec, run_experiment
 from mtcate.mtrnet import MTRNetConfig, compute_weights, train as mtrnet_train
+from mtcate.nn import mmd2_rbf
 from mtcate.theory import run_world_sweep
 from mtcate.trend import trend_config
-from conftest import max_rel_grad_error, random_network_loss
+from conftest import step_gradient_error
 
 
 def criterion(name: str, ok: bool, detail: str = ""):
@@ -35,11 +35,12 @@ def criterion(name: str, ok: bool, detail: str = ""):
 
 
 def test_gradient_correctness():
+    """The gradient every random training step hands to Adam against finite
+    differences of the step's objective (see conftest.step_gradient_error)."""
     started = time.perf_counter()
     worst = 0.0
     for seed in range(100):
-        loss_fn, tensors = random_network_loss(np.random.default_rng(seed))
-        worst = max(worst, max_rel_grad_error(loss_fn, tensors, step=1e-5))
+        worst = max(worst, step_gradient_error(np.random.default_rng(seed), step=1e-5))
     elapsed = time.perf_counter() - started
     criterion(
         "gradient-correctness",
@@ -165,9 +166,9 @@ def test_tarnet_equivalence():
                            alpha=0.0, beta=0.0)
         net_a, _ = mtrnet_train(data, cfg)
         net_b, _ = tarnet_train(data, np.ones(n), cfg)
-        for name, tensor in net_a.parameters().items():
+        for name, param in net_a.parameters().items():
             if name.startswith(("phi", "h0", "h1")):
-                ok &= np.array_equal(tensor.value, net_b.parameters()[name].value)
+                ok &= np.array_equal(param, net_b.parameters()[name])
     criterion("tarnet-equivalence", ok, "(10 seeds, bitwise phi/h trajectories)")
 
 
@@ -175,8 +176,8 @@ def test_mmd_estimator():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((200, 1))
     b = rng.standard_normal((200, 1)) + 10.0
-    self_value = float(mmd2_rbf(a, a, 1.0).value)
-    separated_value = float(mmd2_rbf(a, b, 1.0).value)
+    self_value = float(mmd2_rbf(a, a, 1.0, 1.0)[0])
+    separated_value = float(mmd2_rbf(a, b, 1.0, 1.0)[0])
     criterion("mmd-estimator", self_value <= 1e-12 and separated_value > 0.5,
               f"(self {self_value:.1e}, separated {separated_value:.3f})")
 

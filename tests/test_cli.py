@@ -235,6 +235,38 @@ def test_sweep_m_command_writes_failures_per_m(tmp_path):
     assert "n_runs" in (out / "m_0.5" / "aggregate.csv").read_text().splitlines()[0]
 
 
+def test_experiment_on_a_csv_that_already_misses_labels(tmp_path):
+    """Without a missingness block, an experiment keeps the CSV's own labels
+    and reports both domains."""
+    gen = write_json(tmp_path / "gen.json", {
+        "synthetic": dgp_dict(n=200, seed=4), "missingness": {"m": 0.3, "q": 0.6, "seed": 1},
+    })
+    csv_path = tmp_path / "data.csv"
+    assert cli.main(["generate", "--config", gen, "--out", str(csv_path)]) == 0
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"csv": str(csv_path)}, "methods": [{"name": "ols_del"}], "num_runs": 2,
+    })
+    out = tmp_path / "results"
+    assert cli.main(["experiment", "--config", config, "--out", str(out)]) == 0
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert len(results) == 2
+    for result in results:
+        report = result["report"]
+        assert report["counts"]["t_observed"] > 0 and report["counts"]["t_missing"] > 0
+        assert all(report["metrics"]["sqrt_pehe"][split] >= 0.0
+                   for split in ("t_observed", "t_missing"))
+
+
+def test_sweep_m_without_missingness_fails_by_name(tmp_path, capsys):
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict()}, "methods": [{"name": "ols_del"}], "num_runs": 1,
+    })
+    assert cli.main(["sweep-m", "--config", config, "--m", "0.5",
+                     "--out", str(tmp_path / "sweep")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError" and "missingness spec" in error["message"]
+
+
 def test_theory_check_rejects_zero_worlds(tmp_path, capsys):
     out = tmp_path / "theory"
     assert cli.main(["theory-check", "--worlds", "0", "--out", str(out)]) == 1

@@ -201,6 +201,19 @@ def test_run_experiment_ols_recovers_linear_truth():
     assert results[0].report.metrics["sqrt_pehe"]["overall"] < 0.05
 
 
+def test_masked_experiment_reports_pehe_nn_as_absent_on_the_missing_split():
+    """The t_missing split has no observed treatment, so no nearest-neighbour
+    surrogate: its pehe_nn is absent, and no run fails."""
+    cfg = replace(experiment_config([MethodSpec("ols_del", grid=({},))]),
+                  metrics=("sqrt_pehe", "pehe_nn"))
+    results, failures = run_experiment(cfg, log=None)
+    assert failures == [] and len(results) == 2
+    for res in results:
+        assert res.report.metrics["pehe_nn"]["t_missing"] is None
+        assert res.report.metrics["pehe_nn"]["t_observed"] >= 0.0
+        assert res.report.metrics["sqrt_pehe"]["t_missing"] >= 0.0
+
+
 def partial_failure_config():
     # m=0.5 leaves exactly 20 of the 40 rows observed, fewer than the 2 x 13
     # that OLS needs for d=12 in both arms, so ols_del fails in every run even

@@ -175,6 +175,18 @@ def test_domain_split_fully_observed_has_absent_missing_split():
     assert vals["overall"] == vals["t_observed"] == 0.0
 
 
+def test_domain_split_without_a_stratum_is_absent():
+    # treat everyone: the one randomized missing row is a control, so the
+    # t_missing split has no randomized treated row to value the policy by
+    data = Dataset(x=np.zeros((4, 1)), t=np.array([1.0, np.nan, 0.0, np.nan]),
+                   r=np.array([1, 0, 1, 0]), y=np.array([1.0, 2.0, 0.0, 0.0]),
+                   t_true=np.array([1.0, 0.0, 0.0, 1.0]), e=np.array([1, 1, 0, 0]))
+    vals = evaluate_predictions(data, np.ones(4), ["policy_risk"]).metrics["policy_risk"]
+    assert vals == {"overall": 0.0, "t_observed": 0.0, "t_missing": None}
+    with pytest.raises(StratumEmptyError):  # no row of the data has what it needs
+        evaluate_predictions(data, np.array([-1.0, 1.0, 1.0, 1.0]), ["policy_risk"])
+
+
 def test_domain_split_equal_errors_give_equal_values():
     data = toy_dataset([1, 0, 1, 0], [0.0, 0.0, 0.0, 0.0])
     report = evaluate_predictions(data, np.full(4, 2.0), ["pehe"])

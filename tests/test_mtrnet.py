@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtcate.autodiff import backward, bce_loss
 from mtcate.cli import load_fitted, model_payload
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, TrainingDivergedError
@@ -13,8 +12,8 @@ from mtcate.mtrnet import (
     predict_outcomes, train, training_step,
     _median_bandwidth, _rep_forward,
 )
-from mtcate.nn import AdamState, adam_step, dense_forward
-from mtcate.autodiff import gather_rows
+from mtcate import mtrnet
+from mtcate.nn import AdamState, adam_step, binary_cross_entropy, dense_backward, dense_forward
 
 
 def small_config(**kwargs):
@@ -48,7 +47,7 @@ def step(model, batch, **kwargs):
 
 
 def shape(layer):
-    return layer.weights.value.shape
+    return layer.weights.shape
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,7 @@ def test_init_model_deterministic_per_seed():
     a = init_model(small_config(seed=7), 5)
     b = init_model(small_config(seed=7), 5)
     for name in a.parameters():
-        assert np.array_equal(a.parameters()[name].value, b.parameters()[name].value)
+        assert np.array_equal(a.parameters()[name], b.parameters()[name])
 
 
 def test_init_model_one_unit_representation():
@@ -134,9 +133,9 @@ def test_compute_weights_sum_to_observed_count(n, seed):
 
 def set_constant_head(head, value):
     for layer in head:
-        layer.weights.value[:] = 0.0
-        layer.bias.value[:] = 0.0
-    head[-1].bias.value[:] = value
+        layer.weights[:] = 0.0
+        layer.bias[:] = 0.0
+    head[-1].bias[:] = value
 
 
 def test_step_record_zero_when_heads_match_targets():
@@ -154,8 +153,8 @@ def test_step_record_zero_when_heads_match_targets():
 
 def test_step_record_uninformative_observedness_head():
     model = init_model(small_config(), 3)
-    model.k_r.weights.value[:] = 0.0
-    model.k_r.bias.value[:] = 0.0
+    model.k_r.weights[:] = 0.0
+    model.k_r.bias[:] = 0.0
     batch = TrainingBatch(
         x=np.random.default_rng(0).standard_normal((4, 3)),
         t=np.array([1.0, 0.0, np.nan, np.nan]),
@@ -179,13 +178,20 @@ def test_step_record_single_arm_batch_rejected():
 # Training dynamics
 
 
-def test_stale_gradient_is_not_applied():
+def test_stale_gradient_is_not_applied(monkeypatch):
     data = toy_data(n=64, seed=2)
     cfg = small_config(alpha=0.0, beta=0.0)
     model, clean = init_model(cfg, data.d), init_model(cfg, data.d)
-    stale = model.phi[0].weights
-    stale.grad = np.ones_like(stale.value)  # left over from an earlier graph
+    model.grad[:] = np.nan  # whatever an earlier step left must be overwritten
+    applied = []
+
+    def checked_adam_step(param, grad, state, lr):
+        applied.append(np.isfinite(grad).all())
+        return adam_step(param, grad, state, lr)
+
+    monkeypatch.setattr(mtrnet, "adam_step", checked_adam_step)
     record = step(model, dataset_batch(data))
+    assert applied == [True]
     assert record == step(clean, dataset_batch(data))
     assert model.flat.tobytes() == clean.flat.tobytes()
     assert model.adam.step == 1
@@ -210,17 +216,16 @@ def test_discriminator_descends_with_frozen_representation():
     model = init_model(small_config(seed=3), data.d)
     obs = np.flatnonzero(data.r == 1)
     t_obs = data.t[obs][:, None]
-    state_w = AdamState.like(model.k_t.weights.value)
-    state_b = AdamState.like(model.k_t.bias.value)
+    state_w = AdamState.like(model.k_t.weights)
+    state_b = AdamState.like(model.k_t.bias)
     losses = []
     for _ in range(11):
-        rep = _rep_forward(model, data.x, train_mode=False, rng=None)
-        logits = dense_forward(model.k_t, gather_rows(rep, obs))
-        loss = bce_loss(logits, t_obs)
-        losses.append(float(loss.value))
-        backward(loss)
-        adam_step(model.k_t.weights.value, model.k_t.weights.grad, state_w, 1e-3)
-        adam_step(model.k_t.bias.value, model.k_t.bias.grad, state_b, 1e-3)
+        rep_obs = _rep_forward(model, data.x)[obs]
+        loss, logit_grad = binary_cross_entropy(dense_forward(model.k_t, rep_obs), t_obs, 1.0)
+        losses.append(float(loss))
+        dense_backward(model.k_t, rep_obs, logit_grad)
+        adam_step(model.k_t.weights, model.k_t.weights_grad, state_w, 1e-3)
+        adam_step(model.k_t.bias, model.k_t.bias_grad, state_b, 1e-3)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -231,10 +236,10 @@ def test_gradient_reversal_pushes_representation_to_increase_adversary_loss():
         batch = dataset_batch(data)
         cfg = small_config(seed=trial, alpha=0.0, beta=50.0, learning_rate=1e-4)
         model = init_model(cfg, data.d)
-        k_r_before = (model.k_r.weights.value.copy(), model.k_r.bias.value.copy())
+        k_r_before = (model.k_r.weights.copy(), model.k_r.bias.copy())
         before = step(model, batch)["missingness_bce"]
-        model.k_r.weights.value[:] = k_r_before[0]
-        model.k_r.bias.value[:] = k_r_before[1]
+        model.k_r.weights[:] = k_r_before[0]
+        model.k_r.bias[:] = k_r_before[1]
         after = step(model, batch)["missingness_bce"]
         ascents += after >= before
     assert ascents >= 40
@@ -243,8 +248,8 @@ def test_gradient_reversal_pushes_representation_to_increase_adversary_loss():
 def test_training_step_detects_divergence():
     data = toy_data(n=32, seed=0)
     model = init_model(small_config(), data.d)
-    model.h1[-1].weights.value[:] = 1e200
-    model.h1[-1].bias.value[:] = 1e200
+    model.h1[-1].weights[:] = 1e200
+    model.h1[-1].bias[:] = 1e200
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
         step(model, dataset_batch(data), iteration=17)
     assert err.value.iteration == 17
@@ -261,7 +266,7 @@ def test_train_zero_iterations_returns_initial_model():
     fresh = init_model(cfg, data.d)
     assert history == []
     for name in model.parameters():
-        assert np.array_equal(model.parameters()[name].value, fresh.parameters()[name].value)
+        assert np.array_equal(model.parameters()[name], fresh.parameters()[name])
 
 
 def test_train_history_length_and_fields():
@@ -275,7 +280,7 @@ def test_median_bandwidth_matches_difference_tensor_form():
     data = toy_data(n=60, d=5, seed=3)
     model = init_model(small_config(rep_layer_size=16), data.d)
     batch = dataset_batch(data)
-    rep = _rep_forward(model, batch.x, train_mode=False, rng=None).value[batch.r == 1]
+    rep = _rep_forward(model, batch.x)[batch.r == 1]
     diff = rep[:, None, :] - rep[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))[np.triu_indices(rep.shape[0], k=1)]
     assert _median_bandwidth(model, batch) == pytest.approx(np.median(dist), rel=1e-12)
@@ -288,7 +293,7 @@ def test_train_reproducible_per_seed():
     m2, h2 = train(data, cfg)
     assert h1 == h2
     for name in m1.parameters():
-        assert np.array_equal(m1.parameters()[name].value, m2.parameters()[name].value)
+        assert np.array_equal(m1.parameters()[name], m2.parameters()[name])
 
 
 def test_train_requires_both_arms():
@@ -306,8 +311,8 @@ def test_train_requires_both_arms():
 def test_predict_cate_zero_for_identical_heads():
     model = init_model(small_config(seed=11), 4)
     for l0, l1 in zip(model.h0, model.h1):
-        l1.weights.value = l0.weights.value.copy()
-        l1.bias.value = l0.bias.value.copy()
+        l1.weights[...] = l0.weights
+        l1.bias[...] = l0.bias
     x = np.random.default_rng(1).standard_normal((10, 4))
     assert np.array_equal(predict_cate(model, x), np.zeros(10))
 
@@ -339,16 +344,16 @@ def test_predict_zero_weight_heads_return_bias():
 def test_predict_hand_built_one_unit_model():
     cfg = small_config(rep_layer_size=1, hyp_layer_size=1, num_rep_layers=1, num_hyp_layers=1)
     model = init_model(cfg, 1)
-    model.phi[0].weights.value[:] = 2.0
-    model.phi[0].bias.value[:] = 0.5
-    model.h0[0].weights.value[:] = 1.0
-    model.h0[0].bias.value[:] = 0.0
-    model.h0[1].weights.value[:] = 3.0
-    model.h0[1].bias.value[:] = 1.0
-    model.h1[0].weights.value[:] = -1.0
-    model.h1[0].bias.value[:] = 0.5
-    model.h1[1].weights.value[:] = 2.0
-    model.h1[1].bias.value[:] = 0.0
+    model.phi[0].weights[:] = 2.0
+    model.phi[0].bias[:] = 0.5
+    model.h0[0].weights[:] = 1.0
+    model.h0[0].bias[:] = 0.0
+    model.h0[1].weights[:] = 3.0
+    model.h0[1].bias[:] = 1.0
+    model.h1[0].weights[:] = -1.0
+    model.h1[0].bias[:] = 0.5
+    model.h1[1].weights[:] = 2.0
+    model.h1[1].bias[:] = 0.0
 
     def elu1(v):
         return v if v > 0 else math.exp(v) - 1.0
@@ -381,7 +386,7 @@ def test_model_json_roundtrip_is_exact():
     x = np.random.default_rng(5).standard_normal((8, data.d))
     assert np.array_equal(predict_cate(model, x), predict_cate(clone, x))
     for name in model.parameters():
-        assert np.array_equal(model.parameters()[name].value, clone.parameters()[name].value)
+        assert np.array_equal(model.parameters()[name], clone.parameters()[name])
 
 
 def test_model_file_with_unweighted_discriminators_still_loads():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mtcate.autodiff import Tensor
 from mtcate.nn import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DenseLayer, adam_step, dense_forward,
     dropout_mask, init_dense,
@@ -9,22 +8,22 @@ from mtcate.nn import (
 
 
 def layer(w, b):
-    return DenseLayer(Tensor(np.asarray(w, float)), Tensor(np.asarray(b, float)))
+    return DenseLayer(np.asarray(w, float), np.asarray(b, float))
 
 
 def test_dense_forward_identity():
     out = dense_forward(layer(np.eye(2), [0.0, 0.0]), np.array([[1.0, 2.0]]))
-    assert np.array_equal(out.value, [[1.0, 2.0]])
+    assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_dense_forward_hand_example():
     out = dense_forward(layer([[1.0, 1.0]], [0.5]), np.array([[2.0, 3.0]]))
-    assert np.array_equal(out.value, [[5.5]])
+    assert np.array_equal(out, [[5.5]])
 
 
 def test_dense_forward_zero_weights_returns_bias():
     out = dense_forward(layer(np.zeros((2, 3)), [1.5, -2.0]), np.random.default_rng(0).standard_normal((4, 3)))
-    assert np.array_equal(out.value, np.tile([1.5, -2.0], (4, 1)))
+    assert np.array_equal(out, np.tile([1.5, -2.0], (4, 1)))
 
 
 def test_dense_forward_dimension_mismatch():
@@ -57,8 +56,8 @@ def test_init_dense_bounds_and_zero_bias():
     rng = np.random.default_rng(5)
     l = init_dense(rng, 30, 20)
     bound = np.sqrt(6.0 / 50.0)
-    assert np.all(np.abs(l.weights.value) <= bound)
-    assert np.array_equal(l.bias.value, np.zeros(30))
+    assert np.all(np.abs(l.weights) <= bound)
+    assert np.array_equal(l.bias, np.zeros(30))
 
 
 def test_adam_zero_gradient_keeps_params_steps_counter():

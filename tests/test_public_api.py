@@ -1,5 +1,6 @@
 """Every public module-level function and class of the package has a caller
-in the package itself: none survives only because its own test calls it."""
+in the package itself: none survives only because its own test calls it.
+And every name a module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -39,11 +40,37 @@ def references(tree, module):
     return refs
 
 
+def parse_package():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+
+
 def test_every_public_definition_is_used_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
-    assert {"autodiff", "mtrnet", "nn", "trend"} <= set(trees)
+    trees = parse_package()
+    assert {"mtrnet", "nn", "trend"} <= set(trees)
     used = set().union(*(references(tree, module) for module, tree in trees.items()))
     unused = sorted(f"{module}.{name}" for module, tree in trees.items()
                     for name in public_definitions(tree)
                     if (module, name) not in used | USED_OUTSIDE)
+    assert unused == []
+
+
+def imported_names(tree):
+    """The names `tree`'s import statements bind (`import a.b` binds `a`),
+    except `from __future__` features."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_imported_name_is_used():
+    trees = parse_package()
+    assert {"mtrnet", "nn", "trend"} <= set(trees)
+    unused = sorted(f"{module}.{name}" for module, tree in trees.items()
+                    for name in imported_names(tree) - {
+                        node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)})
     assert unused == []
