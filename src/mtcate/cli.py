@@ -177,7 +177,10 @@ def cmd_experiment(args) -> int:
 
 def cmd_sweep_m(args) -> int:
     config = _experiment_config(args)
-    m_values = [float(v) for v in args.m.split(",")]
+    try:
+        m_values = [float(v) for v in args.m.split(",")]
+    except ValueError as exc:  # float's message quotes the bad entry
+        raise ValueError(f"--m {args.m!r}: {exc}") from None
     sweep = harness.sweep_m(config, m_values, jobs=args.jobs)
     harness.write_sweep(args.out, sweep, dataset_label=_dataset_label(config))
     print(f"wrote sweep over m={m_values} to {args.out}")

@@ -1,11 +1,13 @@
 """Exception types and the config codec shared across the package: the key
-check and the `Spec` base class every JSON config dataclass loads through.
+and count checks and the `Spec` base class every JSON config dataclass loads
+through.
 
 An error whose __init__ formats its message from arguments pickles by those
 arguments (`__reduce__`), so one raised in a pool worker reaches the parent
 with the same message and attributes as one raised inline."""
 
 from dataclasses import MISSING, fields
+from numbers import Integral
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -19,6 +21,15 @@ def check_keys(keys, allowed, where: str, required=()) -> None:
     missing = [k for k in required if k not in keys]
     if missing:
         raise ValueError(f"missing {where} key(s) {missing}")
+
+
+def check_count(name: str, value, least: int) -> int:
+    """`value` as an int >= `least`, or a ValueError naming `name` (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def decode(value, tp, where: str):

@@ -8,10 +8,10 @@ Selection runs only when there is a choice. A method with a one-point grid
 train+val, with no cross-validation; so that point cannot fail on the train
 split alone.
 
-The unit of work is one fit. `run_experiment` runs a list of tasks, one per
-grid point of every multi-point (run, method) pair (fit on train, score on
-val), chooses each pair's point with `cross_validate`, then a list of one
-task per pair (refit on train+val, evaluate on test). A task returns its
+The unit of work is one fit. `run_experiment` queues a task per grid point
+of every multi-point (run, method) pair (fit on train, score on val) and,
+once a pair's points have returned, picks its point with `cross_validate`
+and queues its refit (on train+val, evaluated on test). A task returns its
 value or error and rebuilds its run's data from the config and seeds, so it
 runs inline (`jobs=1`) or on a process pool (`jobs>1`) to the same bytes."""
 
@@ -23,9 +23,8 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -34,7 +33,9 @@ import numpy as np
 
 from . import baselines, data as datamod, metrics as metricsmod, mtrnet
 from .data import DataSpec, Dataset, MissingnessSpec, SyntheticDGPSpec
-from .errors import AllFailedError, ExperimentFailedError, Spec, check_keys, decode, encode
+from .errors import (
+    AllFailedError, ExperimentFailedError, Spec, check_count, check_keys, decode, encode,
+)
 from .metrics import EvalReport
 from .mtrnet import MTRNetConfig
 
@@ -124,10 +125,17 @@ class MethodSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "name", canonical_method(self.name))
-        points = self.grid if isinstance(self.grid, (list, tuple)) else [self.grid]
+        where = f"{self.name} grid"
+        if isinstance(self.grid, dict):
+            bad = sorted(k for k, v in self.grid.items() if not (isinstance(v, list) and v))
+            if bad:
+                raise ValueError(f"{where} key(s) {bad} must map to a non-empty list")
+            points = [self.grid]
+        else:
+            points = decode(self.grid, tuple[dict, ...], where)
         if not points:
-            raise ValueError(f"{self.name} grid has no points")
-        check_keys([k for point in points for k in point], _GRID_KEYS, f"{self.name} grid")
+            raise ValueError(f"{where} has no points")
+        check_keys([k for point in points for k in point], _GRID_KEYS, where)
 
     @property
     def label(self) -> str:
@@ -142,28 +150,25 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict, preset: str = "desk") -> "MethodSpec":
-        """Checks the grid's shape and decodes every value in it against the
-        base config, one value at a time, so a value takes its field's type
-        (an int alpha becomes a float): a mapping grid is never expanded here."""
+        """Decodes every value of the grid (whose shape the constructor
+        checks) against the base config, one value at a time, so a value
+        takes its field's type (an int alpha becomes a float): a mapping grid
+        is never expanded here."""
         check_keys(d, ("name", "grid", "config"), "method", required=("name",))
         name = canonical_method(decode(d["name"], str, "method.name"))
         base = MTRNetConfig.from_dict(d.get("config", {}), f"{name} config")
         grid = d.get("grid")
-        if grid is None:
-            grid = PRESETS[preset][METHODS[name].estimator]
+        spec = cls(name=name, base_config=base,
+                   grid=PRESETS[preset][METHODS[name].estimator] if grid is None else grid)
 
         def typed(point: dict) -> dict:
             config = MTRNetConfig.from_dict({**base.to_dict(), **point}, f"{name} grid")
             return {k: getattr(config, k) for k in point}
 
-        if isinstance(grid, dict):
-            bad = sorted(k for k, v in grid.items() if not (isinstance(v, list) and v))
-            if bad:
-                raise ValueError(f"{name} grid key(s) {bad} must map to a non-empty list")
-            grid = {k: [typed({k: v})[k] for v in vs] for k, vs in grid.items()}
-        else:
-            grid = tuple(typed(p) for p in decode(grid, tuple[dict, ...], f"{name} grid"))
-        return cls(name=name, grid=grid, base_config=base)
+        if isinstance(spec.grid, dict):
+            return replace(spec, grid={k: [typed({k: v})[k] for v in vs]
+                                       for k, vs in spec.grid.items()})
+        return replace(spec, grid=tuple(typed(p) for p in spec.grid))
 
 
 @dataclass(frozen=True)
@@ -321,8 +326,8 @@ def _run_splits(config: ExperimentConfig, run_index: int, method: MethodSpec,
 
 def _score_task(config: ExperimentConfig, run_index: int, method: MethodSpec,
                 base: Dataset | None, point: dict) -> float:
-    """Phase 1: one grid point of a multi-point pair, fitted on train and
-    scored on val."""
+    """One grid point of a multi-point pair, fitted on train and scored on
+    val."""
     train, val, _, seed = _run_splits(config, run_index, method, base)
     model = fit_method(method.name, replace(method.base_config, **point, seed=seed), train)
     return float(selection_score(model, val, default_selection_metric(train)))
@@ -330,7 +335,7 @@ def _score_task(config: ExperimentConfig, run_index: int, method: MethodSpec,
 
 def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
                  base: Dataset | None, point: dict) -> RunResult:
-    """Phase 2: the chosen point fitted on train+val and evaluated on test."""
+    """A pair's chosen point fitted on train+val and evaluated on test."""
     train, val, test, seed = _run_splits(config, run_index, method, base)
     final_config = replace(method.base_config, **point, seed=seed)
     model = fit_method(method.name, final_config, datamod.concat(train, val))
@@ -366,68 +371,58 @@ def _job(task):
     return _run_task(task)
 
 
-def _run_tasks(pool, tasks) -> list:
-    """Each task's value or error, in task order: inline without a pool, on
-    it otherwise. A dead worker's BrokenProcessPool is the error of every
-    task that had not returned."""
-    if pool is None:
-        return [_run_task(task) for task in tasks]
-    outcomes = []
+def _outcome(task):
+    """A task's value or error: a pool future's result, or what ran inline.
+    A dead worker's BrokenProcessPool is the error of the task."""
     try:
-        outcomes.extend(pool.map(_job, tasks))
+        return task.result() if isinstance(task, Future) else task
     except BrokenProcessPool as exc:
-        outcomes += [exc] * (len(tasks) - len(outcomes))
-    return outcomes
+        return exc
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
-    """All (run, method) pairs, in two phases of tasks run on `jobs` worker
-    processes when jobs > 1 and inline otherwise. Phase 1 fits and scores
-    every point of every multi-point grid; cross_validate picks each pair's
-    point; after all of phase 1, phase 2 refits each choice on train+val and
-    evaluates it (a one-point pair is only this). Per-pair failures (a dead
-    worker's BrokenProcessPool included) are recorded in pair order, and the
-    experiment only aborts once at least half of the pairs have failed."""
+    """All (run, method) pairs as one pipeline of tasks, on `jobs` worker
+    processes when jobs > 1 and inline otherwise: every point of every
+    multi-point grid is queued up front, in pair order; once a pair's own
+    points have returned, cross_validate picks its point, and the refit on
+    train+val with its test evaluation (all a one-point pair runs) queues
+    behind the points still pending. Failures (a dead worker's BrokenProcessPool
+    included) are recorded in pair order; the experiment aborts once at least
+    half of the pairs have failed."""
     config.validate()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = check_count("jobs", jobs, 1)
     started = time.perf_counter()
     base = datamod.load_csv(config.csv_path) if config.csv_path else None
     pairs = [(config, run, method, base)
              for run in range(config.num_runs) for method in config.methods]
     grids = [method.grid_points() for method in config.methods] * config.num_runs
 
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        # phase 1: every point of a multi-point pair; a one-point pair has
-        # nothing to choose and goes straight to phase 2
-        scored = iter(_run_tasks(pool, [(_score_task, *pair, point)
-                                        for pair, points in zip(pairs, grids)
-                                        if len(points) > 1 for point in points]))
-        choices = []  # each pair's point, or the error that left it none
-        for points in grids:
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    submit = _run_task if pool is None else lambda task: pool.submit(_job, task)
+    try:
+        scored = [[submit((_score_task, *pair, point)) for point in points]
+                  if len(points) > 1 else [] for pair, points in zip(pairs, grids)]
+        refits = []
+        for pair, points, pending in zip(pairs, grids, scored):
             try:
-                choices.append(points[0] if len(points) == 1 else cross_validate(
-                    points, list(itertools.islice(scored, len(points))))[0])
-            except (ValueError, RuntimeError) as exc:  # AllFailedError
-                choices.append(exc)
-        # phase 2: one refit per pair whose choice succeeded
-        refits = iter(_run_tasks(pool, [(_execute_run, *pair, choice)
-                                        for pair, choice in zip(pairs, choices)
-                                        if not isinstance(choice, Exception)]))
+                point = points[0] if len(points) == 1 else cross_validate(
+                    points, [_outcome(task) for task in pending])[0]
+                refits.append(submit((_execute_run, *pair, point)))
+            except (ValueError, RuntimeError) as exc:  # AllFailedError, or a broken pool
+                refits.append(exc)
+        outcomes = [_outcome(task) for task in refits]
+    finally:  # an escaping error leaves no queued task to wait for
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    results: list[RunResult] = []
-    failures: list[dict] = []
-    for (_, run, method, _), choice in zip(pairs, choices):
-        outcome = choice if isinstance(choice, Exception) else next(refits)
-        if isinstance(outcome, Exception):
-            failures.append({"method": method.name, "run_index": run, "error": str(outcome)})
-        else:
-            results.append(outcome)
+    failures = [{"method": method.name, "run_index": run, "error": str(outcome)}
+                for (_, run, method, _), outcome in zip(pairs, outcomes)
+                if isinstance(outcome, Exception)]
     if failures and len(failures) * 2 >= len(pairs):
-        raise ExperimentFailedError(
-            f"{len(failures)} of {len(pairs)} runs failed; first: {failures[0]}"
-        )
-    results.sort(key=lambda r: (r.run_index, r.method))
+        raise ExperimentFailedError(f"{len(failures)} of {len(pairs)} runs failed; "
+                                    f"first: {failures[0]}")
+    results = sorted((outcome for outcome in outcomes if not isinstance(outcome, Exception)),
+                     key=lambda r: (r.run_index, r.method))
     if log is not None:
         print(f"[mtcate] {len(results)} runs ok, {len(failures)} failed "
               f"in {time.perf_counter() - started:.1f}s", file=log)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Spec
+from .errors import Spec, check_count
 
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
 MAX_POINTS = 5  # a random world has 2 to MAX_POINTS covariate points
@@ -340,22 +340,12 @@ def _normalized(g: np.ndarray) -> np.ndarray:
     return g * (1.0 / g.cumsum(axis=-1)[..., -1:])
 
 
-def _count(name: str, value, least: int) -> int:
-    """`value` as an int of at least `least`, or a ValueError naming `name`
-    (a bool is no count)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 def random_world(rng: np.random.Generator, k: int, n: int, max_support: int = 4) -> tuple:
     """`n` random worlds of `k` points as stacked `Worlds` fields (p_x, p_t1,
     p_r1, values, probs), each field drawn for all `n` at once: each outcome
     law holds 1 to `max_support` sorted values, zero-padded to `max_support`."""
-    k, n = _count("k", k, 2), _count("n", n, 1)
-    max_support = _count("max_support", max_support, 1)
+    k, n = check_count("k", k, 2), check_count("n", n, 1)
+    max_support = check_count("max_support", max_support, 1)
     p_x = _normalized(rng.standard_exponential((n, k)))
     p_t1, p_r1 = rng.uniform(0.05, 0.95, size=(2, n, k))
     sizes = rng.integers(1, max_support + 1, size=(n, 2, k, 1))
@@ -371,7 +361,7 @@ def random_world(rng: np.random.Generator, k: int, n: int, max_support: int = 4)
 
 def random_model(rng: np.random.Generator, k: int, n: int) -> tuple:
     """`n` random models' stacked `TabularModel` fields (h0, h1) over `k` points."""
-    n, k = _count("n", n, 1), _count("k", k, 1)
+    n, k = check_count("n", n, 1), check_count("k", k, 1)
     return tuple(rng.uniform(-VALUE_SCALE, VALUE_SCALE, size=(2, n, k)))
 
 
@@ -419,8 +409,8 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
       strided column rounds differently from one over a contiguous copy.
     The largest residual, the smallest slack and the violation counts fold
     across stacks in any order, so the summary is the per-world one."""
-    num_worlds = _count("num_worlds", num_worlds, 1)
-    seed = _count("seed", seed, 0)
+    num_worlds = check_count("num_worlds", num_worlds, 1)
+    seed = check_count("seed", seed, 0)
     max_res, min_slack = 0.0, float("inf")
     res_viol = slack_viol = 0
     for block, start in enumerate(range(0, num_worlds, WORLD_BLOCK)):

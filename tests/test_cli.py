@@ -286,6 +286,19 @@ def cli_error(capsys, argv):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
 
+def test_sweep_m_names_a_bad_m_entry(tmp_path, capsys):
+    config = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict()}, "missingness": {"m": 0.5, "q": 0.6},
+        "methods": [{"name": "ols_del"}], "num_runs": 1,
+    })
+    out = tmp_path / "sweep"
+    error = cli_error(capsys, ["sweep-m", "--config", config, "--m", "0.3,,0.5",
+                               "--out", str(out)])
+    assert error["type"] == "ValueError"
+    assert "--m '0.3,,0.5'" in error["message"] and "''" in error["message"]
+    assert not out.exists()
+
+
 def test_generate_masks_a_fully_observed_csv(tmp_path, capsys):
     full = tmp_path / "full.csv"
     config = write_json(tmp_path / "gen.json", {"synthetic": dgp_dict(n=90)})

@@ -172,6 +172,16 @@ def test_grid_shape_and_values_fail_at_load(grid, named):
         MethodSpec.from_dict({"name": "mtrnet", "grid": grid})
 
 
+@pytest.mark.parametrize("grid, named", [
+    ({"learning_rate": []}, "['learning_rate']"),
+    ({"learning_rate": 0.1}, "['learning_rate']"),
+    ([0.01], "grid[0]"),
+])
+def test_grid_shape_fails_when_a_method_spec_is_built_directly(grid, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MethodSpec("tarnet_del", grid=grid)
+
+
 def test_paper_preset_loads_without_expanding_its_grids(monkeypatch):
     def no_expansion(grid):
         raise AssertionError("grid expanded at load")

@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import re
+import time
 import uuid
 from dataclasses import replace
 from pathlib import Path
@@ -246,7 +247,7 @@ def test_pooled_failures_match_serial():
     assert [r.to_dict() for r in par] == [r.to_dict() for r in seq]
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2"])
 def test_run_experiment_and_sweep_reject_nonpositive_jobs(monkeypatch, jobs):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_method called")
@@ -264,7 +265,7 @@ def _die_in_worker(task):
 
 
 @pytest.mark.parametrize("method", [
-    MethodSpec("ols_del"),  # dies in phase 2, the pair's only task
+    MethodSpec("ols_del"),  # dies in its refit, the pair's only task
     MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}), base_config=tiny_net_config()),
 ], ids=["one_point", "two_point"])
 def test_dead_worker_fails_the_experiment_by_name(monkeypatch, method):
@@ -331,6 +332,34 @@ def test_pool_runs_one_job_per_grid_point_plus_one_per_pair(tmp_path, monkeypatc
     assert len(jobs) == 2 * (2 + 1) + 2 * (3 + 1) + 2 * 1
     serial, _ = run_experiment(cfg, jobs=1, log=None)
     assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+
+
+def _flagging_job(task):
+    """harness._job where run 0's refit touches a flag file as it starts, and
+    run 1's last grid point waits up to 20 s for that flag, then records
+    whether it appeared."""
+    step, _, run, _, _, point = task
+    flags = Path(os.environ["JOB_LOG_DIR"])
+    if step.__name__ == "_execute_run" and run == 0:
+        (flags / "refit0").touch()
+    elif step.__name__ == "_score_task" and run == 1 and point == {"learning_rate": 3e-3}:
+        deadline = time.monotonic() + 20.0
+        while not (flags / "refit0").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (flags / ("seen" if (flags / "refit0").exists() else "missed")).touch()
+    return harness._run_task(task)
+
+
+def test_a_pairs_refit_does_not_wait_for_later_pairs_points(tmp_path, monkeypatch):
+    method = MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}),
+                        base_config=tiny_net_config())
+    cfg = experiment_config([method], num_runs=2)
+    monkeypatch.setenv("JOB_LOG_DIR", str(tmp_path))
+    monkeypatch.setattr(harness, "_job", _flagging_job)
+    results, failures = run_experiment(cfg, jobs=2, log=None)
+    assert failures == [] and len(results) == 2
+    # run 0's refit started while run 1's last point was still running
+    assert (tmp_path / "seen").exists()
 
 
 @pytest.mark.parametrize("exc", [
