@@ -99,12 +99,9 @@ def fit_treatment_classifier(data: Dataset) -> ObservednessModel:
 
 
 def _as_complete(data: Dataset, t: np.ndarray) -> Dataset:
-    # A strategy output is treated as fully observed; the hidden assignment
-    # is dropped because imputation may disagree with it.
-    return Dataset(
-        x=data.x, t=t, r=np.ones(data.n, dtype=np.int64), y=data.y,
-        y0=data.y0, y1=data.y1, tau=data.tau, e=data.e,
-    )
+    # `t` has no NaN, so the output is fully observed (its `r` is all 1);
+    # the hidden assignment is dropped because imputation may disagree with it.
+    return replace(data, t=t, t_true=None)
 
 
 def apply_strategy(data: Dataset, strategy: str):
@@ -112,7 +109,8 @@ def apply_strategy(data: Dataset, strategy: str):
 
     delete: keep r=1 rows, unit weights. impute: fill missing t by
     thresholding p(T=1|x) at 0.5 (ties treat), unit weights. reweight: keep
-    r=1 rows weighted by 1 / clamp(p(R=1|x)). All three are deterministic."""
+    r=1 rows weighted by 1 / clamp(p(R=1|x)). All three are deterministic,
+    and each output's t has no NaN, so its derived r is 1 on every row."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if data.n_observed() == 0:

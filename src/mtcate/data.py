@@ -2,49 +2,55 @@
 missingness mechanism, splitting and CSV (de)serialization.
 
 Conventions: `t` is a float vector with NaN where the treatment label is
-missing; `r` is the 0/1 observedness indicator; `t_true` (when present)
-keeps the pre-masking assignment for evaluation only and is never shown
-to estimators.
+missing, the only stored record of which labels are missing; `r` is the
+0/1 observedness indicator, derived from `t` (1 where `t` is not NaN);
+`t_true` (when present) keeps the pre-masking assignment for evaluation
+only and is never shown to estimators.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .nn import expit
-from .errors import CsvParseError, Spec, TooFewRowsError
+from .errors import CsvParseError, Spec, TooFewRowsError, check_count
 
 OPTIONAL_COLUMNS = ("y0", "y1", "tau", "e", "t_true")
+COLUMNS = ("x", "t", "y", *OPTIONAL_COLUMNS)  # every stored column of a Dataset
+BINARY_COLUMNS = ("e", "t_true")  # optional columns holding 0/1
 SPLIT_FRACTIONS = (0.70, 0.20, 0.10)  # train, validation, test
+
+
+def observedness(t) -> np.ndarray:
+    """The 0/1 int64 indicator of the rows whose treatment `t` is not NaN."""
+    return (~np.isnan(t)).astype(np.int64)
 
 
 @dataclass
 class Dataset:
     x: np.ndarray  # (n, d) covariates
     t: np.ndarray  # (n,) treatment, NaN where missing
-    r: np.ndarray  # (n,) 0/1 observedness of t
     y: np.ndarray  # (n,) factual outcome
     y0: np.ndarray | None = None
     y1: np.ndarray | None = None
     tau: np.ndarray | None = None
     e: np.ndarray | None = None  # randomized-subset flag
     t_true: np.ndarray | None = None  # hidden ground-truth assignment
+    r: np.ndarray = field(init=False)  # (n,) 0/1 observedness of t
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.t = np.asarray(self.t, dtype=np.float64)
-        self.r = np.asarray(self.r)  # checked 0/1 before the cast, which would truncate
-        self.y = np.asarray(self.y, dtype=np.float64)
-        for name in OPTIONAL_COLUMNS:
-            v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, np.asarray(v, dtype=np.float64))
+        for name, v in self.columns().items():
+            setattr(self, name, np.asarray(v, dtype=np.float64))
+        self.r = observedness(self.t)
         self.validate()
-        self.r = self.r.astype(np.int64, copy=False)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The columns this dataset carries, by name, in `COLUMNS` order."""
+        return {name: getattr(self, name) for name in COLUMNS if getattr(self, name) is not None}
 
     @property
     def n(self) -> int:
@@ -58,40 +64,25 @@ class Dataset:
         n = self.n
         if self.x.ndim != 2:
             raise ValueError("x must be 2-d")
-        for name in ("t", "r", "y"):
-            if getattr(self, name).shape != (n,):
+        for name, v in self.columns().items():
+            if name != "x" and v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
-        if not np.all((self.r == 0) | (self.r == 1)):
-            raise ValueError("r must be 0/1")
         obs = self.r == 1
-        if np.any(np.isnan(self.t[obs])):
-            raise ValueError("t missing on a row with r=1")
-        if not np.all(np.isnan(self.t[~obs])):
-            raise ValueError("t present on a row with r=0")
         tv = self.t[obs]
         if not np.all((tv == 0.0) | (tv == 1.0)):
             raise ValueError("observed t must be 0/1")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
             raise ValueError("x and y must be finite")
-        for name in OPTIONAL_COLUMNS:
-            v = getattr(self, name)
-            if v is not None and v.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        for name in ("e", "t_true"):
+        for name in BINARY_COLUMNS:
             v = getattr(self, name)
             if v is not None and not np.all((v == 0.0) | (v == 1.0)):
                 raise ValueError(f"{name} must be 0/1")
-        if self.t_true is not None and np.any(self.t[obs] != self.t_true[obs]):
+        if self.t_true is not None and np.any(tv != self.t_true[obs]):
             raise ValueError("t and t_true disagree on observed rows")
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        kw = {
-            name: getattr(self, name)[idx]
-            for name in OPTIONAL_COLUMNS
-            if getattr(self, name) is not None
-        }
-        return Dataset(self.x[idx], self.t[idx], self.r[idx], self.y[idx], **kw)
+        return Dataset(**{name: v[idx] for name, v in self.columns().items()})
 
     def n_observed(self) -> int:
         return int(self.r.sum())
@@ -101,17 +92,11 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
     """Row-wise concatenation; optional fields must be present in both or neither."""
     if a.d != b.d:
         raise ValueError("column counts differ")
-    kw = {}
-    for name in OPTIONAL_COLUMNS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if (va is None) != (vb is None):
-            raise ValueError(f"field {name} present in only one dataset")
-        if va is not None:
-            kw[name] = np.concatenate([va, vb])
-    return Dataset(
-        np.concatenate([a.x, b.x]), np.concatenate([a.t, b.t]),
-        np.concatenate([a.r, b.r]), np.concatenate([a.y, b.y]), **kw,
-    )
+    ca, cb = a.columns(), b.columns()
+    one_sided = [name for name in COLUMNS if (name in ca) != (name in cb)]
+    if one_sided:
+        raise ValueError(f"field(s) {one_sided} present in only one dataset")
+    return Dataset(**{name: np.concatenate([v, cb[name]]) for name, v in ca.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +143,8 @@ class SyntheticDGPSpec(Spec):
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
+        check_count("n", self.n, 1)
+        check_count("d", self.d, 1)
         numbers = {"propensity": self.propensity, "noise_sd": (self.noise_sd,),
                    "mixing": sum(self.mixing or (), ())}
         numbers.update({f"{name}.{key}": value if isinstance(value, tuple) else (value,)
@@ -170,8 +155,7 @@ class SyntheticDGPSpec(Spec):
             raise ValueError(f"{nonfinite} must be finite")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
         vectors = {"propensity": self.propensity}
         for name in ("outcome0", "outcome1"):
             outcome = getattr(self, name)
@@ -209,10 +193,7 @@ def generate(spec: SyntheticDGPSpec) -> Dataset:
     y1 = mu1 + spec.noise_sd * rng.standard_normal(spec.n)
     y = np.where(t == 1.0, y1, y0)
     e = np.ones(spec.n) if spec.rct else np.zeros(spec.n)
-    return Dataset(
-        x=x, t=t, r=np.ones(spec.n, dtype=np.int64), y=y,
-        y0=y0, y1=y1, tau=mu1 - mu0, e=e, t_true=t.copy(),
-    )
+    return Dataset(x=x, t=t, y=y, y0=y0, y1=y1, tau=mu1 - mu0, e=e, t_true=t.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +211,7 @@ class MissingnessSpec(Spec):
             raise ValueError(f"m must be in (0,1), got {self.m}")
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must be in (0,1), got {self.q}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
 
 
 def missingness_probabilities(x: np.ndarray, column_means: np.ndarray, q: float) -> np.ndarray:
@@ -274,10 +254,7 @@ def apply_missingness(data: Dataset, spec: MissingnessSpec) -> Dataset:
     t_true = data.t.copy()
     t_public = data.t.copy()
     t_public[r == 0] = np.nan
-    return Dataset(
-        x=data.x, t=t_public, r=r, y=data.y,
-        y0=data.y0, y1=data.y1, tau=data.tau, e=data.e, t_true=t_true,
-    )
+    return replace(data, t=t_public, t_true=t_true)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +304,7 @@ def save_csv(data: Dataset, path) -> None:
             row += [_format(v) for v in data.x[i]]
             for name in opt:
                 v = getattr(data, name)[i]
-                row.append(str(int(v)) if name in ("e", "t_true") else _format(v))
+                row.append(str(int(v)) if name in BINARY_COLUMNS else _format(v))
             writer.writerow(row)
 
 
@@ -349,6 +326,8 @@ def _parse_binary(cell: str, line: int, col: str) -> float:
 
 
 def load_csv(path) -> Dataset:
+    """Read what save_csv writes; every cell is checked on its own line,
+    including that the `r` column agrees with `t`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -373,7 +352,6 @@ def load_csv(path) -> Dataset:
     n = len(rows)
     x = np.empty((n, d))
     t = np.empty(n)
-    r = np.empty(n, dtype=np.int64)
     y = np.empty(n)
     extra = {name: np.empty(n) for name in opt}
     for i, row in enumerate(rows):
@@ -381,27 +359,24 @@ def load_csv(path) -> Dataset:
         if len(row) != len(header):
             raise CsvParseError(line, f"expected {len(header)} cells, got {len(row)}")
         y[i] = _parse_float(row[0], line, "y")
-        r[i] = int(_parse_binary(row[2], line, "r"))
+        observed = _parse_binary(row[2], line, "r") == 1.0
         if row[1] == "":
-            if r[i] == 1:
+            if observed:
                 raise CsvParseError(line, "t is empty but r=1")
             t[i] = np.nan
         else:
-            if r[i] == 0:
+            if not observed:
                 raise CsvParseError(line, "t is present but r=0")
             t[i] = _parse_binary(row[1], line, "t")
         for j in range(d):
             x[i, j] = _parse_float(row[3 + j], line, f"x{j + 1}")
         for k, name in enumerate(opt):
             cell = row[3 + d + k]
-            if name in ("e", "t_true"):
-                extra[name][i] = _parse_binary(cell, line, name)
-            else:
-                extra[name][i] = _parse_float(cell, line, name)
-    try:
-        return Dataset(x=x, t=t, r=r, y=y, **extra)
-    except ValueError as exc:
-        raise CsvParseError(1, f"inconsistent dataset: {exc}")
+            parse = _parse_binary if name in BINARY_COLUMNS else _parse_float
+            extra[name][i] = parse(cell, line, name)
+        if observed and "t_true" in extra and extra["t_true"][i] != t[i]:
+            raise CsvParseError(line, "t and t_true disagree on an observed row")
+    return Dataset(x=x, t=t, y=y, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,7 @@ class ExperimentConfig(Spec):
         self.data.validate()
         if not self.methods:
             raise ValueError("at least one method is required")
-        if self.num_runs < 1:
-            raise ValueError("num_runs must be >= 1")
+        check_count("num_runs", self.num_runs, 1)
         check_keys(self.metrics, metricsmod.METRICS, "metric")
 
     def to_dict(self) -> dict:

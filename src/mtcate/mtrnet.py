@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DegenerateArmError, Spec, TrainingDivergedError
+from .data import Dataset, observedness
+from .errors import DegenerateArmError, Spec, TrainingDivergedError, check_count
 from .nn import (
     AdamState, DenseLayer, adam_step, binary_cross_entropy, dense_backward, dense_forward,
     dropout_mask, elu, init_dense, mmd2_rbf, normalize_rows, normalize_rows_backward, pack,
@@ -55,16 +55,11 @@ class MTRNetConfig(Spec):
     seed: int = 0
 
     def validate(self) -> None:
-        counts = (
-            self.rep_layer_size, self.hyp_layer_size,
-            self.num_rep_layers, self.num_hyp_layers, self.batch_size,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError(f"layer sizes, layer counts and batch size must be >= 1: {self}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("rep_layer_size", "hyp_layer_size", "num_rep_layers", "num_hyp_layers",
+                     "batch_size"):
+            check_count(name, getattr(self, name), 1)
+        check_count("iterations", self.iterations, 0)
+        check_count("seed", self.seed, 0)
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -78,9 +73,12 @@ class MTRNetConfig(Spec):
 class TrainingBatch:
     x: np.ndarray
     t: np.ndarray  # NaN where missing
-    r: np.ndarray
     y: np.ndarray
     row_weights: np.ndarray | None = None
+    r: np.ndarray = field(init=False)  # 0/1 observedness of t
+
+    def __post_init__(self):
+        self.r = observedness(self.t)
 
 
 @dataclass
@@ -141,21 +139,18 @@ def init_model(config: MTRNetConfig, input_dim: int) -> MTRNetModel:
     return MTRNetModel(config, input_dim, phi, h0, h1, k_t, k_r)
 
 
-def compute_weights(t, r):
-    """Balancing weights t/(2u) + (1-t)/(2(1-u)) over observed rows.
+def compute_weights(t):
+    """Balancing weights t/(2u) + (1-t)/(2(1-u)) over the observed (non-NaN)
+    entries of t.
 
     Returns (w, u, n_o) with w aligned to the observed rows in batch order,
     u the observed treated fraction and n_o the observed-row count."""
     t = np.asarray(t, dtype=np.float64)
-    r = np.asarray(r)
-    if t.shape != r.shape:
-        raise ValueError(f"t and r shapes differ: {t.shape} vs {r.shape}")
-    obs = r == 1
-    n_o = int(obs.sum())
+    t_obs = t[~np.isnan(t)]
+    n_o = t_obs.size
     if n_o == 0:
         raise DegenerateArmError("no observed-treatment rows in batch")
-    t_obs = t[obs]
-    if np.any(np.isnan(t_obs)) or not np.all((t_obs == 0.0) | (t_obs == 1.0)):
+    if not np.all((t_obs == 0.0) | (t_obs == 1.0)):
         raise ValueError("observed t must be 0/1")
     u = float(t_obs.mean())
     if u == 0.0 or u == 1.0:
@@ -241,7 +236,7 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     rep, divisor, big = normalize_rows(
         _stack_forward(model.phi, batch.x, cfg.dropout_rate, rng, encoder))
 
-    w, _, n_o = compute_weights(batch.t, batch.r)
+    w, _, n_o = compute_weights(batch.t)
     obs = np.flatnonzero(batch.r == 1)
     t_obs = batch.t[obs]
     y_obs = batch.y[obs]
@@ -381,10 +376,8 @@ def train(data: Dataset, config: MTRNetConfig, *, row_weights=None,
     history = []
     for it in range(config.iterations):
         idx = _sample_batch_indices(batch_rng, data, config.batch_size)
-        batch = TrainingBatch(
-            data.x[idx], data.t[idx], data.r[idx], data.y[idx],
-            None if row_weights is None else row_weights[idx],
-        )
+        batch = TrainingBatch(data.x[idx], data.t[idx], data.y[idx],
+                              None if row_weights is None else row_weights[idx])
         if mmd_weight and bandwidth is None:
             bandwidth = _median_bandwidth(model, batch)
         record = training_step(

@@ -55,8 +55,8 @@ def random_step(rng):
     r = (rng.random(n) < 0.7).astype(np.int64)
     t[:2], r[:2] = (0.0, 1.0), 1  # both arms observed
     batch = mtrnet.TrainingBatch(
-        rng.standard_normal((n, d)), np.where(r == 1, t, np.nan), r,
-        rng.standard_normal(n), rng.uniform(0.5, 2.0, n) if on() else None)
+        rng.standard_normal((n, d)), np.where(r == 1, t, np.nan), rng.standard_normal(n),
+        rng.uniform(0.5, 2.0, n) if on() else None)
     mmd_weight = float(rng.uniform(0.5, 2.0)) if on() else None
     kwargs = {"mmd_weight": mmd_weight, "mmd_bandwidth": float(rng.uniform(0.5, 2.0))}
     return model, batch, kwargs

@@ -121,11 +121,11 @@ def test_missingness_generator():
 
 
 def test_balancing_weight_formula():
-    w, u, _ = compute_weights(np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4, dtype=int))
+    w, u, _ = compute_weights(np.array([1.0, 0.0, 1.0, 0.0]))
     hand1 = u == 0.5 and np.array_equal(w, np.ones(4))
-    w, u, _ = compute_weights(np.array([1.0, 1.0, 1.0, 0.0]), np.ones(4, dtype=int))
+    w, u, _ = compute_weights(np.array([1.0, 1.0, 1.0, 0.0]))
     hand2 = u == 0.75 and np.allclose(w, [1 / 1.5, 1 / 1.5, 1 / 1.5, 2.0], rtol=0, atol=1e-15)
-    w, u, n_o = compute_weights(np.array([1.0, 0.0, 1.0, np.nan]), np.array([1, 1, 1, 0]))
+    w, u, n_o = compute_weights(np.array([1.0, 0.0, 1.0, np.nan]))
     hand3 = n_o == 3 and abs(u - 2 / 3) < 1e-15 and np.allclose(w, [0.75, 1.5, 0.75], rtol=0, atol=1e-15)
 
     rng = np.random.default_rng(13)
@@ -139,7 +139,7 @@ def test_balancing_weight_formula():
         t_obs = t[r == 1]
         if t_obs.size == 0 or t_obs.min() == t_obs.max():
             continue
-        w, _, n_o = compute_weights(t, r)
+        w, _, n_o = compute_weights(t)
         sums_ok &= abs(w.sum() - n_o) <= 1e-9
         checked += 1
     criterion(
@@ -160,7 +160,7 @@ def test_tarnet_equivalence():
         t_pub = t.copy()
         t_pub[r == 0] = np.nan
         y = x[:, 0] + t
-        data = Dataset(x=x, t=t_pub, r=r, y=y)
+        data = Dataset(x=x, t=t_pub, y=y)
         cfg = MTRNetConfig(rep_layer_size=6, hyp_layer_size=6, iterations=6,
                            batch_size=24, dropout_rate=0.2, seed=seed,
                            alpha=0.0, beta=0.0)

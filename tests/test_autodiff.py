@@ -246,7 +246,7 @@ def tiny_step(**weights):
     rng = np.random.default_rng(0)
     batch = mtrnet.TrainingBatch(rng.standard_normal((6, 2)),
                                  np.array([0.0, 1.0, 0.0, 1.0, np.nan, np.nan]),
-                                 np.array([1, 1, 1, 1, 0, 0]), rng.standard_normal(6))
+                                 rng.standard_normal(6))
     return mtrnet.init_model(cfg, 2), batch
 
 

@@ -27,7 +27,7 @@ def masked_dataset(n=120, d=3, seed=0, miss_rate=0.3, separable_r=False):
     y = x @ np.arange(1.0, d + 1.0) + 2.0 * t
     t_pub = t.copy()
     t_pub[r == 0] = np.nan
-    return Dataset(x=x, t=t_pub, r=r, y=y, t_true=t)
+    return Dataset(x=x, t=t_pub, y=y, t_true=t)
 
 
 def small_config(**kwargs):
@@ -56,7 +56,7 @@ def test_reweight_constant_propensity_gives_weight_two():
     r = (np.arange(n) % 2 == 0).astype(np.int64)
     t = np.where(r == 1, 1.0, np.nan)
     t[0] = 0.0  # keep both arms among observed rows
-    data = Dataset(x=np.zeros((n, 2)), t=t, r=r, y=np.zeros(n))
+    data = Dataset(x=np.zeros((n, 2)), t=t, y=np.zeros(n))
     complete, weights = apply_strategy(data, "reweight")
     assert np.allclose(weights, 2.0)
     assert complete.n == n // 2
@@ -72,7 +72,7 @@ def test_impute_thresholds_predicted_probability():
     r[:20] = 0
     t_pub = t.copy()
     t_pub[r == 0] = np.nan
-    data = Dataset(x=x, t=t_pub, r=r, y=np.zeros(n))
+    data = Dataset(x=x, t=t_pub, y=np.zeros(n))
 
     clf = fit_treatment_classifier(data)
     complete, weights = apply_strategy(data, "impute")
@@ -93,7 +93,7 @@ def test_impute_tie_at_half_goes_to_treated():
     r = np.ones(n, dtype=np.int64)
     r[-4:] = 0
     t = np.where(r == 1, np.resize([1.0, 0.0], n), np.nan)
-    data = Dataset(x=np.zeros((n, 2)), t=t, r=r, y=np.zeros(n))
+    data = Dataset(x=np.zeros((n, 2)), t=t, y=np.zeros(n))
     complete, _ = apply_strategy(data, "impute")
     assert np.all(complete.t[-4:] == 1.0)
 
@@ -109,9 +109,7 @@ def test_apply_strategy_rejects_unknown_and_empty():
     data = masked_dataset(seed=5)
     with pytest.raises(ValueError):
         apply_strategy(data, "drop")
-    empty = Dataset(
-        x=data.x, t=np.full(data.n, np.nan), r=np.zeros(data.n, dtype=np.int64), y=data.y
-    )
+    empty = Dataset(x=data.x, t=np.full(data.n, np.nan), y=data.y)
     with pytest.raises(EmptyDataError):
         apply_strategy(empty, "delete")
 
@@ -125,12 +123,12 @@ def test_observedness_uninformative_covariates():
     n = 600
     data = Dataset(
         x=rng.standard_normal((n, 3)),
-        t=np.full(n, np.nan), r=np.zeros(n, dtype=np.int64), y=np.zeros(n),
+        t=np.full(n, np.nan), y=np.zeros(n),
     )
     r = (rng.random(n) < 0.7).astype(np.int64)
     t = np.where(r == 1, 1.0, np.nan)
     t[np.flatnonzero(r == 1)[::2]] = 0.0
-    data = Dataset(x=data.x, t=t, r=r, y=data.y)
+    data = Dataset(x=data.x, t=t, y=data.y)
     model = fit_observedness(data)
     preds = model.predict_proba(data.x)
     assert np.all(np.abs(preds - r.mean()) < 0.1)
@@ -155,8 +153,7 @@ def test_observedness_separable_data():
 
 def test_observedness_single_class_error():
     data = masked_dataset(seed=8)
-    full = Dataset(x=data.x, t=np.where(np.isnan(data.t), 1.0, data.t),
-                   r=np.ones(data.n, dtype=np.int64), y=data.y)
+    full = Dataset(x=data.x, t=np.where(np.isnan(data.t), 1.0, data.t), y=data.y)
     with pytest.raises(DegenerateLabelsError):
         fit_observedness(full)
 
@@ -237,8 +234,7 @@ def test_logistic_fit_on_separable_labels_takes_every_step(monkeypatch):
 
 def test_classifier_without_rows_is_an_empty_data_error():
     data = masked_dataset(seed=5)
-    unobserved = Dataset(x=data.x, t=np.full(data.n, np.nan),
-                         r=np.zeros(data.n, dtype=np.int64), y=data.y)
+    unobserved = Dataset(x=data.x, t=np.full(data.n, np.nan), y=data.y)
     with pytest.raises(EmptyDataError, match="no rows"):
         fit_treatment_classifier(unobserved)
 
@@ -262,7 +258,7 @@ def linear_complete(n=300, d=4, seed=0, beta0=None, beta1=None):
     beta0 = np.arange(1.0, d + 1.0) if beta0 is None else beta0
     beta1 = beta0[::-1].copy() if beta1 is None else beta1
     y = np.where(t == 1, x @ beta1 + 1.0, x @ beta0)
-    return Dataset(x=x, t=t, r=np.ones(n, dtype=np.int64), y=y), beta0, beta1
+    return Dataset(x=x, t=t, y=y), beta0, beta1
 
 
 def test_ols_exact_linear_recovery():
@@ -275,7 +271,7 @@ def test_ols_exact_linear_recovery():
 
 def test_ols_identical_arms_zero_cate():
     data, beta0, _ = linear_complete(seed=10, beta1=np.arange(1.0, 5.0))
-    data = Dataset(x=data.x, t=data.t, r=data.r, y=data.x @ beta0)  # same surface, no offset
+    data = Dataset(x=data.x, t=data.t, y=data.x @ beta0)  # same surface, no offset
     model = ols_fit(data)
     x_new = np.random.default_rng(2).standard_normal((20, 4))
     assert np.allclose(model.predict_cate(x_new), 0.0, atol=1e-7)
@@ -371,7 +367,7 @@ def shifted_arms_dataset(n, seed):
     t = (rng.random(n) < 0.5).astype(float)
     x = rng.standard_normal((n, 3)) + 1.5 * t[:, None]  # strong arm-wise covariate shift
     y = x @ np.array([1.0, -0.5, 0.25]) + t
-    return Dataset(x=x, t=t, r=np.ones(n, dtype=np.int64), y=y)
+    return Dataset(x=x, t=t, y=y)
 
 
 def mmd2(a, b, bandwidth):

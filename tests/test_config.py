@@ -4,6 +4,7 @@ ValueError that names it."""
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,12 @@ LOAD_FAILURES = [
     (("methods", 1, "config"), "beta", float("inf"), "beta must be finite"),
     # (test_datagen checks each family of the data generator's numbers)
     (("data", "synthetic"), "propensity", [float("nan")] * 2, "['propensity'] must be finite"),
+    # a count is an integer: a float or a bool fails, naming its field
+    (("data", "synthetic"), "n", 2.5, "data.synthetic.n"),
+    (("data", "synthetic"), "d", True, "data.synthetic.d"),
+    (("methods", 1, "config"), "iterations", True, "iterations"),
+    (("methods", 1, "config"), "batch_size", 2.5, "batch_size"),
+    ((), "num_runs", True, "num_runs"),
 ]
 
 
@@ -180,6 +187,22 @@ def test_grid_shape_and_values_fail_at_load(grid, named):
 def test_grid_shape_fails_when_a_method_spec_is_built_directly(grid, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         MethodSpec("tarnet_del", grid=grid)
+
+
+@pytest.mark.parametrize("spec, key, value", [
+    ("net", "iterations", True), ("net", "iterations", 2.5), ("net", "batch_size", 2.5),
+    ("net", "rep_layer_size", True), ("net", "num_hyp_layers", 2.5), ("net", "seed", 1.5),
+    ("dgp", "n", 2.5), ("dgp", "n", True), ("dgp", "d", 2.5), ("dgp", "seed", True),
+    ("missingness", "seed", 2.5), ("experiment", "num_runs", 2.5),
+    ("experiment", "num_runs", True),
+])
+def test_a_count_must_be_an_integer_when_a_spec_is_built_directly(spec, key, value):
+    # the load path's decoder rejects these first; validate must too
+    built = {"net": MTRNetConfig(), "dgp": SyntheticDGPSpec.from_dict(dgp_dict()),
+             "missingness": MissingnessSpec(m=0.3, q=0.6),
+             "experiment": ExperimentConfig.from_dict(experiment_dict())}[spec]
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+        replace(built, **{key: value}).validate()
 
 
 def test_paper_preset_loads_without_expanding_its_grids(monkeypatch):

@@ -1,12 +1,12 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtcate.data import (
-    Dataset, MissingnessSpec, OutcomeSpec, SyntheticDGPSpec, apply_missingness,
+    COLUMNS, Dataset, MissingnessSpec, OutcomeSpec, SyntheticDGPSpec, apply_missingness,
     OPTIONAL_COLUMNS, concat, generate, load_csv, missingness_probabilities, save_csv,
     split,
 )
@@ -196,11 +196,18 @@ def test_apply_missingness_requires_fully_observed():
         apply_missingness(masked, MissingnessSpec(m=0.2, q=0.6, seed=0))
 
 
-def test_dataset_rejects_a_fractional_observedness_flag():
-    with pytest.raises(ValueError, match="r must be 0/1"):
-        Dataset(x=np.zeros((3, 1)), t=[1.0, 0.0, 1.0], r=[1.5, 1.9, 1.0], y=[0, 0, 0])
-    whole = Dataset(x=np.zeros((3, 1)), t=[1.0, 0.0, 1.0], r=[1.0, 1.0, 1.0], y=[0, 0, 0])
-    assert whole.r.dtype == np.int64 and whole.r.tolist() == [1, 1, 1]
+def test_dataset_r_is_one_exactly_where_t_is_observed():
+    t = [1.0, np.nan, 0.0, np.nan]
+    d = Dataset(x=np.zeros((4, 1)), t=t, y=[0, 0, 0, 0])
+    assert d.r.dtype == np.int64 and d.r.tolist() == [1, 0, 1, 0] and d.n_observed() == 2
+    assert d.subset([1, 2]).r.tolist() == [0, 1]
+    with pytest.raises(TypeError):  # observedness is t's, never passed on its own
+        Dataset(x=np.zeros((4, 1)), t=t, r=[1, 0, 1, 0], y=[0, 0, 0, 0])
+
+
+def test_every_dataset_field_is_in_the_column_table():
+    # subset, concat and dataclasses.replace copy exactly these columns
+    assert [f.name for f in fields(Dataset) if f.init] == list(COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +244,12 @@ def test_concat_roundtrips_split():
     assert both.y0 is not None
 
 
+def test_concat_names_a_column_only_one_dataset_carries():
+    d = generate(linear_spec(n=40))
+    with pytest.raises(ValueError, match=re.escape("['tau']")):
+        concat(d, replace(d, tau=None))
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -262,7 +275,7 @@ def test_csv_roundtrip_random_dataset(tmp_path):
 def test_csv_roundtrip_without_optional_columns(tmp_path):
     d = Dataset(
         x=np.array([[0.25, -1.5], [3.0, 2.0]]),
-        t=np.array([1.0, np.nan]), r=np.array([1, 0]), y=np.array([0.5, -0.125]),
+        t=np.array([1.0, np.nan]), y=np.array([0.5, -0.125]),
     )
     path = tmp_path / "d.csv"
     save_csv(d, path)
@@ -275,6 +288,14 @@ def test_csv_observed_row_with_empty_t_is_an_error(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_csv(path)
     assert err.value.line == 2
+
+
+def test_csv_t_and_t_true_disagreeing_names_the_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,t,r,x1,t_true\n1.0,1,1,0.5,1\n2.0,0,1,0.1,1\n")
+    with pytest.raises(CsvParseError, match="t_true") as err:
+        load_csv(path)
+    assert err.value.line == 3
 
 
 def test_csv_nonbinary_treatment_is_an_error(tmp_path):

@@ -28,7 +28,7 @@ def masked_data(n=120, seed=0):
     r = (rng.random(n) < 0.7).astype(np.int64)
     y = x[:, 0] + t * (1.0 + x[:, 1]) + 0.1 * rng.standard_normal(n)
     t_public = np.where(r == 1, t, np.nan)
-    return Dataset(x=x, t=t_public, r=r, y=y)
+    return Dataset(x=x, t=t_public, y=y)
 
 
 CONFIG = mtrnet.MTRNetConfig(rep_layer_size=8, hyp_layer_size=8, iterations=ITERATIONS,
@@ -127,7 +127,7 @@ def test_load_fitted_writes_into_the_flat_buffer():
     x = data.x[:10]
     before = mtrnet.predict_cate(clone, x)
     flat_before = clone.flat.copy()
-    mtrnet.training_step(clone, mtrnet.TrainingBatch(data.x, data.t, data.r, data.y),
+    mtrnet.training_step(clone, mtrnet.TrainingBatch(data.x, data.t, data.y),
                          rng=np.random.default_rng(0))
     assert not np.array_equal(clone.flat, flat_before)
     assert not np.array_equal(mtrnet.predict_cate(clone, x), before)

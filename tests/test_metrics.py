@@ -161,7 +161,6 @@ def toy_dataset(r, tau, tau_extra=None):
     return Dataset(
         x=np.arange(n, dtype=float)[:, None],
         t=np.where(np.asarray(r) == 1, 1.0, np.nan),
-        r=np.asarray(r),
         y=np.zeros(n),
         tau=np.asarray(tau, dtype=float),
     )
@@ -179,7 +178,7 @@ def test_domain_split_without_a_stratum_is_absent():
     # treat everyone: the one randomized missing row is a control, so the
     # t_missing split has no randomized treated row to value the policy by
     data = Dataset(x=np.zeros((4, 1)), t=np.array([1.0, np.nan, 0.0, np.nan]),
-                   r=np.array([1, 0, 1, 0]), y=np.array([1.0, 2.0, 0.0, 0.0]),
+                   y=np.array([1.0, 2.0, 0.0, 0.0]),
                    t_true=np.array([1.0, 0.0, 0.0, 1.0]), e=np.array([1, 1, 0, 0]))
     vals = evaluate_predictions(data, np.ones(4), ["policy_risk"]).metrics["policy_risk"]
     assert vals == {"overall": 0.0, "t_observed": 0.0, "t_missing": None}

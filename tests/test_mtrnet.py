@@ -34,11 +34,11 @@ def toy_data(n=200, d=4, seed=0, missing=0.3):
     y = x[:, 0] + t * (1.0 + x[:, 1]) + 0.1 * rng.standard_normal(n)
     t_public = t.copy()
     t_public[r == 0] = np.nan
-    return Dataset(x=x, t=t_public, r=r, y=y, t_true=t)
+    return Dataset(x=x, t=t_public, y=y, t_true=t)
 
 
 def dataset_batch(data):
-    return TrainingBatch(data.x, data.t, data.r, data.y)
+    return TrainingBatch(data.x, data.t, data.y)
 
 
 def step(model, batch, **kwargs):
@@ -86,30 +86,29 @@ def test_init_model_rejects_bad_input_dim():
 
 
 def test_compute_weights_balanced():
-    w, u, n_o = compute_weights(np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4, dtype=int))
+    w, u, n_o = compute_weights(np.array([1.0, 0.0, 1.0, 0.0]))
     assert u == 0.5 and n_o == 4
     assert np.allclose(w, np.ones(4))
 
 
 def test_compute_weights_unbalanced():
-    w, u, n_o = compute_weights(np.array([1.0, 1.0, 1.0, 0.0]), np.ones(4, dtype=int))
+    w, u, n_o = compute_weights(np.array([1.0, 1.0, 1.0, 0.0]))
     assert u == 0.75 and n_o == 4
     assert np.allclose(w, [1 / 1.5, 1 / 1.5, 1 / 1.5, 2.0])
 
 
 def test_compute_weights_with_missing_rows():
     t = np.array([1.0, 0.0, 1.0, np.nan])
-    r = np.array([1, 1, 1, 0])
-    w, u, n_o = compute_weights(t, r)
+    w, u, n_o = compute_weights(t)
     assert n_o == 3 and u == pytest.approx(2.0 / 3.0)
     assert np.allclose(w, [0.75, 1.5, 0.75])
 
 
 def test_compute_weights_degenerate_arm():
     with pytest.raises(DegenerateArmError):
-        compute_weights(np.array([1.0, 1.0]), np.ones(2, dtype=int))
+        compute_weights(np.array([1.0, 1.0]))
     with pytest.raises(DegenerateArmError):
-        compute_weights(np.array([np.nan, np.nan]), np.zeros(2, dtype=int))
+        compute_weights(np.array([np.nan, np.nan]))
 
 
 @given(st.integers(2, 60), st.integers(0, 10_000))
@@ -122,7 +121,7 @@ def test_compute_weights_sum_to_observed_count(n, seed):
     t_obs = t[r == 1]
     if t_obs.size == 0 or t_obs.min() == t_obs.max():
         return
-    w, _, n_o = compute_weights(t, r)
+    w, _, n_o = compute_weights(t)
     assert abs(w.sum() - n_o) <= 1e-9
 
 
@@ -145,7 +144,6 @@ def test_step_record_zero_when_heads_match_targets():
     batch = TrainingBatch(
         x=np.random.default_rng(0).standard_normal((6, 3)),
         t=np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
-        r=np.ones(6, dtype=int),
         y=np.full(6, 2.5),
     )
     assert step(model, batch)["outcome"] == 0.0
@@ -158,7 +156,6 @@ def test_step_record_uninformative_observedness_head():
     batch = TrainingBatch(
         x=np.random.default_rng(0).standard_normal((4, 3)),
         t=np.array([1.0, 0.0, np.nan, np.nan]),
-        r=np.array([1, 1, 0, 0]),
         y=np.zeros(4),
     )
     assert step(model, batch)["missingness_bce"] == pytest.approx(math.log(2.0))
@@ -167,8 +164,7 @@ def test_step_record_uninformative_observedness_head():
 def test_step_record_single_arm_batch_rejected():
     model = init_model(small_config(), 2)
     batch = TrainingBatch(
-        x=np.zeros((3, 2)), t=np.array([1.0, 1.0, np.nan]),
-        r=np.array([1, 1, 0]), y=np.zeros(3),
+        x=np.zeros((3, 2)), t=np.array([1.0, 1.0, np.nan]), y=np.zeros(3),
     )
     with pytest.raises(DegenerateArmError):
         step(model, batch)
@@ -299,7 +295,7 @@ def test_train_reproducible_per_seed():
 def test_train_requires_both_arms():
     data = toy_data(n=40, seed=5)
     t = np.where(np.isnan(data.t), np.nan, 1.0)
-    one_arm = Dataset(x=data.x, t=t, r=data.r, y=data.y)
+    one_arm = Dataset(x=data.x, t=t, y=data.y)
     with pytest.raises(DegenerateArmError):
         train(one_arm, small_config())
 
