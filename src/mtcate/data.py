@@ -61,9 +61,9 @@ class Dataset:
         return self.x.shape[1]
 
     def validate(self) -> None:
-        n = self.n
         if self.x.ndim != 2:
             raise ValueError("x must be 2-d")
+        n = self.n
         for name, v in self.columns().items():
             if name != "x" and v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
@@ -120,7 +120,6 @@ class OutcomeSpec(Spec):
             raise ValueError(f"unknown outcome kind {self.kind!r}")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        self.validate()
         out = self.intercept + x @ np.asarray(self.linear, dtype=np.float64)
         if self.kind == "quadratic":
             out = out + (x * x) @ np.asarray(self.quadratic, dtype=np.float64)
@@ -174,7 +173,6 @@ class SyntheticDGPSpec(Spec):
 
 def generate(spec: SyntheticDGPSpec) -> Dataset:
     """Draw a fully observed dataset (r = 1 everywhere) with ground truth attached."""
-    spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 101]))
     z = rng.standard_normal((spec.n, spec.d))
     if spec.mixing is not None:
@@ -232,7 +230,6 @@ def missingness_probabilities(x: np.ndarray, column_means: np.ndarray, q: float)
 def apply_missingness(data: Dataset, spec: MissingnessSpec) -> Dataset:
     """Mask treatments with covariate-dependent probability, then flip uniformly
     chosen rows in the majority direction until #{r=0} == round(m*n) exactly."""
-    spec.validate()
     if np.any(data.r == 0):
         raise ValueError("apply_missingness expects a fully observed dataset")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 202]))
@@ -406,7 +403,6 @@ def load_dataset(spec: DataSpec, csv_data: Dataset | None = None) -> Dataset:
     """Generate the synthetic spec or read the CSV (`csv_data` is that CSV
     when the caller has read it already), then mask it with the missingness
     spec, which needs fully observed data."""
-    spec.validate()
     if spec.synthetic is not None:
         d = generate(spec.synthetic)
     else:

@@ -1,6 +1,6 @@
 """Exception types and the config codec shared across the package: the key
-and count checks and the `Spec` base class every JSON config dataclass loads
-through.
+and count checks and the `Spec` base class of every config dataclass, which
+checks itself when it is built and loads from JSON through the codec.
 
 An error whose __init__ formats its message from arguments pickles by those
 arguments (`__reduce__`), so one raised in a pool worker reaches the parent
@@ -54,28 +54,30 @@ def decode(value, tp, where: str):
 
 
 class Spec:
-    """Base of the config dataclasses: the codec reads them from JSON and
-    writes them back by their own fields, defaults and types."""
+    """Base of the config dataclasses, which validate themselves when built
+    (directly, by from_dict or by dataclasses.replace), so no user checks one
+    again; the codec reads and writes them by their fields, defaults and types."""
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
-        """Raise a ValueError for an invalid value; from_dict calls it."""
+        """Raise a ValueError for an invalid value; __post_init__ calls it."""
 
     def to_dict(self) -> dict:
         return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d, where: str | None = None):
-        """The inverse of to_dict: rejects unknown and missing keys, coerces
-        each value to its field's type and validates the result."""
+        """The inverse of to_dict: rejects unknown and missing keys and
+        coerces each value to its field's type (building validates it)."""
         where = where or cls.__name__
         if not isinstance(d, dict):
             raise ValueError(f"{where}: expected an object, got {d!r}")
         required = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
         check_keys(d, [f.name for f in fields(cls)], where, required)
         hints = get_type_hints(cls)
-        spec = cls(**{k: decode(v, hints[k], f"{where}.{k}") for k, v in d.items()})
-        spec.validate()
-        return spec
+        return cls(**{k: decode(v, hints[k], f"{where}.{k}") for k, v in d.items()})
 
 
 def encode(value):

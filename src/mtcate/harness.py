@@ -113,6 +113,12 @@ PAPER_GRIDS = {
 PRESETS = {"desk": DESK_GRIDS, "paper": PAPER_GRIDS}
 
 
+def _preset_grids(preset: str) -> dict:
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+    return PRESETS[preset]
+
+
 # the seed is derived per run, so a grid may vary every other field
 _GRID_KEYS = frozenset(f.name for f in fields(MTRNetConfig)) - {"seed"}
 
@@ -126,16 +132,24 @@ class MethodSpec:
     def __post_init__(self):
         object.__setattr__(self, "name", canonical_method(self.name))
         where = f"{self.name} grid"
+        base = self.base_config.to_dict()
+
+        def typed(key, value):  # as its field's type: an int alpha becomes a float
+            return getattr(MTRNetConfig.from_dict({**base, key: value}, where), key)
+
         if isinstance(self.grid, dict):
             bad = sorted(k for k, v in self.grid.items() if not (isinstance(v, list) and v))
             if bad:
                 raise ValueError(f"{where} key(s) {bad} must map to a non-empty list")
-            points = [self.grid]
+            check_keys(self.grid, _GRID_KEYS, where)
+            grid = {k: [typed(k, v) for v in vs] for k, vs in self.grid.items()}  # not expanded
         else:
             points = decode(self.grid, tuple[dict, ...], where)
-        if not points:
-            raise ValueError(f"{where} has no points")
-        check_keys([k for point in points for k in point], _GRID_KEYS, where)
+            if not points:
+                raise ValueError(f"{where} has no points")
+            check_keys([k for point in points for k in point], _GRID_KEYS, where)
+            grid = tuple({k: typed(k, v) for k, v in point.items()} for point in points)
+        object.__setattr__(self, "grid", grid)
 
     @property
     def label(self) -> str:
@@ -150,25 +164,15 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict, preset: str = "desk") -> "MethodSpec":
-        """Decodes every value of the grid (whose shape the constructor
-        checks) against the base config, one value at a time, so a value
-        takes its field's type (an int alpha becomes a float): a mapping grid
-        is never expanded here."""
+        """Decodes a method object; a method without a grid takes its
+        estimator's grid from `preset`. Building the spec checks and types
+        the grid."""
         check_keys(d, ("name", "grid", "config"), "method", required=("name",))
         name = canonical_method(decode(d["name"], str, "method.name"))
-        base = MTRNetConfig.from_dict(d.get("config", {}), f"{name} config")
         grid = d.get("grid")
-        spec = cls(name=name, base_config=base,
-                   grid=PRESETS[preset][METHODS[name].estimator] if grid is None else grid)
-
-        def typed(point: dict) -> dict:
-            config = MTRNetConfig.from_dict({**base.to_dict(), **point}, f"{name} grid")
-            return {k: getattr(config, k) for k in point}
-
-        if isinstance(spec.grid, dict):
-            return replace(spec, grid={k: [typed({k: v})[k] for v in vs]
-                                       for k, vs in spec.grid.items()})
-        return replace(spec, grid=tuple(typed(p) for p in spec.grid))
+        return cls(name=name, base_config=MTRNetConfig.from_dict(d.get("config", {}),
+                                                                 f"{name} config"),
+                   grid=_preset_grids(preset)[METHODS[name].estimator] if grid is None else grid)
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,8 @@ class ExperimentConfig(Spec):
         return DataSpec(self.dgp, self.csv_path, self.missingness)
 
     def validate(self) -> None:
-        self.data.validate()
+        self.data  # building the DataSpec checks the data block
+        _preset_grids(self.preset)
         if not self.methods:
             raise ValueError("at least one method is required")
         check_count("num_runs", self.num_runs, 1)
@@ -211,13 +216,9 @@ class ExperimentConfig(Spec):
         hints = get_type_hints(cls)
         given = {k: decode(d[k], hints[k], k) for k in scalars if k in d}
         preset = given.get("preset", cls.preset)
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
         methods = decode(d["methods"], tuple[dict, ...], "methods")
-        cfg = cls(dgp=data.synthetic, csv_path=data.csv,
-                  methods=tuple(MethodSpec.from_dict(m, preset) for m in methods), **given)
-        cfg.validate()
-        return cfg
+        return cls(dgp=data.synthetic, csv_path=data.csv,
+                   methods=tuple(MethodSpec.from_dict(m, preset) for m in methods), **given)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +389,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     behind the points still pending. Failures (a dead worker's BrokenProcessPool
     included) are recorded in pair order; the experiment aborts once at least
     half of the pairs have failed."""
-    config.validate()
     jobs = check_count("jobs", jobs, 1)
     started = time.perf_counter()
     base = datamod.load_csv(config.csv_path) if config.csv_path else None
@@ -462,6 +462,8 @@ def sweep_m(config: ExperimentConfig, m_values, jobs: int = 1, log=sys.stderr):
     if config.missingness is None:
         raise ValueError("sweep_m needs a missingness spec in the config")
     m_values = [float(m) for m in m_values]
+    if not m_values:
+        raise ValueError("m_values must not be empty")
     bad = [m for m in m_values if not (0.0 < m < 1.0)]
     if bad:
         raise ValueError(f"m values must lie in (0,1), got {bad}")

@@ -152,18 +152,18 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     splits = dict(zip(SPLITS, (np.arange(data.n), np.flatnonzero(data.r == 1),
                                np.flatnonzero(data.r == 0))))
     subsets = {split: (data.subset(idx), tau_hat[idx]) for split, idx in splits.items() if idx.size}
-    report = EvalReport(counts={split: int(idx.size) for split, idx in splits.items()},
-                        metadata=metadata or {})
+    values = {}
     for metric in metrics:
-        values = report.metrics[metric] = {}
+        by_split = values[metric] = {}
         for split in splits:
             try:
-                values[split] = METRICS[metric](*subsets[split]) if split in subsets else None
+                by_split[split] = METRICS[metric](*subsets[split]) if split in subsets else None
             except (DegenerateArmError, StratumEmptyError):
                 if split == "overall":
                     raise
-                values[split] = None
-    return report
+                by_split[split] = None
+    counts = {split: int(idx.size) for split, idx in splits.items()}
+    return EvalReport(metrics=values, counts=counts, metadata=metadata or {})
 
 
 def available_metrics(data: Dataset) -> list[str]:

@@ -127,7 +127,6 @@ def init_model(config: MTRNetConfig, input_dim: int) -> MTRNetModel:
     """Representation stack, two outcome heads ending in a scalar layer, then
     a single-layer logit head for each discriminator whose weight is
     positive (treatment before observedness)."""
-    config.validate()
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM]))
@@ -362,7 +361,6 @@ def _median_bandwidth(model: MTRNetModel, batch: TrainingBatch) -> float:
 def train(data: Dataset, config: MTRNetConfig, *, row_weights=None,
           mmd_weight: float | None = None):
     """Run `config.iterations` mini-batch steps; returns (model, history)."""
-    config.validate()
     t_obs = data.t[data.r == 1]
     if t_obs.size == 0 or not (0.0 < t_obs.mean() < 1.0):
         raise DegenerateArmError("training data needs observed rows from both arms")

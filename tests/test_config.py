@@ -9,9 +9,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtcate import data as dm, harness
-from mtcate.data import MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
-from mtcate.harness import ExperimentConfig, MethodSpec, run_experiment
+from mtcate import data as dm, harness, theory
+from mtcate.data import DataSpec, MissingnessSpec, OutcomeSpec, SyntheticDGPSpec
+from mtcate.errors import Spec, encode
+from mtcate.harness import ExperimentConfig, MethodSpec, RunResult, run_experiment
+from mtcate.metrics import EvalReport
 from mtcate.mtrnet import MTRNetConfig
 
 floats = st.floats(-5.0, 5.0, allow_nan=False)
@@ -205,6 +207,45 @@ def test_a_count_must_be_an_integer_when_a_spec_is_built_directly(spec, key, val
         replace(built, **{key: value}).validate()
 
 
+def result_dict():
+    return {"method": "ols_del", "run_index": 0, "seed": 1, "hyperparameters": {}, "report": {}}
+
+
+# (Spec subclass, a valid loaded object, one bad field and value)
+BUILD_FAILURES = [
+    (OutcomeSpec, {"kind": "linear"}, "kind", "cubic"),
+    (SyntheticDGPSpec, dgp_dict(), "noise_sd", -1.0),
+    (MissingnessSpec, {"m": 0.5, "q": 0.9}, "m", 1.5),
+    (DataSpec, {"csv": "d.csv"}, "synthetic", SyntheticDGPSpec.from_dict(dgp_dict())),
+    (MTRNetConfig, {}, "dropout_rate", 1.5),
+    (ExperimentConfig, experiment_dict(), "preset", "bogus"),
+    (ExperimentConfig, experiment_dict(), "num_runs", 0),
+    (RunResult, result_dict(), "method", "bogus"),
+    (EvalReport, {}, "metrics", {"bogus": {}}),
+]
+
+
+@pytest.mark.parametrize("cls, loaded, key, value", BUILD_FAILURES,
+                         ids=[f"{row[0].__name__}.{row[2]}" for row in BUILD_FAILURES])
+def test_a_spec_built_directly_fails_with_the_message_it_fails_with_at_load(cls, loaded, key,
+                                                                           value):
+    with pytest.raises(ValueError) as at_load:
+        cls.from_dict({**loaded, key: encode(value)})
+    built = cls.from_dict(loaded)
+    with pytest.raises(ValueError) as directly:
+        replace(built, **{key: value})
+    assert str(directly.value) == str(at_load.value)
+
+
+def test_every_spec_with_a_validate_has_a_build_failure_row():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+    assert theory.SweepSummary in subclasses(Spec)  # every module is imported
+    checked = {cls for cls in subclasses(Spec) if "validate" in vars(cls)} - {Spec}
+    assert checked == {row[0] for row in BUILD_FAILURES}
+
+
 def test_paper_preset_loads_without_expanding_its_grids(monkeypatch):
     def no_expansion(grid):
         raise AssertionError("grid expanded at load")
@@ -235,16 +276,20 @@ def test_grid_expanded_once_per_method(monkeypatch):
     assert len(calls) == 2  # one per method, not per (run, method)
 
 
-@pytest.mark.parametrize("ints, floats", [
-    ({"alpha": [1, 2], "beta": [3]}, {"alpha": [1.0, 2.0], "beta": [3.0]}),
-    ([{"alpha": 1, "beta": 3}, {"alpha": 2}], [{"alpha": 1.0, "beta": 3.0}, {"alpha": 2.0}]),
-], ids=["mapping", "list"])
-def test_grid_ints_write_the_same_results_as_floats(tmp_path, ints, floats):
+@pytest.mark.parametrize("ints, floats, direct", [
+    ({"alpha": [1, 2], "beta": [3]}, {"alpha": [1.0, 2.0], "beta": [3.0]}, False),
+    ([{"alpha": 1, "beta": 3}, {"alpha": 2}], [{"alpha": 1.0, "beta": 3.0}, {"alpha": 2.0}], False),
+    ({"alpha": [1, 2]}, {"alpha": [1.0, 2.0]}, True),
+], ids=["mapping", "list", "direct"])
+def test_grid_ints_write_the_same_results_as_floats(tmp_path, ints, floats, direct):
+    # direct: the int grid's MethodSpec is built in Python, the floats' loaded
     written = []
     for grid in (ints, floats):
         cfg = ExperimentConfig.from_dict({
             **experiment_dict(), "num_runs": 2, "methods": [{"name": "ols_del", "grid": grid}],
         })
+        if direct and grid is ints:
+            cfg = replace(cfg, methods=(MethodSpec("ols_del", grid=grid),))
         results, failures = run_experiment(cfg, log=None)
         assert failures == [] and len(results) == 2
         out = tmp_path / str(len(written))

@@ -41,9 +41,9 @@ def test_generate_noiseless_outcomes_are_exact():
                               quadratic=(0.0, -np.inf, 0.0))}, "['outcome1.quadratic']"),
 ])
 def test_generate_rejects_a_non_finite_number_naming_its_field(changes, named):
-    spec = replace(linear_spec(), **changes)
+    # the spec checks itself when it is built, so generate never sees it
     with pytest.raises(ValueError, match=re.escape(f"{named} must be finite")):
-        generate(spec)
+        generate(replace(linear_spec(), **changes))
 
 
 def test_generate_zero_propensity_balances_arms():
@@ -203,6 +203,13 @@ def test_dataset_r_is_one_exactly_where_t_is_observed():
     assert d.subset([1, 2]).r.tolist() == [0, 1]
     with pytest.raises(TypeError):  # observedness is t's, never passed on its own
         Dataset(x=np.zeros((4, 1)), t=t, r=[1, 0, 1, 0], y=[0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("x", [np.float64(1.0), np.zeros(1)], ids=["0-d", "1-d"])
+def test_dataset_rejects_an_x_that_is_not_2d(x):
+    # the number of dimensions is checked before the row count is read
+    with pytest.raises(ValueError, match="x must be 2-d"):
+        Dataset(x=x, t=[1.0], y=[0.0])
 
 
 def test_every_dataset_field_is_in_the_column_table():

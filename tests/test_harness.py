@@ -179,9 +179,12 @@ def test_cross_validate_deterministic():
 def test_cross_validate_all_failed():
     d = dm.apply_missingness(dm.generate(linear_dgp(seed=8)), MissingnessSpec(m=0.3, q=0.6, seed=4))
     train_d, val_d, _ = dm.split(d, seed=9)
-    method = MethodSpec("tarnet_del", grid=({"learning_rate": -1.0},), base_config=tiny_net_config())
-    with pytest.raises(AllFailedError):
-        cv_on(train_d, val_d, method, seed=10)
+    one_arm = train_d.subset(np.flatnonzero(train_d.t != 0.0))  # missing rows and t = 1 rows
+    method = MethodSpec("tarnet_del", grid=({"learning_rate": 1e-2}, {"learning_rate": 1e-3}),
+                        base_config=tiny_net_config())
+    with pytest.raises(AllFailedError) as caught:
+        cv_on(one_arm, val_d, method, seed=10)
+    assert len(caught.value.causes) == 2
 
 
 def test_run_experiment_counts_and_determinism():
@@ -258,6 +261,23 @@ def test_run_experiment_and_sweep_reject_nonpositive_jobs(monkeypatch, jobs):
         run_experiment(cfg, jobs=jobs, log=None)
     with pytest.raises(ValueError, match="jobs"):
         sweep_m(cfg, [0.5], jobs=jobs, log=None)
+
+
+@pytest.mark.parametrize("spoil, named", [
+    (lambda cfg: replace(cfg, missingness=MissingnessSpec(m=1.5, q=0.9)),
+     "m must be in (0,1), got 1.5"),
+    (lambda cfg: replace(cfg, num_runs=0), "num_runs must be >= 1, got 0"),
+    (lambda cfg: replace(cfg, preset="bogus"), "unknown preset 'bogus'"),
+], ids=["missingness", "num_runs", "preset"])
+def test_run_experiment_cannot_start_from_a_bad_config(monkeypatch, spoil, named):
+    # the config checks itself when it is built, so there is nothing to run
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.setattr(harness, "fit_method", no_fit)
+    cfg = experiment_config([MethodSpec("ols_del")], num_runs=2)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_experiment(spoil(cfg), log=None)
 
 
 def _die_in_worker(task):
@@ -556,6 +576,15 @@ def test_sweep_m_rejects_bad_fraction():
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
     with pytest.raises(ValueError):
         sweep_m(cfg, [0.0], log=None)
+
+
+def test_sweep_m_rejects_no_fractions(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or ([], []))
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
+    with pytest.raises(ValueError, match="m_values must not be empty"):
+        sweep_m(cfg, [], log=None)
+    assert calls == []
 
 
 def test_sweep_m_checks_every_fraction_before_running(monkeypatch):

@@ -1,6 +1,7 @@
 """Every public module-level function and class of the package has a caller
 in the package itself: none survives only because its own test calls it.
-And every name a module imports is used in that module."""
+Every name a module imports is used in that module. And a value is checked
+when it is built, never again where it is used."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,23 @@ def test_every_imported_name_is_used():
                         node.id for node in ast.walk(tree)
                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)})
     assert unused == []
+
+
+def validate_calls(node, inside=False):
+    """(line, inside) for each `.validate()` call under `node`; `inside` is
+    true within the body of a `validate` or `__post_init__`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside or node.name in ("validate", "__post_init__")
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "validate"):
+        yield node.lineno, inside
+    for child in ast.iter_child_nodes(node):
+        yield from validate_calls(child, inside)
+
+
+def test_validate_is_called_only_while_a_value_is_built():
+    trees = parse_package()
+    calls = [(f"{module}:{line}", inside) for module, tree in trees.items()
+             for line, inside in validate_calls(tree)]
+    assert [where for where, inside in calls if not inside] == []
+    assert {where.split(":")[0] for where, inside in calls if inside} >= {"errors", "data"}
