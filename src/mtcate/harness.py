@@ -193,8 +193,15 @@ class ExperimentConfig(Spec):
     def validate(self) -> None:
         self.data  # building the DataSpec checks the data block
         _preset_grids(self.preset)
+        for name in ("methods", "metrics"):  # with the load path's message
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name}: expected tuple, got {getattr(self, name)!r}")
         if not self.methods:
             raise ValueError("at least one method is required")
+        for i, method in enumerate(self.methods):
+            if not isinstance(method, MethodSpec):
+                raise ValueError(f"methods[{i}]: expected MethodSpec, got "
+                                 f"{type(method).__name__} {method!r}")
         check_count("num_runs", self.num_runs, 1)
         check_keys(self.metrics, metricsmod.METRICS, "metric")
 
@@ -386,9 +393,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     multi-point grid is queued up front, in pair order; once a pair's own
     points have returned, cross_validate picks its point, and the refit on
     train+val with its test evaluation (all a one-point pair runs) queues
-    behind the points still pending. Failures (a dead worker's BrokenProcessPool
-    included) are recorded in pair order; the experiment aborts once at least
-    half of the pairs have failed."""
+    behind the points still pending. Every task runs. Failures (a dead
+    worker's BrokenProcessPool included) are recorded in pair order, and once
+    every pair has finished, ExperimentFailedError is raised if at least half
+    of them failed; otherwise returns (results, failures)."""
     jobs = check_count("jobs", jobs, 1)
     started = time.perf_counter()
     base = datamod.load_csv(config.csv_path) if config.csv_path else None

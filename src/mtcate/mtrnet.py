@@ -11,9 +11,12 @@ adversary-free subset of the same model and training step (optional
 per-row weights / kernel penalty).
 
 The graph is fixed by the config, so a training step differentiates it by
-hand: its forward pass caches each layer's input, ELU derivative and
-dropout mask, and `backward` walks that cache in reverse, writing every
-parameter's gradient into its own slice of `model.grad`.
+hand. Its forward pass records each consumer of the representation (an
+outcome head, the MMD penalty, a discriminator) as a branch with its rows
+and a cache of each layer's input, ELU derivative and dropout mask.
+`backward` walks each branch's cache in reverse, subtracts the reversed
+branches' summed gradient at the representation, and walks the encoder,
+writing every parameter's gradient into its own slice of `model.grad`.
 """
 
 from __future__ import annotations
@@ -202,19 +205,16 @@ def _rep_forward(model: MTRNetModel, x) -> np.ndarray:
 
 @dataclass
 class StepCache:
-    """What `backward` reads from a training step's forward pass: the layer
-    caches, and the gradient of the objective with respect to each loss's
-    input (None for a term the objective does not have)."""
+    """What `backward` reads from a training step's forward pass: the
+    encoder's layer cache, the normalized representation, and one branch per
+    consumer of it, (rows of the batch, layer cache, gradient of the
+    objective at the branch's output, reversed?). The rows are an index
+    array, or slice(None) for every row."""
 
     encoder: list
     rep: np.ndarray  # the normalized representation of the batch
     rep_norm: tuple  # normalize_rows' (divisor, big)
-    obs: np.ndarray  # the observed rows of the batch
-    arms: tuple  # each arm's rows among the observed ones, t = 0 first
-    heads: list  # (cache, output gradient) per arm's outcome head
-    mmd_grad: np.ndarray | None  # of the arms' representations, stacked
-    k_t: tuple | None  # (cache, logit gradient) of each discriminator
-    k_r: tuple | None
+    branches: list
 
 
 def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Generator,
@@ -238,21 +238,21 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     w, _, n_o = compute_weights(batch.t)
     obs = np.flatnonzero(batch.r == 1)
     t_obs = batch.t[obs]
-    y_obs = batch.y[obs]
     if batch.row_weights is not None:
         w = w * np.asarray(batch.row_weights, dtype=np.float64)[obs]
-    rep_obs = rep[obs]
-    arms = (np.flatnonzero(t_obs == 0.0), np.flatnonzero(t_obs == 1.0))
-    arm_reps = [rep_obs[arm] for arm in arms]
-    terms, heads = [], []
-    for arm, arm_rep, layers in zip(arms, arm_reps, (model.h0, model.h1)):
+    terms, arms, branches = [], [], []
+    for label, layers in ((0.0, model.h0), (1.0, model.h1)):
+        arm = np.flatnonzero(t_obs == label)  # among the observed rows
+        rows = obs[arm]
+        arm_rep = rep[rows]
+        arms.append((rows, arm_rep))
         cache = []
-        diff = _head_forward(layers, arm_rep, cfg.dropout_rate, rng, cache) - y_obs[arm][:, None]
+        diff = _head_forward(layers, arm_rep, cfg.dropout_rate, rng, cache) - batch.y[rows][:, None]
         row_w = w[arm][:, None]
         terms.append((diff * diff * row_w).sum())
         # d/d diff of sum(w diff^2) / n_o, as the product rule's two equal halves
         half = (1.0 / n_o) * row_w * diff
-        heads.append((cache, half + half))
+        branches.append((rows, cache, half + half, False))
     outcome = (terms[0] + terms[1]) * (1.0 / n_o)
     record = {"iteration": iteration, "outcome": float(outcome)}
 
@@ -261,23 +261,21 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
         l2 = sum(np.sum(layer.weights * layer.weights) for layer in model.h0 + model.h1)
         total = total + l2 * cfg.l2_lambda
         record["l2"] = float(l2)
-    k_t = k_r = mmd_grad = None
-    if cfg.alpha > 0:
-        cache = [(model.k_t, rep_obs, None, None)]
-        treatment, logit_grad = binary_cross_entropy(
-            dense_forward(model.k_t, rep_obs), t_obs[:, None], cfg.alpha)
-        k_t = (cache, logit_grad)
-        total = total + treatment * cfg.alpha
-        record["treatment_bce"] = float(treatment)
-    if cfg.beta > 0:
-        cache = [(model.k_r, rep, None, None)]
-        missingness, logit_grad = binary_cross_entropy(
-            dense_forward(model.k_r, rep), batch.r.astype(np.float64)[:, None], cfg.beta)
-        k_r = (cache, logit_grad)
-        total = total + missingness * cfg.beta
-        record["missingness_bce"] = float(missingness)
+    for key, weight, layer, rows, labels in (
+            ("treatment_bce", cfg.alpha, model.k_t, obs, t_obs),
+            ("missingness_bce", cfg.beta, model.k_r, slice(None), batch.r)):
+        if weight > 0:
+            cache = []
+            loss, logit_grad = binary_cross_entropy(
+                _head_forward([layer], rep[rows], 0.0, None, cache),
+                labels.astype(np.float64)[:, None], weight)
+            branches.append((rows, cache, logit_grad, True))
+            total = total + loss * weight
+            record[key] = float(loss)
     if mmd_weight:
-        mmd, mmd_grad = mmd2_rbf(*arm_reps, mmd_bandwidth, mmd_weight)
+        rows, reps = zip(*arms)
+        mmd, mmd_grad = mmd2_rbf(*reps, mmd_bandwidth, mmd_weight)
+        branches.append((np.concatenate(rows), [], mmd_grad, False))  # no layers
         total = total + mmd * mmd_weight
         record["mmd2"] = float(mmd)
     record["total"] = float(total)
@@ -285,8 +283,7 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     if not np.isfinite(record["total"]):
         raise TrainingDivergedError(iteration)
 
-    backward(StepCache(encoder, rep, (divisor, big), obs, arms, heads, mmd_grad, k_t, k_r),
-             model)
+    backward(StepCache(encoder, rep, (divisor, big), branches), model)
     adam_step(model.flat, model.grad, model.adam, cfg.learning_rate)
     return record
 
@@ -295,41 +292,26 @@ def backward(step: StepCache, model: MTRNetModel) -> None:
     """Write the gradient of the step's objective into `model.grad`, every
     slice of it, so nothing from an earlier step survives.
 
-    Each vector-Jacobian product keeps the arithmetic of reverse-mode
-    differentiation of the same graph (the L2 decay's (g + d) + d, the
-    squared error's c + c), and no array receives more than two gradient
-    contributions, whose sum does not depend on their order. So the bits
-    are those of differentiating the objective on a general tape."""
-    rep_obs_grad = np.empty((step.obs.size, step.rep.shape[1]))
-    stacked = 0
-    for arm, (cache, g) in zip(step.arms, step.heads):
-        g = _stack_backward(cache, g)
-        if step.mmd_grad is not None:
-            g = g + step.mmd_grad[stacked:stacked + arm.size]
-            stacked += arm.size
-        rep_obs_grad[arm] = g
+    Each branch's input gradient is added into a zero-filled buffer at its
+    rows: the unreversed branches share one buffer and the reversed ones
+    another, which is subtracted from it once; that subtraction is the
+    gradient reversal. Each vector-Jacobian product keeps the arithmetic of
+    reverse-mode differentiation of the same graph (the L2 decay's
+    (g + d) + d, the squared error's c + c, the reversed branches summed
+    before one subtraction), and no buffer row receives more than two
+    contributions, whose sum into zeros does not depend on their order. So
+    the bits are those of differentiating the objective on a general tape."""
+    grads = {False: np.zeros_like(step.rep), True: np.zeros_like(step.rep)}
+    for rows, cache, g, reversed_ in step.branches:
+        grads[reversed_][rows] += _stack_backward(cache, g)
     lam = model.config.l2_lambda
     if lam > 0:  # weight decay: lam * w added twice, as the two halves of w * w
         for layer in model.h0 + model.h1:
             decay = lam * layer.weights
             layer.weights_grad += decay
             layer.weights_grad += decay
-    # Scattering each arm's gradient into zeros and summing the two gives
-    # 0.0 + g on every observed row, which turns a -0.0 into +0.0. The arms
-    # partition the observed rows, so adding 0.0 in place is that sum.
-    rep_obs_grad += 0.0
-    rep_grad = np.zeros_like(step.rep)
-    rep_grad[step.obs] = rep_obs_grad
-
-    adversary_grad = None
-    if step.k_t is not None:
-        adversary_grad = np.zeros_like(step.rep)
-        adversary_grad[step.obs] = _stack_backward(*step.k_t)
-    if step.k_r is not None:
-        g = _stack_backward(*step.k_r)
-        adversary_grad = g if adversary_grad is None else adversary_grad + g
-    if adversary_grad is not None:  # the gradient reversal
-        rep_grad -= adversary_grad
+    rep_grad = grads[False]
+    rep_grad -= grads[True]
     _stack_backward(step.encoder, normalize_rows_backward(rep_grad, step.rep, *step.rep_norm),
                     input_grad=False)
 

@@ -258,7 +258,7 @@ def captured_gradients(monkeypatch):
     return grads
 
 
-def test_grad_reverse_forward_is_bitwise_identity():
+def test_discriminator_reads_the_representation_unchanged():
     """The discriminator sees the representation itself."""
     model, batch = tiny_step(alpha=0.0, beta=2.0)
     logits = dense_forward(model.k_r, mtrnet._rep_forward(model, batch.x))
@@ -267,16 +267,20 @@ def test_grad_reverse_forward_is_bitwise_identity():
     assert record["missingness_bce"] == expected
 
 
-def test_grad_reverse_backward_negates(monkeypatch):
+@pytest.mark.parametrize("weights, key", [
+    ({"alpha": 0.0, "beta": 2.0}, "missingness_bce"),  # every row
+    ({"alpha": 2.0, "beta": 0.0}, "treatment_bce"),  # the observed rows only
+], ids=["missingness", "treatment"])
+def test_reversed_branch_negates_its_gradient_at_the_encoder(monkeypatch, weights, key):
     """With the heads' output weights at zero, the encoder's whole gradient
-    comes through the reversal: minus the gradient of beta * BCE."""
-    model, batch = tiny_step(alpha=0.0, beta=2.0)
+    comes through the reversal: minus the gradient of the weighted BCE."""
+    model, batch = tiny_step(**weights)
     for head in (model.h0, model.h1):
         head[-1].weights[:] = 0.0
     grads = captured_gradients(monkeypatch)
 
     def adversary_loss():
-        return 2.0 * mtrnet.training_step(model, batch, rng=None)["missingness_bce"]
+        return 2.0 * mtrnet.training_step(model, batch, rng=None)[key]
 
     adversary_loss()
     n_phi = model.phi[0].weights.size + model.phi[0].bias.size

@@ -220,6 +220,8 @@ BUILD_FAILURES = [
     (MTRNetConfig, {}, "dropout_rate", 1.5),
     (ExperimentConfig, experiment_dict(), "preset", "bogus"),
     (ExperimentConfig, experiment_dict(), "num_runs", 0),
+    (ExperimentConfig, experiment_dict(), "metrics", "sqrt_pehe"),
+    (ExperimentConfig, experiment_dict(), "methods", "ols_del"),
     (RunResult, result_dict(), "method", "bogus"),
     (EvalReport, {}, "metrics", {"bogus": {}}),
 ]
@@ -235,6 +237,19 @@ def test_a_spec_built_directly_fails_with_the_message_it_fails_with_at_load(cls,
     with pytest.raises(ValueError) as directly:
         replace(built, **{key: value})
     assert str(directly.value) == str(at_load.value)
+
+
+@pytest.mark.parametrize("methods, named", [
+    (({"name": "ols_del"},), "methods[0]: expected MethodSpec, got dict {'name': 'ols_del'}"),
+    ((MethodSpec("ols_del"), "tarnet_del"), "methods[1]: expected MethodSpec, got str"),
+], ids=["dict", "str"])
+def test_an_experiment_built_directly_names_a_method_entry_that_is_no_method_spec(methods,
+                                                                                   named):
+    # the load path builds every entry with MethodSpec.from_dict, so only a
+    # direct build can hold another type
+    built = ExperimentConfig.from_dict(experiment_dict())
+    with pytest.raises(ValueError, match=re.escape(named)):
+        replace(built, methods=methods)
 
 
 def test_every_spec_with_a_validate_has_a_build_failure_row():

@@ -6,7 +6,10 @@ accumulated in place, and one Adam state per parameter array. Its
 parameters after each of the first six steps were recorded as
 sha256(model.flat) prefixes, for MTRNet and for the TARNet and CFR-MMD
 baselines trained by the same engine. The hand-written forward and
-backward must reproduce them bit for bit."""
+backward must reproduce them bit for bit. One more fit, MTRNet with the
+MMD penalty as well, puts both discriminators and the penalty on the same
+observed rows; its digests were recorded from the hand-written engine
+with a separate backward block per discriminator and for the penalty."""
 
 import hashlib
 from dataclasses import replace
@@ -39,6 +42,7 @@ FITS = {
     "mtrnet": lambda data, cfg: mtrnet.train(data, cfg),
     "mtrnet_treatment_only": lambda data, cfg: mtrnet.train(data, replace(cfg, beta=0.0)),
     "mtrnet_missingness_only": lambda data, cfg: mtrnet.train(data, replace(cfg, alpha=0.0)),
+    "mtrnet_with_mmd": lambda data, cfg: mtrnet.train(data, cfg, mmd_weight=0.5),
     "tarnet_delete": lambda data, cfg: tarnet_train(*apply_strategy(data, "delete"), cfg),
     "tarnet_reweight": lambda data, cfg: tarnet_train(*apply_strategy(data, "reweight"), cfg),
     "cfrmmd_delete": lambda data, cfg: cfrmmd_train(*apply_strategy(data, "delete"), cfg),
@@ -63,6 +67,10 @@ PINNED = {
     "mtrnet_missingness_only": (
         "c6d33cd34f50dace", "0129e495a96348cc", "b74d63b62e8d76f4",
         "9adf13b40a681e68", "8091d30765a4330d", "3649e34af784f328",
+    ),
+    "mtrnet_with_mmd": (
+        "39f42cc6e6093e35", "a8fee711e8cd0497", "5d97d711d9a40b58",
+        "8ebcbc9c33e738ae", "5e44f7e52f14e776", "b8d4677a2614df43",
     ),
     "mtrnet_treatment_only": (
         "d9264b9455df7e1c", "d7f990d6cab4abf7", "5e144bf10131f3f9",
