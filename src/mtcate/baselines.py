@@ -67,15 +67,21 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
     z = (x - mean) / scale
 
     # weights and bias share one buffer, so one (elementwise) Adam call
-    # steps both per iteration
+    # steps both per iteration; a step fills preallocated n-sized buffers
     n, d = z.shape
     theta = np.zeros(d + 1)
     w = theta[:d]
     grad = np.empty(d + 1)
     state = AdamState.like(theta)
+    logits, resid = np.empty(n), np.empty(n)
+    work = (resid, np.empty(n), np.empty(n, dtype=bool))
     for _ in range(LOGISTIC_ITERATIONS):
-        resid = (expit(z @ w + theta[d]) - labels) / n
-        grad[:d] = z.T @ resid
+        np.matmul(z, w, out=logits)
+        logits += theta[d]
+        expit(logits, work)  # into resid
+        resid -= labels
+        resid /= n
+        np.matmul(z.T, resid, out=grad[:d])
         grad[d] = resid.sum()
         if np.abs(grad).max() < LOGISTIC_GRADIENT_TOLERANCE:
             break

@@ -324,7 +324,8 @@ def _parse_binary(cell: str, line: int, col: str) -> float:
 
 def load_csv(path) -> Dataset:
     """Read what save_csv writes; every cell is checked on its own line,
-    including that the `r` column agrees with `t`."""
+    including that the `r` column agrees with `t`, and a header with no row
+    under it is an error at line 2."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -345,6 +346,8 @@ def load_csv(path) -> Dataset:
     unknown = [c for c in opt if c not in OPTIONAL_COLUMNS]
     if unknown:
         raise CsvParseError(1, f"unknown columns {unknown}")
+    if not rows:
+        raise CsvParseError(2, "no data rows")
 
     n = len(rows)
     x = np.empty((n, d))

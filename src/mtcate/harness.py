@@ -12,8 +12,10 @@ The unit of work is one fit. `run_experiment` queues a task per grid point
 of every multi-point (run, method) pair (fit on train, score on val) and,
 once a pair's points have returned, picks its point with `cross_validate`
 and queues its refit (on train+val, evaluated on test). A task returns its
-value or error and rebuilds its run's data from the config and seeds, so it
-runs inline (`jobs=1`) or on a process pool (`jobs>1`) to the same bytes."""
+value or error and builds its run's data from the config and seeds unless
+its process already holds them (tasks of one run share one read-only copy),
+so it runs inline (`jobs=1`) or on a process pool (`jobs>1`) to the same
+bytes."""
 
 from __future__ import annotations
 
@@ -312,23 +314,35 @@ class RunResult(Spec):
         return super().from_dict({k: v for k, v in d.items() if k != "method_label"}, "result")
 
 
-def _run_dataset(config: ExperimentConfig, run_index: int, base: Dataset | None) -> Dataset:
-    """Per-run data through the one loader, with the synthetic draw and the
-    mask seeded per run; `base` is the CSV, read once per experiment."""
+def _run_spec(config: ExperimentConfig, run_index: int) -> DataSpec:
+    """The run's data spec, with the synthetic draw and the mask seeded per run."""
     ms = config.master_seed
-    spec = config.data.reseeded(derive_seed(ms, run_index, "data"),
+    return config.data.reseeded(derive_seed(ms, run_index, "data"),
                                 derive_seed(ms, run_index, "missingness"))
-    return datamod.load_dataset(spec, base)
+
+
+# The last run whose splits this process built: [(data spec, split seed),
+# CSV base, (train, val, test)]. `run_experiment` empties it when it ends.
+_shared_run: list = []
 
 
 def _run_splits(config: ExperimentConfig, run_index: int, method: MethodSpec,
                 base: Dataset | None):
-    """(train, val, test, method seed) of one run, rebuilt from the config in
-    every task (a few ms against a fit), so no task carries a dataset."""
+    """(train, val, test, method seed) of one run. The splits are built once
+    per run in each process, through the one loader from the run's spec and
+    split seed (`base` is the CSV, read once per experiment), and shared
+    read-only by the run's tasks until a task of another run, or the end of
+    `run_experiment`, drops them."""
     ms = config.master_seed
-    d = _run_dataset(config, run_index, base)
-    train, val, test = datamod.split(d, seed=derive_seed(ms, run_index, "split"))
-    return train, val, test, derive_seed(ms, run_index, method.name)
+    key = (_run_spec(config, run_index), derive_seed(ms, run_index, "split"))
+    # `base` is compared by identity and held, so its id cannot be reused
+    if not (_shared_run and _shared_run[0] == key and _shared_run[1] is base):
+        splits = datamod.split(datamod.load_dataset(key[0], base), seed=key[1])
+        for part in splits:
+            for column in (*part.columns().values(), part.r):
+                column.setflags(write=False)
+        _shared_run[:] = [key, base, splits]
+    return (*_shared_run[2], derive_seed(ms, run_index, method.name))
 
 
 def _score_task(config: ExperimentConfig, run_index: int, method: MethodSpec,
@@ -421,6 +435,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     finally:  # an escaping error leaves no queued task to wait for
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        _shared_run.clear()  # no later experiment sees this one's data
 
     failures = [{"method": method.name, "run_index": run, "error": str(outcome)}
                 for (_, run, method, _), outcome in zip(pairs, outcomes)

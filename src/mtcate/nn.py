@@ -103,16 +103,20 @@ def normalize_rows_backward(g: np.ndarray, out: np.ndarray, divisor: np.ndarray,
     return (g - np.where(big, out * proj, 0.0)) / divisor
 
 
-def expit(z: np.ndarray) -> np.ndarray:
+def expit(z: np.ndarray, work=None) -> np.ndarray:
     """Logistic sigmoid, evaluated without overflow on either tail:
     1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|).
     The numerator max(e, z >= 0) is 1 for z >= 0 (where e <= 1) and e below.
     A NaN input gives a NaN output whose sign bit is not preserved. e and
     1 + e share one buffer: freeing fewer temporaries spares the page faults
-    of re-growing the heap (78 per call at 14,000 rows when each op allocates)."""
-    ez = np.abs(z, out=np.empty(np.shape(z)))
+    of re-growing the heap (78 per call at 14,000 rows when each op allocates).
+    `work`, when given, is three buffers of z's shape, (result, e, z >= 0)
+    with the last one bool, which the call fills instead of allocating; it
+    returns the first."""
+    out, ez, nonnegative = work or (None, np.empty(np.shape(z)), None)
+    np.abs(z, out=ez)
     np.exp(np.negative(ez, out=ez), out=ez)
-    out = np.maximum(ez, z >= 0)
+    out = np.maximum(ez, np.greater_equal(z, 0, out=nonnegative), out=out)
     ez += 1.0
     out /= ez
     return out

@@ -34,6 +34,7 @@ def criterion(name: str, ok: bool, detail: str = ""):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_gradient_correctness():
     """The gradient every random training step hands to Adam against finite
     differences of the step's objective (see conftest.step_gradient_error)."""

@@ -437,6 +437,18 @@ def test_evaluate_checks_an_ols_models_input_width(tmp_path, capsys):
     assert error == {"type": "ValueError", "message": "expected (n, 3) input, got (50, 5)"}
 
 
+def test_evaluate_rejects_a_csv_with_no_data_rows(tmp_path, capsys):
+    train_cfg = write_json(tmp_path / "train.json", {
+        "method": "ols_del", "data": {"synthetic": dgp_dict(n=60, d=3)}})
+    assert cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "fit")]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("y,t,r,x1,x2,x3\n")
+    error = cli_error(capsys, ["evaluate", "--model", str(tmp_path / "fit" / "model.json"),
+                               "--data", str(empty), "--out", str(tmp_path / "eval.json")])
+    assert error == {"type": "CsvParseError", "message": "line 2: no data rows"}
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_train_report_records_the_config_as_given(tmp_path):
     given = {"rep_layer_size": 4, "hyp_layer_size": 4, "iterations": 2, "batch_size": 16,
              "alpha": 2.0}

@@ -317,8 +317,8 @@ def test_grid_ints_write_the_same_results_as_floats(tmp_path, ints, floats, dire
 def test_experiment_masks_only_a_fully_observed_csv():
     full = dm.generate(SyntheticDGPSpec.from_dict(dgp_dict()))
     cfg = ExperimentConfig.from_dict({**experiment_dict(), "data": {"csv": "full.csv"}})
-    masked = harness._run_dataset(cfg, 0, full)
+    masked = dm.load_dataset(harness._run_spec(cfg, 0), full)
     assert int((masked.r == 0).sum()) == round(0.3 * full.n)
-    assert harness._run_dataset(cfg, 1, full).r.tolist() != masked.r.tolist()
+    assert dm.load_dataset(harness._run_spec(cfg, 1), full).r.tolist() != masked.r.tolist()
     with pytest.raises(ValueError, match="fully observed"):
-        harness._run_dataset(cfg, 0, masked)
+        dm.load_dataset(harness._run_spec(cfg, 0), masked)

@@ -313,6 +313,14 @@ def test_csv_nonbinary_treatment_is_an_error(tmp_path):
     assert err.value.line == 3
 
 
+def test_csv_with_a_header_and_no_rows_is_an_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("y,t,r,x1,x2,tau\n")
+    with pytest.raises(CsvParseError, match="no data rows") as err:
+        load_csv(path)
+    assert err.value.line == 2
+
+
 def test_csv_repeated_column_is_an_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,t,r,x1,tau,tau\n1.0,1,1,0.5,0.2,0.3\n")

@@ -408,6 +408,74 @@ def test_csv_experiment_pooled_bytes_match_serial(tmp_path):
         assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
+ONE_POINT_OLS = tuple(MethodSpec(name) for name in ("ols_del", "ols_imp", "ols_rew"))
+
+
+def test_one_point_methods_share_their_runs_data(monkeypatch):
+    generated = []
+    generate = dm.generate
+    monkeypatch.setattr(dm, "generate", lambda spec: generated.append(spec.seed) or generate(spec))
+    results, failures = run_experiment(experiment_config(ONE_POINT_OLS, num_runs=2), log=None)
+    assert failures == [] and len(results) == 6
+    assert len(generated) == 2 and len(set(generated)) == 2  # once per run, in jobs=1
+
+
+def test_shared_data_is_dropped_when_an_experiment_ends():
+    run_experiment(experiment_config(ONE_POINT_OLS, num_runs=1), log=None)
+    assert harness._shared_run == []
+    cfg = replace(partial_failure_config(), methods=(MethodSpec("ols_del"),))
+    with pytest.raises(ExperimentFailedError):
+        run_experiment(cfg, log=None)
+    assert harness._shared_run == []
+
+
+def test_shared_columns_are_read_only(monkeypatch):
+    cfg = experiment_config([MethodSpec("ols_del", grid=({}, {}))], num_runs=1)
+    splits = harness._run_splits(cfg, 0, cfg.methods[0], None)[:3]
+    harness._shared_run.clear()
+    for part in splits:
+        assert not any(v.flags.writeable for v in (*part.columns().values(), part.r))
+
+    def mutating_fit(name, config, train_data):
+        train_data.y[0] = 0.0
+
+    monkeypatch.setattr(harness, "fit_method", mutating_fit)
+    with pytest.raises(ExperimentFailedError, match="read-only"):
+        run_experiment(cfg, log=None)
+
+
+def test_back_to_back_csv_experiments_write_what_each_writes_alone(tmp_path):
+    """Two CSV files at one path, and one run, so that the second
+    experiment's first run has the key of the first experiment's last."""
+    path = tmp_path / "data.csv"
+    cfg = ExperimentConfig(dgp=None, csv_path=str(path), methods=ONE_POINT_OLS,
+                           num_runs=1, master_seed=5)
+
+    def written(seed, out):
+        d = dm.apply_missingness(dm.generate(linear_dgp(seed=seed)),
+                                 MissingnessSpec(m=0.3, q=0.6, seed=2))
+        dm.save_csv(d, path)
+        write_results(out, *run_experiment(cfg, log=None))
+        return (out / "results.jsonl").read_bytes()
+
+    alone = {seed: written(seed, tmp_path / f"alone{seed}") for seed in (5, 6)}
+    assert alone[5] != alone[6]
+    for seed in (6, 5):  # each now runs right after the other
+        assert written(seed, tmp_path / f"after{seed}") == alone[seed]
+
+
+def test_pooled_bytes_match_serial_with_grid_and_one_point_methods(tmp_path):
+    method = MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}),
+                        base_config=tiny_net_config())
+    cfg = experiment_config([method, *ONE_POINT_OLS], num_runs=2)
+    for jobs in (1, 2):
+        results, failures = run_experiment(cfg, jobs=jobs, log=None)
+        assert failures == [] and len(results) == 8
+        write_results(tmp_path / f"jobs{jobs}", results, failures)
+    for name in ("results.jsonl", "aggregate.csv"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
+
+
 def test_run_experiment_aborts_when_half_fail():
     cfg = ExperimentConfig(
         dgp=linear_dgp(n=40, d=8), csv_path=None,
@@ -444,7 +512,7 @@ def test_test_split_never_reaches_cross_validation(monkeypatch):
     cfg = experiment_config([MethodSpec("ols_del", grid=({}, {}))], num_runs=1)
     results, _ = run_experiment(cfg, log=None)
     # reconstruct the test rows of the run and compare byte-level row hashes
-    d = harness._run_dataset(cfg, 0, None)
+    d = dm.load_dataset(harness._run_spec(cfg, 0))
     _, _, test_d = dm.split(d, seed=derive_seed(cfg.master_seed, 0, "split"))
     test_rows = {row.tobytes() for row in test_d.x}
     assert selections, "cross_validate was never called"
