@@ -403,11 +403,12 @@ def _outcome(task):
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     """All (run, method) pairs as one pipeline of tasks, on `jobs` worker
-    processes when jobs > 1 and inline otherwise: every point of every
-    multi-point grid is queued up front, in pair order; once a pair's own
-    points have returned, cross_validate picks its point, and the refit on
-    train+val with its test evaluation (all a one-point pair runs) queues
-    behind the points still pending. Every task runs. Failures (a dead
+    processes when jobs > 1 and inline otherwise: a pool gets every point of
+    every multi-point grid up front, in pair order (inline, a pair's points
+    run just before its refit, so each run's data is built once); once a
+    pair's own points have returned, cross_validate picks its point, and the
+    refit on train+val with its test evaluation (all a one-point pair runs)
+    queues behind the points still pending. Every task runs. Failures (a dead
     worker's BrokenProcessPool included) are recorded in pair order, and once
     every pair has finished, ExperimentFailedError is raised if at least half
     of them failed; otherwise returns (results, failures)."""
@@ -419,17 +420,23 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     grids = [method.grid_points() for method in config.methods] * config.num_runs
 
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    submit = _run_task if pool is None else lambda task: pool.submit(_job, task)
+
+    def submit(task):  # a pool that broke before the task was queued is its error
+        try:
+            return _run_task(task) if pool is None else pool.submit(_job, task)
+        except BrokenProcessPool as exc:
+            return exc
     try:
-        scored = [[submit((_score_task, *pair, point)) for point in points]
-                  if len(points) > 1 else [] for pair, points in zip(pairs, grids)]
+        scored = ([submit((_score_task, *pair, point)) for point in points]
+                  if len(points) > 1 else [] for pair, points in zip(pairs, grids))
+        scored = scored if pool is None else list(scored)
         refits = []
         for pair, points, pending in zip(pairs, grids, scored):
             try:
                 point = points[0] if len(points) == 1 else cross_validate(
                     points, [_outcome(task) for task in pending])[0]
                 refits.append(submit((_execute_run, *pair, point)))
-            except (ValueError, RuntimeError) as exc:  # AllFailedError, or a broken pool
+            except AllFailedError as exc:
                 refits.append(exc)
         outcomes = [_outcome(task) for task in refits]
     finally:  # an escaping error leaves no queued task to wait for

@@ -12,9 +12,9 @@ the exact absolute-difference sum, maximized by the sign function).
 
 Every check below takes one world and model, or a stack of worlds of
 equal K and their models with a leading world axis, and gives each stacked
-world the same floats, bit for bit, as that world alone: a single world is
-a stack with no leading axis. Random worlds and models are drawn as such
-stacks, each field of a whole K-group in one Generator call.
+world the same floats as that world alone, bit for bit. Random worlds and
+models are drawn as such stacks, one Generator call per field of a K-group,
+and a sweep checks the groups of one K from several draws as one stack.
 
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
@@ -33,8 +33,8 @@ from .errors import Spec, check_count
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
 MAX_POINTS = 5  # a random world has 2 to MAX_POINTS covariate points
 TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
-# worlds a sweep draws before checking them together, so its memory does not
-# grow with the number of worlds
+# worlds a sweep draws from one seed; it checks a point count's worlds once
+# this many have gathered, so its memory does not grow with the number of worlds
 WORLD_BLOCK = 256
 
 
@@ -386,20 +386,35 @@ class SweepSummary(Spec):
         return "\n".join(lines)
 
 
+def _world_stacks(num_worlds: int, seed: int):
+    """The fields of `run_world_sweep`'s checked stacks, worlds' then models'."""
+    pending = {}  # K -> its drawn groups not yet checked
+    for block, start in enumerate(range(0, num_worlds, WORLD_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, block]))
+        ks = rng.integers(2, MAX_POINTS + 1, size=min(WORLD_BLOCK, num_worlds - start))
+        for k, n in zip(*np.unique(ks, return_counts=True)):
+            pending.setdefault(k, []).append((*random_world(rng, k, n), *random_model(rng, k, n)))
+            if sum(len(group[0]) for group in pending[k]) >= WORLD_BLOCK:
+                yield [np.concatenate(field) for field in zip(*pending.pop(k))]
+    for k in sorted(pending):
+        yield [np.concatenate(field) for field in zip(*pending.pop(k))]
+
+
 def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     """Exhaustively check the identities and the bound chain on randomly
     drawn worlds and models.
 
-    The worlds are drawn and checked in blocks of WORLD_BLOCK, so memory
-    does not grow with `num_worlds`. Block j draws from its own seed
-    `SeedSequence([seed, 808, j])`: first the point count K (2 to
-    MAX_POINTS) of each of its worlds, then, for each K in increasing order,
-    that K-group's worlds and models, a field at a time (`random_world`,
-    `random_model`). So a full block's worlds depend on (seed, j) alone.
-    Each group becomes one `Worlds` and one `TabularModel`, which validate
-    every world of the group once, and goes through one `eps_terms`,
-    `check_decompositions` and `check_bounds` pass. Each stacked world gets
-    the floats it gets alone, by three rules:
+    Block j of WORLD_BLOCK worlds draws from its own seed `SeedSequence([seed,
+    808, j])`: first each world's point count K (2 to MAX_POINTS), then, for
+    each K in increasing order, that K-group's worlds and models, a field at
+    a time (`random_world`, `random_model`), so a full block's worlds depend
+    on (seed, j) alone. A K's groups are checked as one stack once at least
+    WORLD_BLOCK of its worlds have gathered, and each K's leftover at the
+    end in increasing K: no stack holds 2 * WORLD_BLOCK worlds, so memory
+    does not grow with `num_worlds`. Each stack becomes one `Worlds` and one
+    `TabularModel`, which validate every world of it once, and goes through
+    one `eps_terms`, `check_decompositions` and `check_bounds` pass. Each
+    stacked world gets the floats it gets alone, by three rules:
     - only worlds of equal K are stacked, since padding K would regroup
       numpy's pairwise sums over points;
     - sums over points run over a world's trailing contiguous (K, 2) axes,
@@ -413,19 +428,16 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     seed = check_count("seed", seed, 0)
     max_res, min_slack = 0.0, float("inf")
     res_viol = slack_viol = 0
-    for block, start in enumerate(range(0, num_worlds, WORLD_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, block]))
-        ks = rng.integers(2, MAX_POINTS + 1, size=min(WORLD_BLOCK, num_worlds - start))
-        for k, n in zip(*np.unique(ks, return_counts=True)):
-            worlds = Worlds(*random_world(rng, k, n))
-            models = TabularModel(*random_model(rng, k, n))
-            e = eps_terms(worlds, models)
-            residual = check_decompositions(e).max_abs_residual
-            slack = check_bounds(worlds, e).min_slack
-            max_res = max(max_res, float(residual.max()))
-            min_slack = min(min_slack, float(slack.min()))
-            res_viol += int(np.count_nonzero(residual > TOLERANCE))
-            slack_viol += int(np.count_nonzero(slack < -TOLERANCE))
+    for fields in _world_stacks(num_worlds, seed):
+        worlds = Worlds(*fields[:5])
+        models = TabularModel(*fields[5:])
+        e = eps_terms(worlds, models)
+        residual = check_decompositions(e).max_abs_residual
+        slack = check_bounds(worlds, e).min_slack
+        max_res = max(max_res, float(residual.max()))
+        min_slack = min(min_slack, float(slack.min()))
+        res_viol += int(np.count_nonzero(residual > TOLERANCE))
+        slack_viol += int(np.count_nonzero(slack < -TOLERANCE))
     return SweepSummary(
         num_worlds=num_worlds, max_abs_residual=max_res, min_slack=min_slack,
         residual_violations=res_viol, slack_violations=slack_viol,

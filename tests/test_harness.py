@@ -4,6 +4,8 @@ import pickle
 import re
 import time
 import uuid
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,6 +297,21 @@ def test_dead_worker_fails_the_experiment_by_name(monkeypatch, method):
         run_experiment(cfg, jobs=2, log=None)
 
 
+class _BrokenPool(ProcessPoolExecutor):
+    def submit(self, fn, /, *args, **kwargs):
+        raise BrokenProcessPool("the process pool is not usable anymore")
+
+
+@pytest.mark.parametrize("method", [
+    MethodSpec("ols_del"),
+    MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}), base_config=tiny_net_config()),
+], ids=["one_point", "two_point"])
+def test_a_pool_broken_before_queueing_fails_the_experiment_by_name(monkeypatch, method):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _BrokenPool)
+    with pytest.raises(ExperimentFailedError, match="process pool"):
+        run_experiment(experiment_config([method], num_runs=1), jobs=2, log=None)
+
+
 def failing_grid_config():
     # With 90% of labels missing, few observed rows are left: MTRNet's
     # batch_size 4 cannot sample both arms in most runs while 6 usually can,
@@ -309,6 +326,7 @@ def failing_grid_config():
     return replace(cfg, missingness=MissingnessSpec(m=0.9, q=0.6))
 
 
+@pytest.mark.slow
 def test_pooled_grid_points_match_serial_bytes_with_failures(tmp_path):
     cfg = failing_grid_config()
     for jobs in (1, 2):
@@ -418,6 +436,17 @@ def test_one_point_methods_share_their_runs_data(monkeypatch):
     results, failures = run_experiment(experiment_config(ONE_POINT_OLS, num_runs=2), log=None)
     assert failures == [] and len(results) == 6
     assert len(generated) == 2 and len(set(generated)) == 2  # once per run, in jobs=1
+
+
+def test_inline_grid_points_share_their_runs_data(monkeypatch):
+    generated = []
+    generate = dm.generate
+    monkeypatch.setattr(dm, "generate", lambda spec: generated.append(spec.seed) or generate(spec))
+    method = MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}),
+                        base_config=tiny_net_config())
+    results, failures = run_experiment(experiment_config([method], num_runs=3), log=None)
+    assert failures == [] and len(results) == 3
+    assert len(generated) == 3 and len(set(generated)) == 3  # once per run, in jobs=1
 
 
 def test_shared_data_is_dropped_when_an_experiment_ends():

@@ -521,26 +521,75 @@ def test_sweep_summary_is_pinned(seed):
 
 
 def test_a_full_block_depends_on_the_seed_and_block_alone(monkeypatch):
+    draw_world, draw_model = theory.random_world, theory.random_model
+
     def recorded_sweep(num_worlds, seed):
-        tables = []
+        draws = []
 
-        def recording_loss_table(world, model):
-            tables.append([np.copy(a) for a in (*vars(world).values(), model.h0, model.h1)])
-            return loss_table(world, model)
+        def recording(draw):
+            def recorded(rng, k, n):
+                fields = draw(rng, k, n)
+                draws.append([np.copy(a) for a in fields])
+                return fields
+            return recorded
 
-        monkeypatch.setattr(theory, "loss_table", recording_loss_table)
+        monkeypatch.setattr(theory, "random_world", recording(draw_world))
+        monkeypatch.setattr(theory, "random_model", recording(draw_model))
         run_world_sweep(num_worlds, seed=seed)
-        return tables
+        return draws
 
     block = recorded_sweep(theory.WORLD_BLOCK, 6)
     two_blocks = recorded_sweep(2 * theory.WORLD_BLOCK, 6)
-    assert sum(arrays[0].shape[0] for arrays in block) == theory.WORLD_BLOCK
+    assert sum(fields[0].shape[0] for fields in block[::2]) == theory.WORLD_BLOCK
     assert len(two_blocks) > len(block)
     for ours, theirs in zip(block, two_blocks):
         assert all(a.shape == b.shape and (_bits(a) == _bits(b)).all()
                    for a, b in zip(ours, theirs))
     assert not all(a.shape == b.shape and (a == b).all()
                    for a, b in zip(block[0], two_blocks[len(block)]))
+
+
+def _per_block_sweep(num_worlds, seed):
+    """The sweep checked one (block, K) group at a time, as drawn."""
+    max_res, min_slack, res_viol, slack_viol = 0.0, float("inf"), 0, 0
+    for block, start in enumerate(range(0, num_worlds, theory.WORLD_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, block]))
+        ks = rng.integers(2, theory.MAX_POINTS + 1,
+                          size=min(theory.WORLD_BLOCK, num_worlds - start))
+        for k, n in zip(*np.unique(ks, return_counts=True)):
+            worlds = Worlds(*random_world(rng, k, n))
+            models = TabularModel(*random_model(rng, k, n))
+            e = eps_terms(worlds, models)
+            residual = check_decompositions(e).max_abs_residual
+            slack = check_bounds(worlds, e).min_slack
+            max_res, min_slack = max(max_res, residual.max()), min(min_slack, slack.min())
+            res_viol += int(np.count_nonzero(residual > theory.TOLERANCE))
+            slack_viol += int(np.count_nonzero(slack < -theory.TOLERANCE))
+    return num_worlds, float(max_res), float(min_slack), res_viol, slack_viol
+
+
+@pytest.mark.parametrize("num_worlds", [1, 255, 256, 257, 600, 3000])
+@pytest.mark.parametrize("seed", [0, 17])
+def test_sweep_equals_checking_each_drawn_group_alone(num_worlds, seed):
+    summary = run_world_sweep(num_worlds, seed=seed)
+    assert (summary.num_worlds, summary.max_abs_residual, summary.min_slack,
+            summary.residual_violations, summary.slack_violations) \
+        == _per_block_sweep(num_worlds, seed)
+
+
+def test_sweep_checks_stacks_of_one_k_below_two_blocks(monkeypatch):
+    stacks = []
+    validate = Worlds.validate
+
+    def recording_validate(self):
+        stacks.append(self.p_x.shape)
+        validate(self)
+
+    monkeypatch.setattr(Worlds, "validate", recording_validate)
+    run_world_sweep(16 * theory.WORLD_BLOCK, seed=9)
+    assert all(shape[0] < 2 * theory.WORLD_BLOCK for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == 16 * theory.WORLD_BLOCK
+    assert len(stacks) < 16 * (theory.MAX_POINTS - 1)  # fewer than one per (block, K)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
