@@ -123,6 +123,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         net_config = replace(net_config, seed=args.seed)
     d = datamod.load_dataset(datamod.DataSpec.from_dict(cfg["data"], "data"))
+    metricsmod.check_metrics(cfg.get("metrics", ()), metricsmod.carried_fields(d))
     fitted = harness.fit_method(method, net_config, d)
     wanted = list(cfg.get("metrics", ())) or metricsmod.available_metrics(d)
     # the report is built before anything is written: a metric the data
@@ -145,10 +146,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     fitted = load_fitted(_load_json(args.model))
     d = datamod.load_csv(args.data)
-    wanted = metricsmod.available_metrics(d)
-    if not wanted:
-        raise ValueError("dataset carries no ground-truth fields to evaluate against")
-    report = metricsmod.evaluate_predictions(d, fitted.predict_cate(d.x), wanted)
+    metricsmod.check_metrics((), metricsmod.carried_fields(d))
+    report = metricsmod.evaluate_predictions(d, fitted.predict_cate(d.x),
+                                             metricsmod.available_metrics(d))
     _dump_json(report.to_dict(), args.out)
     print(f"wrote {args.out}")
     return 0

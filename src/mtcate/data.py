@@ -71,8 +71,10 @@ class Dataset:
         tv = self.t[obs]
         if not np.all((tv == 0.0) | (tv == 1.0)):
             raise ValueError("observed t must be 0/1")
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
-            raise ValueError("x and y must be finite")
+        for name in ("x", "y", "y0", "y1", "tau"):
+            v = getattr(self, name)
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
         for name in BINARY_COLUMNS:
             v = getattr(self, name)
             if v is not None and not np.all((v == 0.0) | (v == 1.0)):

@@ -14,8 +14,8 @@ once a pair's points have returned, picks its point with `cross_validate`
 and queues its refit (on train+val, evaluated on test). A task returns its
 value or error and builds its run's data from the config and seeds unless
 its process already holds them (tasks of one run share one read-only copy),
-so it runs inline (`jobs=1`) or on a process pool (`jobs>1`) to the same
-bytes."""
+so it runs inline (`jobs=1`, which never loads the pool's modules) or on a
+process pool (`jobs>1`) to the same bytes."""
 
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -392,40 +390,54 @@ def _job(task):
     return _run_task(task)
 
 
-def _outcome(task):
-    """A task's value or error: a pool future's result, or what ran inline.
-    A dead worker's BrokenProcessPool is the error of the task."""
-    try:
-        return task.result() if isinstance(task, Future) else task
-    except BrokenProcessPool as exc:
-        return exc
+def _process_pool(jobs: int):
+    """A pool of `jobs` worker processes. Its modules, multiprocessing among
+    them, are loaded here, so a run without workers never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     """All (run, method) pairs as one pipeline of tasks, on `jobs` worker
-    processes when jobs > 1 and inline otherwise: a pool gets every point of
-    every multi-point grid up front, in pair order (inline, a pair's points
-    run just before its refit, so each run's data is built once); once a
-    pair's own points have returned, cross_validate picks its point, and the
-    refit on train+val with its test evaluation (all a one-point pair runs)
-    queues behind the points still pending. Every task runs. Failures (a dead
-    worker's BrokenProcessPool included) are recorded in pair order, and once
-    every pair has finished, ExperimentFailedError is raised if at least half
-    of them failed; otherwise returns (results, failures)."""
+    processes when jobs > 1 (only then is the pool loaded) and inline
+    otherwise. A metric the data cannot give fails before the first fit.
+    A pool gets every point of every multi-point grid up front, in pair
+    order (inline, a pair's points run just before its refit, so each run's
+    data is built once); once a pair's own points have returned,
+    cross_validate picks its point, and the refit on train+val with its test
+    evaluation (all a one-point pair runs) queues behind the points still
+    pending. Every task runs. Failures (a dead worker's BrokenProcessPool
+    included) are recorded in pair order, and once every pair has finished,
+    ExperimentFailedError is raised if at least half of them failed;
+    otherwise returns (results, failures)."""
     jobs = check_count("jobs", jobs, 1)
     started = time.perf_counter()
     base = datamod.load_csv(config.csv_path) if config.csv_path else None
+    # the fields of every run's data: the CSV's, or a draw's (e = 1 rows only in an RCT)
+    fields = (metricsmod.carried_fields(base) if base is not None
+              else {"y0", "y1", "tau"} | ({"e"} if config.dgp.rct else set()))
+    metricsmod.check_metrics(config.metrics, fields)  # before the first fit
     pairs = [(config, run, method, base)
              for run in range(config.num_runs) for method in config.methods]
     grids = [method.grid_points() for method in config.methods] * config.num_runs
 
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    if jobs == 1:  # a task runs as it is submitted, and what it returns is its outcome
+        pool, submit, outcome = None, _run_task, lambda task: task
+    else:
+        from concurrent.futures.process import BrokenProcessPool
+        pool = _process_pool(jobs)
 
-    def submit(task):  # a pool that broke before the task was queued is its error
-        try:
-            return _run_task(task) if pool is None else pool.submit(_job, task)
-        except BrokenProcessPool as exc:
-            return exc
+        def submit(task):  # a pool that broke before the task was queued is its error
+            try:
+                return pool.submit(_job, task)
+            except BrokenProcessPool as exc:
+                return exc
+
+        def outcome(task):  # a dead worker's BrokenProcessPool is the error of its task
+            try:
+                return task if isinstance(task, Exception) else task.result()
+            except BrokenProcessPool as exc:
+                return exc
     try:
         scored = ([submit((_score_task, *pair, point)) for point in points]
                   if len(points) > 1 else [] for pair, points in zip(pairs, grids))
@@ -434,11 +446,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
         for pair, points, pending in zip(pairs, grids, scored):
             try:
                 point = points[0] if len(points) == 1 else cross_validate(
-                    points, [_outcome(task) for task in pending])[0]
+                    points, [outcome(task) for task in pending])[0]
                 refits.append(submit((_execute_run, *pair, point)))
             except AllFailedError as exc:
                 refits.append(exc)
-        outcomes = [_outcome(task) for task in refits]
+        outcomes = [outcome(task) for task in refits]
     finally:  # an escaping error leaves no queued task to wait for
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -166,13 +166,35 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     return EvalReport(metrics=values, counts=counts, metadata=metadata or {})
 
 
+# The fields each metric reads besides x, t and y; "e" stands for rows with
+# e = 1, the randomized subset. A report asked for no metric names the
+# DEFAULT_METRICS its data can give.
+NEEDS = {"pehe": ("tau",), "sqrt_pehe": ("tau",), "pehe_obs": ("y0", "y1"),
+         "sqrt_pehe_obs": ("y0", "y1"), "policy_risk": ("e",), "pehe_nn": ()}
+DEFAULT_METRICS = ("sqrt_pehe", "sqrt_pehe_obs", "policy_risk")
+
+
+def carried_fields(data: Dataset) -> set[str]:
+    """The optional fields `data` carries, with "e" only when some row has e = 1."""
+    return {name for name, v in data.columns().items() if name != "e" or np.any(v == 1)}
+
+
 def available_metrics(data: Dataset) -> list[str]:
     """Metrics computable from the fields this dataset carries."""
-    out = []
-    if data.tau is not None:
-        out.append("sqrt_pehe")
-    if data.y0 is not None and data.y1 is not None:
-        out.append("sqrt_pehe_obs")
-    if data.e is not None and np.any(data.e == 1):
-        out.append("policy_risk")
-    return out
+    fields = carried_fields(data)
+    return [metric for metric in DEFAULT_METRICS if fields.issuperset(NEEDS[metric])]
+
+
+def check_metrics(wanted, fields) -> None:
+    """Raises a ValueError, naming the metric and the field, unless data
+    carrying `fields` (as carried_fields names them) can give every metric in
+    `wanted`, or, when `wanted` is empty, at least one default metric."""
+    for metric in wanted:
+        for name in NEEDS[metric]:
+            if name not in fields:
+                rows = " with a randomized subset (rows at e = 1)" if name == "e" else ""
+                raise ValueError(f"metric {metric!r} needs field {name!r}{rows}, "
+                                 f"which the data lacks")
+    if not wanted and not any(fields.issuperset(NEEDS[m]) for m in DEFAULT_METRICS):
+        raise ValueError("dataset carries no ground-truth fields to evaluate against "
+                         "(tau, y0 and y1, or rows with e = 1)")

@@ -1,10 +1,16 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtcate
 from mtcate import cli, data as dm, harness, mtrnet, theory
 
 
@@ -181,6 +187,71 @@ def test_train_writes_nothing_when_the_report_fails(tmp_path, capsys):
     error = cli_error(capsys, ["train", "--config", config, "--out", str(out)])
     assert "randomized" in error["message"]
     assert not (out / "model.json").exists() and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("columns, metrics, named", [
+    ({"y0", "y1", "tau"}, ["policy_risk"], "metric 'policy_risk' needs field 'e'"),
+    ({"y0", "y1", "e"}, ["sqrt_pehe"], "metric 'sqrt_pehe' needs field 'tau'"),
+    ({"e"}, [], "dataset carries no ground-truth fields"),  # e is all 0
+])
+def test_train_refuses_a_metric_the_data_cannot_give_before_fitting(
+        tmp_path, capsys, monkeypatch, columns, metrics, named):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.setattr(harness, "fit_method", no_fit)
+    d = dm.generate(dm.SyntheticDGPSpec.from_dict(dgp_dict(), "dgp"))
+    dm.save_csv(dm.Dataset(x=d.x, t=d.t, y=d.y, **{c: getattr(d, c) for c in columns}),
+                tmp_path / "data.csv")
+    config = write_json(tmp_path / "train.json", {
+        "method": "ols_del", "data": {"csv": str(tmp_path / "data.csv")}, "metrics": metrics,
+    })
+    error = cli_error(capsys, ["train", "--config", config, "--out", str(tmp_path / "fit")])
+    assert error["type"] == "ValueError" and named in error["message"]
+
+
+def test_fresh_jobs_1_commands_never_load_the_process_pool(tmp_path):
+    """In one fresh interpreter: import every mtcate module, then run
+    generate, train, evaluate, a --jobs 1 experiment and sweep and
+    theory-check; the pool's modules stay unloaded."""
+    gen = write_json(tmp_path / "gen.json", {"synthetic": dgp_dict(n=60)})
+    train = write_json(tmp_path / "train.json", {
+        "method": "ols_del", "data": {"csv": str(tmp_path / "data.csv")}})
+    exp = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": dgp_dict(n=60)}, "missingness": {"m": 0.3, "q": 0.6},
+        "methods": [{"name": "ols_del"}, {"name": "tarnet_del", "grid": [{}, {"alpha": 0.5}],
+                                          "config": {"rep_layer_size": 4, "hyp_layer_size": 4,
+                                                     "iterations": 3, "batch_size": 16}}],
+        "num_runs": 1})
+    commands = [
+        ["generate", "--config", gen, "--out", str(tmp_path / "data.csv")],
+        ["train", "--config", train, "--out", str(tmp_path / "fit")],
+        ["evaluate", "--model", str(tmp_path / "fit" / "model.json"),
+         "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "eval.json")],
+        ["experiment", "--config", exp, "--jobs", "1", "--out", str(tmp_path / "exp")],
+        ["sweep-m", "--config", exp, "--m", "0.2,0.4", "--out", str(tmp_path / "sweep")],
+        ["theory-check", "--worlds", "300", "--out", str(tmp_path / "theory")],
+    ]
+    script = textwrap.dedent(f"""
+        import importlib, json, pkgutil, sys
+        import mtcate
+        for module in pkgutil.iter_modules(mtcate.__path__):
+            importlib.import_module("mtcate." + module.name)
+        from mtcate import cli
+        codes = [cli.main(argv) for argv in {commands!r}]
+        print(json.dumps([codes, [name in sys.modules for name in
+                                  ("multiprocessing", "concurrent.futures.process")]]))
+    """)
+    src = str(Path(mtcate.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(commands), done.stderr
+    assert (tmp_path / "exp" / "results.jsonl").read_text().count("\n") == 2
+    assert loaded == [False, False]
 
 
 def test_experiment_rejects_unknown_metric_before_fitting(tmp_path, capsys, monkeypatch):

@@ -212,6 +212,16 @@ def test_dataset_rejects_an_x_that_is_not_2d(x):
         Dataset(x=x, t=[1.0], y=[0.0])
 
 
+@pytest.mark.parametrize("column", ["x", "y", "y0", "y1", "tau"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dataset_rejects_a_non_finite_value_naming_its_column(column, bad):
+    fields = {"x": np.zeros((3, 1)), "t": [1.0, 0.0, 1.0],
+              **{name: np.zeros(3) for name in ("y", "y0", "y1", "tau")}}
+    fields[column].flat[1] = bad
+    with pytest.raises(ValueError, match=f"^{column} must be finite$"):
+        Dataset(**fields)
+
+
 def test_every_dataset_field_is_in_the_column_table():
     # subset, concat and dataclasses.replace copy exactly these columns
     assert [f.name for f in fields(Dataset) if f.init] == list(COLUMNS)

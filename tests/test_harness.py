@@ -265,21 +265,49 @@ def test_run_experiment_and_sweep_reject_nonpositive_jobs(monkeypatch, jobs):
         sweep_m(cfg, [0.5], jobs=jobs, log=None)
 
 
+def _csv_without_ground_truth(cfg, tmp_path):
+    d = dm.generate(linear_dgp())
+    dm.save_csv(dm.Dataset(x=d.x, t=d.t, y=d.y), tmp_path / "bare.csv")
+    return replace(cfg, dgp=None, csv_path=str(tmp_path / "bare.csv"))
+
+
 @pytest.mark.parametrize("spoil, named", [
-    (lambda cfg: replace(cfg, missingness=MissingnessSpec(m=1.5, q=0.9)),
+    (lambda cfg, _: replace(cfg, missingness=MissingnessSpec(m=1.5, q=0.9)),
      "m must be in (0,1), got 1.5"),
-    (lambda cfg: replace(cfg, num_runs=0), "num_runs must be >= 1, got 0"),
-    (lambda cfg: replace(cfg, preset="bogus"), "unknown preset 'bogus'"),
-], ids=["missingness", "num_runs", "preset"])
-def test_run_experiment_cannot_start_from_a_bad_config(monkeypatch, spoil, named):
-    # the config checks itself when it is built, so there is nothing to run
+    (lambda cfg, _: replace(cfg, num_runs=0), "num_runs must be >= 1, got 0"),
+    (lambda cfg, _: replace(cfg, preset="bogus"), "unknown preset 'bogus'"),
+    (lambda cfg, _: replace(cfg, metrics=("sqrt_pehe", "policy_risk")),
+     "metric 'policy_risk' needs field 'e'"),
+    (_csv_without_ground_truth, "dataset carries no ground-truth fields"),
+    (lambda cfg, tmp_path: replace(_csv_without_ground_truth(cfg, tmp_path),
+                                   metrics=("sqrt_pehe_obs",)),
+     "metric 'sqrt_pehe_obs' needs field 'y0'"),
+], ids=["missingness", "num_runs", "preset", "policy_risk_without_rct", "csv_without_truth",
+        "csv_without_y0"])
+def test_run_experiment_cannot_start_from_a_bad_config(monkeypatch, tmp_path, spoil, named):
+    # the config checks itself when it is built, and data that cannot give
+    # the metrics fails before the first fit, so there is nothing to run
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_method called")
 
     monkeypatch.setattr(harness, "fit_method", no_fit)
     cfg = experiment_config([MethodSpec("ols_del")], num_runs=2)
     with pytest.raises(ValueError, match=re.escape(named)):
-        run_experiment(spoil(cfg), log=None)
+        run_experiment(spoil(cfg, tmp_path), log=None)
+
+
+def test_an_rct_draw_or_a_named_surrogate_metric_passes_the_metric_check(monkeypatch, tmp_path):
+    def failing_fit(*args, **kwargs):
+        raise RuntimeError("fit_method called")  # recorded as the task's failure
+
+    monkeypatch.setattr(harness, "fit_method", failing_fit)
+    cfg = experiment_config([MethodSpec("ols_del")], num_runs=2)
+    rct = replace(cfg, dgp=replace(cfg.dgp, rct=True), metrics=("policy_risk",))
+    bare = replace(_csv_without_ground_truth(cfg, tmp_path), missingness=None,
+                   metrics=("pehe_nn",))
+    for passing in (rct, bare):  # past the check, every fit fails
+        with pytest.raises(ExperimentFailedError, match="fit_method called"):
+            run_experiment(passing, log=None)
 
 
 def _die_in_worker(task):
@@ -307,7 +335,7 @@ class _BrokenPool(ProcessPoolExecutor):
     MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}), base_config=tiny_net_config()),
 ], ids=["one_point", "two_point"])
 def test_a_pool_broken_before_queueing_fails_the_experiment_by_name(monkeypatch, method):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(harness, "_process_pool", lambda jobs: _BrokenPool(max_workers=jobs))
     with pytest.raises(ExperimentFailedError, match="process pool"):
         run_experiment(experiment_config([method], num_runs=1), jobs=2, log=None)
 
