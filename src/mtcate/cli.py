@@ -117,18 +117,16 @@ def cmd_train(args) -> int:
     cfg = _load_json(args.config)
     check_keys(cfg, ("method", "config", "data", "metrics"), "train config",
                required=("method", "data"))
-    check_keys(cfg.get("metrics", ()), metricsmod.METRICS, "metric")
     spec = harness.MethodSpec.from_dict({"name": cfg["method"], "config": cfg.get("config", {})})
     method, net_config = spec.name, spec.base_config
     if args.seed is not None:
         net_config = replace(net_config, seed=args.seed)
     d = datamod.load_dataset(datamod.DataSpec.from_dict(cfg["data"], "data"))
-    metricsmod.check_metrics(cfg.get("metrics", ()), metricsmod.carried_fields(d))
+    wanted = metricsmod.resolve_metrics(decode(cfg.get("metrics", []), tuple[str, ...], "metrics"),
+                                        metricsmod.carried_fields(d))
     fitted = harness.fit_method(method, net_config, d)
-    wanted = list(cfg.get("metrics", ())) or metricsmod.available_metrics(d)
-    # the report is built before anything is written: a metric the data
-    # cannot support leaves no model.json behind. It keeps the config as
-    # given, since a CFR-MMD network's own config has alpha = 0.
+    # built before anything is written, so a metric that fails leaves no
+    # model.json; it keeps the config as given (a CFR-MMD net's has alpha = 0)
     report = metricsmod.evaluate_predictions(
         d, fitted.predict_cate(d.x), wanted,
         metadata={"method": harness.METHODS[method].label, "seed": net_config.seed,
@@ -146,9 +144,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     fitted = load_fitted(_load_json(args.model))
     d = datamod.load_csv(args.data)
-    metricsmod.check_metrics((), metricsmod.carried_fields(d))
-    report = metricsmod.evaluate_predictions(d, fitted.predict_cate(d.x),
-                                             metricsmod.available_metrics(d))
+    wanted = metricsmod.resolve_metrics((), metricsmod.carried_fields(d))
+    report = metricsmod.evaluate_predictions(d, fitted.predict_cate(d.x), wanted)
     _dump_json(report.to_dict(), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -258,14 +258,6 @@ def selection_score(model, val_data: Dataset, selection_metric: str) -> float:
     raise ValueError(f"unknown selection metric {selection_metric!r}")
 
 
-def default_selection_metric(d: Dataset) -> str:
-    # Surrogate-effect error needs only factual observed data; switch to
-    # policy risk when a randomized subset is the only evaluable signal.
-    if d.e is not None and np.any(d.e == 1) and d.tau is None and (d.y0 is None or d.y1 is None):
-        return "policy_risk"
-    return "pehe_nn"
-
-
 def cross_validate(points: list[dict], outcomes) -> tuple[dict, list[float]]:
     """The choice among grid points (`method.grid_points()`, expanded once by
     the caller); returns (best_overrides, scores). `outcomes[i]` is point i's
@@ -349,24 +341,25 @@ def _score_task(config: ExperimentConfig, run_index: int, method: MethodSpec,
     val."""
     train, val, _, seed = _run_splits(config, run_index, method, base)
     model = fit_method(method.name, replace(method.base_config, **point, seed=seed), train)
-    return float(selection_score(model, val, default_selection_metric(train)))
+    selection = metricsmod.selection_metric(metricsmod.carried_fields(train))
+    return float(selection_score(model, val, selection))
 
 
 def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
                  base: Dataset | None, point: dict) -> RunResult:
-    """A pair's chosen point fitted on train+val and evaluated on test."""
+    """A pair's chosen point fitted on train+val and evaluated on test by the
+    metrics test can give; when it can give none, the pair fails unfitted."""
     train, val, test, seed = _run_splits(config, run_index, method, base)
+    wanted = metricsmod.resolve_metrics(config.metrics, metricsmod.carried_fields(test))
     final_config = replace(method.base_config, **point, seed=seed)
     model = fit_method(method.name, final_config, datamod.concat(train, val))
-
-    wanted = list(config.metrics) or metricsmod.available_metrics(test)
     report = metricsmod.evaluate_predictions(
         test, model.predict_cate(test.x), wanted,
         metadata={
             "method": method.label,
             "run_index": run_index,
             "seed": seed,
-            "selection_metric": default_selection_metric(train),
+            "selection_metric": metricsmod.selection_metric(metricsmod.carried_fields(train)),
             "m": None if config.missingness is None else config.missingness.m,
             "q": None if config.missingness is None else config.missingness.q,
         },
@@ -416,7 +409,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     # the fields of every run's data: the CSV's, or a draw's (e = 1 rows only in an RCT)
     fields = (metricsmod.carried_fields(base) if base is not None
               else {"y0", "y1", "tau"} | ({"e"} if config.dgp.rct else set()))
-    metricsmod.check_metrics(config.metrics, fields)  # before the first fit
+    metricsmod.resolve_metrics(config.metrics, fields)  # before the first fit
     pairs = [(config, run, method, base)
              for run in range(config.num_runs) for method in config.methods]
     grids = [method.grid_points() for method in config.methods] * config.num_runs

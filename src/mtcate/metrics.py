@@ -6,6 +6,7 @@ reported overall and split by the treatment-observedness domain."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,17 +123,25 @@ class EvalReport(Spec):
             check_keys(by_split, SPLITS, f"report.metrics.{metric} split")
 
 
-# Every metric a report can name: name -> (data, tau_hat) -> value. The
-# callees are looked up at call time, where a tracer can wrap them.
+class Metric(NamedTuple):
+    needs: tuple[str, ...]  # fields read besides x, t and y; "e" means rows with e = 1
+    score: Callable  # (data, tau_hat) -> value
+
+
+# The one metric table: every metric a report can name. The callees are
+# looked up at call time, where a tracer can wrap them. A report asked for no
+# metric names the DEFAULT_METRICS its data can give.
 METRICS = {
-    "pehe": lambda data, tau_hat: pehe_true(tau_hat, data.tau),
-    "sqrt_pehe": lambda data, tau_hat: float(np.sqrt(pehe_true(tau_hat, data.tau))),
-    "pehe_obs": lambda data, tau_hat: pehe_observed(tau_hat, data.y1, data.y0),
-    "sqrt_pehe_obs": lambda data, tau_hat: float(np.sqrt(pehe_observed(tau_hat, data.y1, data.y0))),
-    "policy_risk": lambda data, tau_hat: policy_risk(
-        tau_hat, data.y, data.t_true if data.t_true is not None else data.t, data.e),
-    "pehe_nn": lambda data, tau_hat: pehe_nn(tau_hat, data.x, data.t, data.y),
+    "pehe": Metric(("tau",), lambda d, tau_hat: pehe_true(tau_hat, d.tau)),
+    "sqrt_pehe": Metric(("tau",), lambda d, tau_hat: float(np.sqrt(pehe_true(tau_hat, d.tau)))),
+    "pehe_obs": Metric(("y0", "y1"), lambda d, tau_hat: pehe_observed(tau_hat, d.y1, d.y0)),
+    "sqrt_pehe_obs": Metric(("y0", "y1"), lambda d, tau_hat: float(
+        np.sqrt(pehe_observed(tau_hat, d.y1, d.y0)))),
+    "policy_risk": Metric(("e",), lambda d, tau_hat: policy_risk(
+        tau_hat, d.y, d.t_true if d.t_true is not None else d.t, d.e)),
+    "pehe_nn": Metric((), lambda d, tau_hat: pehe_nn(tau_hat, d.x, d.t, d.y)),
 }
+DEFAULT_METRICS = ("sqrt_pehe", "sqrt_pehe_obs", "policy_risk")
 
 
 def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
@@ -155,9 +164,10 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     values = {}
     for metric in metrics:
         by_split = values[metric] = {}
+        score = METRICS[metric].score
         for split in splits:
             try:
-                by_split[split] = METRICS[metric](*subsets[split]) if split in subsets else None
+                by_split[split] = score(*subsets[split]) if split in subsets else None
             except (DegenerateArmError, StratumEmptyError):
                 if split == "overall":
                     raise
@@ -166,35 +176,35 @@ def evaluate_predictions(data: Dataset, tau_hat: np.ndarray, metrics,
     return EvalReport(metrics=values, counts=counts, metadata=metadata or {})
 
 
-# The fields each metric reads besides x, t and y; "e" stands for rows with
-# e = 1, the randomized subset. A report asked for no metric names the
-# DEFAULT_METRICS its data can give.
-NEEDS = {"pehe": ("tau",), "sqrt_pehe": ("tau",), "pehe_obs": ("y0", "y1"),
-         "sqrt_pehe_obs": ("y0", "y1"), "policy_risk": ("e",), "pehe_nn": ()}
-DEFAULT_METRICS = ("sqrt_pehe", "sqrt_pehe_obs", "policy_risk")
-
-
 def carried_fields(data: Dataset) -> set[str]:
     """The optional fields `data` carries, with "e" only when some row has e = 1."""
     return {name for name, v in data.columns().items() if name != "e" or np.any(v == 1)}
 
 
-def available_metrics(data: Dataset) -> list[str]:
-    """Metrics computable from the fields this dataset carries."""
-    fields = carried_fields(data)
-    return [metric for metric in DEFAULT_METRICS if fields.issuperset(NEEDS[metric])]
+def _defaults(fields) -> list[str]:
+    return [metric for metric in DEFAULT_METRICS if fields.issuperset(METRICS[metric].needs)]
 
 
-def check_metrics(wanted, fields) -> None:
-    """Raises a ValueError, naming the metric and the field, unless data
-    carrying `fields` (as carried_fields names them) can give every metric in
-    `wanted`, or, when `wanted` is empty, at least one default metric."""
+def resolve_metrics(wanted, fields) -> list[str]:
+    """The metrics to report on data carrying `fields` (as carried_fields
+    names them): `wanted`, or, when it is empty, the default metrics the
+    fields allow. A ValueError names an unknown metric, a wanted metric's
+    missing field, or data that can give no default metric."""
+    check_keys(wanted, METRICS, "metric")
     for metric in wanted:
-        for name in NEEDS[metric]:
+        for name in METRICS[metric].needs:
             if name not in fields:
                 rows = " with a randomized subset (rows at e = 1)" if name == "e" else ""
                 raise ValueError(f"metric {metric!r} needs field {name!r}{rows}, "
                                  f"which the data lacks")
-    if not wanted and not any(fields.issuperset(NEEDS[m]) for m in DEFAULT_METRICS):
+    defaults = _defaults(fields)
+    if not wanted and not defaults:
         raise ValueError("dataset carries no ground-truth fields to evaluate against "
                          "(tau, y0 and y1, or rows with e = 1)")
+    return list(wanted) or defaults
+
+
+def selection_metric(fields) -> str:
+    """The model-selection score for training data carrying `fields`: pehe_nn,
+    unless policy_risk is the only default metric the fields allow."""
+    return "policy_risk" if _defaults(fields) == ["policy_risk"] else "pehe_nn"

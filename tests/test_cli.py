@@ -193,6 +193,8 @@ def test_train_writes_nothing_when_the_report_fails(tmp_path, capsys):
     ({"y0", "y1", "tau"}, ["policy_risk"], "metric 'policy_risk' needs field 'e'"),
     ({"y0", "y1", "e"}, ["sqrt_pehe"], "metric 'sqrt_pehe' needs field 'tau'"),
     ({"e"}, [], "dataset carries no ground-truth fields"),  # e is all 0
+    ({"y0", "y1", "tau"}, "sqrt_pehe", "metrics: expected tuple, got 'sqrt_pehe'"),
+    ({"y0", "y1", "tau"}, None, "metrics: expected tuple, got None"),
 ])
 def test_train_refuses_a_metric_the_data_cannot_give_before_fitting(
         tmp_path, capsys, monkeypatch, columns, metrics, named):

@@ -310,6 +310,29 @@ def test_an_rct_draw_or_a_named_surrogate_metric_passes_the_metric_check(monkeyp
             run_experiment(passing, log=None)
 
 
+def test_a_test_split_that_can_give_no_metric_fails_its_pair(monkeypatch, tmp_path):
+    # the CSV's only ground truth is 3 rows at e = 1: the experiment passes
+    # the check before the first fit, but no run's test split holds one of
+    # them, so each pair fails, unfitted, naming the cause instead of
+    # reporting nothing
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.setattr(harness, "fit_method", no_fit)
+    d = dm.generate(linear_dgp(n=100))
+    rows = dm.Dataset(x=np.arange(100.0)[:, None], t=np.zeros(100), y=np.zeros(100))
+    tested = np.concatenate([dm.split(rows, seed=derive_seed(0, run, "split"))[2].x[:, 0]
+                             for run in range(3)])
+    e = np.zeros(100)
+    e[np.setdiff1d(np.arange(100), tested)[:3]] = 1.0
+    dm.save_csv(dm.Dataset(x=d.x, t=d.t, y=d.y, e=e), tmp_path / "rct3.csv")
+    cfg = ExperimentConfig(dgp=None, csv_path=str(tmp_path / "rct3.csv"),
+                           methods=(MethodSpec("ols_del"),), num_runs=3, master_seed=0)
+    with pytest.raises(ExperimentFailedError,
+                       match="3 of 3 runs failed.*dataset carries no ground-truth fields"):
+        run_experiment(cfg, log=None)
+
+
 def _die_in_worker(task):
     os._exit(1)
 

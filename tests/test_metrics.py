@@ -9,8 +9,8 @@ from mtcate import metrics
 from mtcate.data import Dataset
 from mtcate.errors import DegenerateArmError, MetricUnavailableError, StratumEmptyError
 from mtcate.metrics import (
-    EvalReport, evaluate_predictions, nn_surrogate_effects, pehe_nn,
-    pehe_observed, pehe_true, policy_risk,
+    METRICS, EvalReport, carried_fields, evaluate_predictions, nn_surrogate_effects, pehe_nn,
+    pehe_observed, pehe_true, policy_risk, resolve_metrics, selection_metric,
 )
 
 
@@ -235,7 +235,74 @@ def test_evaluate_predictions_checks_every_metric_name_first(monkeypatch):
     def no_eval(*args):
         raise AssertionError("a metric was computed")
 
-    monkeypatch.setitem(metrics.METRICS, "pehe", no_eval)
+    monkeypatch.setitem(metrics.METRICS, "pehe", metrics.METRICS["pehe"]._replace(score=no_eval))
     data = toy_dataset([1, 0], [0.0, 0.0])
     with pytest.raises(ValueError, match="'pehee'"):
         evaluate_predictions(data, np.zeros(2), ["pehe", "pehee"])
+
+
+# ---------------------------------------------------------------------------
+# Which metrics data can be scored by
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_each_metric_reads_exactly_the_fields_its_table_entry_names(name):
+    # x, t and y plus every optional field a metric can read; every row is
+    # randomized, and tau_hat treats and withholds rows of both arms
+    rng = np.random.default_rng(5)
+    t = np.tile([0.0, 1.0], 6)
+    y0, y1 = rng.standard_normal(12), rng.standard_normal(12)
+    columns = {"x": rng.standard_normal((12, 2)), "t": t, "y": np.where(t == 1.0, y1, y0),
+               "y0": y0, "y1": y1, "tau": y1 - y0, "e": np.ones(12)}
+    tau_hat = np.tile([1.0, 1.0, -1.0, -1.0], 3)
+
+    def carrying(fields):
+        return Dataset(**{k: v for k, v in columns.items() if k in {"x", "t", "y", *fields}})
+
+    needs = METRICS[name].needs
+    data = carrying(needs)
+    assert carried_fields(data) == {"x", "t", "y", *needs}
+    assert resolve_metrics([name], carried_fields(data)) == [name]
+    assert math.isfinite(evaluate_predictions(data, tau_hat, [name]).metrics[name]["overall"])
+    for field in needs:
+        lacking = carrying(set(needs) - {field})
+        with pytest.raises(ValueError, match=f"metric '{name}' needs field '{field}'"):
+            resolve_metrics([name], carried_fields(lacking))
+        with pytest.raises(MetricUnavailableError):
+            evaluate_predictions(lacking, tau_hat, [name])
+
+
+def test_resolve_metrics_names_an_unknown_metric_or_gives_the_defaults():
+    with pytest.raises(ValueError, match=r"unknown metric key\(s\) \['pehee'\]"):
+        resolve_metrics(["pehe", "pehee"], {"tau"})
+    assert resolve_metrics((), {"tau", "y0", "y1", "e"}) == [
+        "sqrt_pehe", "sqrt_pehe_obs", "policy_risk"]
+    assert resolve_metrics((), {"y0", "y1"}) == ["sqrt_pehe_obs"]
+    assert resolve_metrics(["pehe_nn"], set()) == ["pehe_nn"]
+    with pytest.raises(ValueError, match="dataset carries no ground-truth fields"):
+        resolve_metrics((), {"y0"})
+
+
+# Every subset of the optional fields: policy risk on the randomized subset
+# selects exactly when it is the only default metric (e present, tau absent,
+# y0 and y1 not both present).
+@pytest.mark.parametrize("fields, expected", [
+    ((), "pehe_nn"),
+    (("tau",), "pehe_nn"),
+    (("y0",), "pehe_nn"),
+    (("y1",), "pehe_nn"),
+    (("e",), "policy_risk"),
+    (("tau", "y0"), "pehe_nn"),
+    (("tau", "y1"), "pehe_nn"),
+    (("tau", "e"), "pehe_nn"),
+    (("y0", "y1"), "pehe_nn"),
+    (("y0", "e"), "policy_risk"),
+    (("y1", "e"), "policy_risk"),
+    (("tau", "y0", "y1"), "pehe_nn"),
+    (("tau", "y0", "e"), "pehe_nn"),
+    (("tau", "y1", "e"), "pehe_nn"),
+    (("y0", "y1", "e"), "pehe_nn"),
+    (("tau", "y0", "y1", "e"), "pehe_nn"),
+])
+def test_selection_metric_on_every_subset_of_the_optional_fields(fields, expected):
+    assert selection_metric({"x", "t", "y", *fields}) == expected

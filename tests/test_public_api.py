@@ -1,5 +1,6 @@
-"""Every public module-level function and class of the package has a caller
-in the package itself: none survives only because its own test calls it.
+"""Every public module-level function, class, table and constant of the
+package is used in the package itself: none survives only because its own
+test reads it.
 Every name a module imports is used in that module. And a value is checked
 when it is built, never again where it is used."""
 
@@ -16,8 +17,17 @@ USED_OUTSIDE = {("trend", "trend_config")}
 
 
 def public_definitions(tree):
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    """The public functions, classes and assigned names (tables, constants)
+    at the top level of `tree`."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def references(tree, module):
