@@ -250,6 +250,11 @@ def fit_method(name: str, config: MTRNetConfig, train_data: Dataset):
 
 
 def selection_score(model, val_data: Dataset, selection_metric: str) -> float:
+    """The model's validation score, lower is better. It reads the public
+    treatment column `t` alone, so model selection never sees the hidden
+    labels: its `policy_risk` averages outcomes over the rows whose treatment
+    is observed, where `METRICS["policy_risk"]` scores a test split on
+    `t_true` when the split carries it."""
     tau_hat = model.predict_cate(val_data.x)
     if selection_metric == "pehe_nn":
         return metricsmod.pehe_nn(tau_hat, val_data.x, val_data.t, val_data.y)

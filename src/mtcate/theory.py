@@ -13,8 +13,8 @@ the exact absolute-difference sum, maximized by the sign function).
 Every check below takes one world and model, or a stack of worlds of
 equal K and their models with a leading world axis, and gives each stacked
 world the same floats as that world alone, bit for bit. Random worlds and
-models are drawn as such stacks, one Generator call per field of a K-group,
-and a sweep checks the groups of one K from several draws as one stack.
+models are drawn as such stacks, one Generator call per field of a stack,
+and a sweep checks each drawn stack, of one K and one seed, as it comes.
 
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
@@ -33,16 +33,15 @@ from .errors import Spec, check_count
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
 MAX_POINTS = 5  # a random world has 2 to MAX_POINTS covariate points
 TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
-# worlds a sweep draws from one seed; it checks a point count's worlds once
-# this many have gathered, so its memory does not grow with the number of worlds
+# most worlds a sweep draws from one seed and checks as one stack, so its
+# memory does not grow with the number of worlds
 WORLD_BLOCK = 256
 
 
 def _is_probability(p: np.ndarray) -> np.ndarray:
     """Per vector along the last axis: nonnegative masses summing to 1
     (a NaN mass fails the sum)."""
-    return ((np.abs(np.add.reduce(p, axis=-1) - 1.0) <= 1e-9)
-            & (np.minimum.reduce(p, axis=-1, initial=np.inf) >= 0))
+    return (np.abs(np.add.reduce(p, axis=-1) - 1.0) <= 1e-9) & (p >= 0).all(axis=-1)
 
 
 def _by_point(a: np.ndarray) -> np.ndarray:
@@ -388,33 +387,32 @@ class SweepSummary(Spec):
 
 def _world_stacks(num_worlds: int, seed: int):
     """The fields of `run_world_sweep`'s checked stacks, worlds' then models'."""
-    pending = {}  # K -> its drawn groups not yet checked
-    for block, start in enumerate(range(0, num_worlds, WORLD_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, block]))
-        ks = rng.integers(2, MAX_POINTS + 1, size=min(WORLD_BLOCK, num_worlds - start))
-        for k, n in zip(*np.unique(ks, return_counts=True)):
-            pending.setdefault(k, []).append((*random_world(rng, k, n), *random_model(rng, k, n)))
-            if sum(len(group[0]) for group in pending[k]) >= WORLD_BLOCK:
-                yield [np.concatenate(field) for field in zip(*pending.pop(k))]
-    for k in sorted(pending):
-        yield [np.concatenate(field) for field in zip(*pending.pop(k))]
+    ks = range(2, MAX_POINTS + 1)
+    counts = np.random.default_rng(np.random.SeedSequence([seed, 808])).multinomial(
+        num_worlds, [1 / len(ks)] * len(ks))
+    for k, count in zip(ks, counts):
+        for block, start in enumerate(range(0, count, WORLD_BLOCK)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 808, k, block]))
+            n = min(WORLD_BLOCK, count - start)
+            yield (*random_world(rng, k, n), *random_model(rng, k, n))
 
 
 def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     """Exhaustively check the identities and the bound chain on randomly
     drawn worlds and models.
 
-    Block j of WORLD_BLOCK worlds draws from its own seed `SeedSequence([seed,
-    808, j])`: first each world's point count K (2 to MAX_POINTS), then, for
-    each K in increasing order, that K-group's worlds and models, a field at
-    a time (`random_world`, `random_model`), so a full block's worlds depend
-    on (seed, j) alone. A K's groups are checked as one stack once at least
-    WORLD_BLOCK of its worlds have gathered, and each K's leftover at the
-    end in increasing K: no stack holds 2 * WORLD_BLOCK worlds, so memory
-    does not grow with `num_worlds`. Each stack becomes one `Worlds` and one
-    `TabularModel`, which validate every world of it once, and goes through
-    one `eps_terms`, `check_decompositions` and `check_bounds` pass. Each
-    stacked world gets the floats it gets alone, by three rules:
+    One multinomial draw from `SeedSequence([seed, 808])` gives how many
+    worlds have each point count K (2 to MAX_POINTS, equally likely). Then,
+    for each K in increasing order, block j holds the K's next WORLD_BLOCK
+    worlds (fewer in its last block), drawn with their models a field at a
+    time (`random_world`, then `random_model`) from `SeedSequence([seed,
+    808, K, j])`, so a full block depends on (seed, K, j) alone. Each block
+    is checked as it is drawn, as one stack of at most WORLD_BLOCK worlds,
+    so memory does not grow with `num_worlds`. Each stack becomes one
+    `Worlds` and one `TabularModel`, which validate every world of it once,
+    and goes through one `eps_terms`, `check_decompositions` and
+    `check_bounds` pass. Each stacked world gets the floats it gets alone,
+    by three rules:
     - only worlds of equal K are stacked, since padding K would regroup
       numpy's pairwise sums over points;
     - sums over points run over a world's trailing contiguous (K, 2) axes,

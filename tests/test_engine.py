@@ -12,11 +12,16 @@ observed rows; its digests were recorded from the hand-written engine
 with a separate backward block per discriminator and for the penalty."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtcate
 from mtcate import cli, mtrnet
 from mtcate.baselines import apply_strategy, cfrmmd_train, tarnet_train
 from mtcate.data import Dataset
@@ -139,3 +144,36 @@ def test_load_fitted_writes_into_the_flat_buffer():
                          rng=np.random.default_rng(0))
     assert not np.array_equal(clone.flat, flat_before)
     assert not np.array_equal(mtrnet.predict_cate(clone, x), before)
+
+
+# Two 100-step fits at shapes where a multi-threaded OpenBLAS rounds some
+# products differently: CFR-MMD at the trend shapes (its MMD's `x @ x.T` and
+# `K @ x`) and MTRNet at widths 100 and batch 70. mtcate is imported before
+# numpy, as the CLI and a pool worker import it.
+BLAS_FITS = """
+import hashlib
+from dataclasses import replace
+from mtcate import harness
+from mtcate.trend import trend_config
+config = trend_config(0.5, master_seed=1)
+train = harness._run_splits(config, 0, config.methods[0], None)[0]
+net = replace(config.methods[0].base_config, iterations=100, seed=3, alpha=1.0)
+for name, cfg in (("cfrmmd_del", net), ("mtrnet", replace(
+        net, rep_layer_size=100, hyp_layer_size=100, batch_size=70, beta=8.0))):
+    print(name, hashlib.sha256(harness.fit_method(name, cfg, train).flat).hexdigest())
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.slow
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(mtcate.__file__).parents[1])
+    base = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for pinned in ({}, dict.fromkeys(BLAS_THREAD_VARS, "1")):
+        done = subprocess.run([sys.executable, "-c", BLAS_FITS], capture_output=True, text=True,
+                              env={**base, **pinned}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 4 and digests[0] == digests[1]

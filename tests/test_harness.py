@@ -22,7 +22,7 @@ from mtcate.harness import (
     cross_validate, derive_seed, expand_grid, read_results_jsonl, run_experiment,
     sweep_m, write_results, write_sweep,
 )
-from mtcate.metrics import EvalReport
+from mtcate.metrics import METRICS, EvalReport
 from mtcate.mtrnet import MTRNetConfig
 from mtcate.trend import trend_config
 
@@ -144,6 +144,27 @@ def cv_on(train_d, val_d, method, seed):
 
     points = method.grid_points()
     return cross_validate(points, [score(point) for point in points])
+
+
+class FixedEffects:
+    """A fitted model whose CATE estimate is the first covariate."""
+
+    def predict_cate(self, x):
+        return x[:, 0]
+
+
+def test_selection_policy_risk_reads_public_t_where_the_metric_reads_t_true():
+    # rows 1 and 4 hide their treatment; rows 6 and 7 lie outside the e = 1 subset
+    val = dm.Dataset(x=np.array([[1.0], [1.0], [1.0], [-1.0], [-1.0], [-1.0], [1.0], [-1.0]]),
+                     t=np.array([1.0, np.nan, 0.0, 0.0, np.nan, 1.0, 1.0, 0.0]),
+                     y=np.array([2.0, 4.0, 0.0, 1.0, 3.0, 5.0, 10.0, 10.0]),
+                     e=np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
+                     t_true=np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
+    model = FixedEffects()
+    # policy value 0.5 * mean y(treated, tau_hat > 0) + 0.5 * mean y(control, tau_hat <= 0)
+    assert harness.selection_score(model, val, "policy_risk") == 1.0 - (0.5 * 2.0 + 0.5 * 1.0)
+    assert METRICS["policy_risk"].score(val, model.predict_cate(val.x)) \
+        == 1.0 - (0.5 * 3.0 + 0.5 * 2.0)
 
 
 def test_cross_validate_singleton_grid():

@@ -182,6 +182,21 @@ def test_ipm_rejects_non_probability_masses():
         ipm_supnorm([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.5, np.nan]])
 
 
+@pytest.mark.parametrize("p, verdict", [
+    ([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]], [True, True, True]),
+    ([np.nan, 1.0], False),
+    ([-0.0, 1.0], True),
+    ([-1e-300, 1.0], False),  # sums to 1.0 exactly, but one mass is negative
+    ([np.inf, 0.0], False),
+    ([-np.inf, 1.0], False),
+    (np.zeros((3, 0)), [False, False, False]),
+], ids=["valid_stack", "nan", "negative_zero", "tiny_negative", "inf", "minus_inf",
+        "empty_last_axis"])
+def test_is_probability_verdicts(p, verdict):
+    p = np.asarray(p, dtype=np.float64)
+    assert np.array_equal(theory._is_probability(p), np.asarray(verdict))
+
+
 @given(st.integers(2, 6), st.integers(0, 5000))
 @settings(max_examples=50, deadline=None)
 def test_ipm_is_a_metric_on_the_simplex(k, seed):
@@ -502,10 +517,10 @@ def test_flat_dirichlet_draws_what_numpy_dirichlet_draws():
                 assert (_bits(p_x) == _bits(expected)).all()
 
 
-# 600 worlds span three blocks of WORLD_BLOCK and every K from 2 to 5.
+# 600 worlds cover every K from 2 to 5, each in one block of its own.
 PINNED_SWEEPS = {
-    5: (3.552713678800501e-15, 0.0037034604589685216),
-    2024: (3.552713678800501e-15, 0.005126181548970488),
+    5: (4.440892098500626e-15, 0.001873179251230539),
+    2024: (3.552713678800501e-15, 0.004961374228279247),
 }
 
 
@@ -523,40 +538,51 @@ def test_sweep_summary_is_pinned(seed):
 def test_a_full_block_depends_on_the_seed_and_block_alone(monkeypatch):
     draw_world, draw_model = theory.random_world, theory.random_model
 
-    def recorded_sweep(num_worlds, seed):
+    def full_blocks(num_worlds, seed):
+        """{(K, j): the fields of K's j-th block} for each block of WORLD_BLOCK
+        worlds the sweep draws, worlds' then models'."""
         draws = []
 
         def recording(draw):
             def recorded(rng, k, n):
                 fields = draw(rng, k, n)
-                draws.append([np.copy(a) for a in fields])
+                draws.append((k, [np.copy(a) for a in fields]))
                 return fields
             return recorded
 
         monkeypatch.setattr(theory, "random_world", recording(draw_world))
         monkeypatch.setattr(theory, "random_model", recording(draw_model))
         run_world_sweep(num_worlds, seed=seed)
-        return draws
+        blocks = {}
+        for (k, world), (_, model) in zip(draws[::2], draws[1::2]):
+            j = sum(key[0] == k for key in blocks)
+            blocks[k, j] = world + model
+        return {key: fields for key, fields in blocks.items()
+                if fields[0].shape[0] == theory.WORLD_BLOCK}
 
-    block = recorded_sweep(theory.WORLD_BLOCK, 6)
-    two_blocks = recorded_sweep(2 * theory.WORLD_BLOCK, 6)
-    assert sum(fields[0].shape[0] for fields in block[::2]) == theory.WORLD_BLOCK
-    assert len(two_blocks) > len(block)
-    for ours, theirs in zip(block, two_blocks):
-        assert all(a.shape == b.shape and (_bits(a) == _bits(b)).all()
+    def same(ours, theirs):
+        return all(a.shape == b.shape and (_bits(a) == _bits(b)).all()
                    for a, b in zip(ours, theirs))
-    assert not all(a.shape == b.shape and (a == b).all()
-                   for a, b in zip(block[0], two_blocks[len(block)]))
+
+    small, large = full_blocks(2000, 6), full_blocks(4000, 6)
+    assert {k for k, _ in small} == {k for k, _ in large} == set(range(2, theory.MAX_POINTS + 1))
+    assert small.keys() < large.keys()
+    for key in small:
+        assert same(small[key], large[key]), key
+    assert not same(large[2, 0], large[2, 1])
+    assert not same(small[2, 0], full_blocks(2000, 7)[2, 0])
 
 
 def _per_block_sweep(num_worlds, seed):
-    """The sweep checked one (block, K) group at a time, as drawn."""
+    """The sweep checked one (K, block) stack at a time, drawn as documented:
+    the per-K counts from one multinomial, then each K's blocks in turn."""
     max_res, min_slack, res_viol, slack_viol = 0.0, float("inf"), 0, 0
-    for block, start in enumerate(range(0, num_worlds, theory.WORLD_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 808, block]))
-        ks = rng.integers(2, theory.MAX_POINTS + 1,
-                          size=min(theory.WORLD_BLOCK, num_worlds - start))
-        for k, n in zip(*np.unique(ks, return_counts=True)):
+    counts = np.random.default_rng(np.random.SeedSequence([seed, 808])).multinomial(
+        num_worlds, [0.25] * 4)
+    for k, count in zip((2, 3, 4, 5), counts):
+        full, last = divmod(int(count), theory.WORLD_BLOCK)
+        for block, n in enumerate([theory.WORLD_BLOCK] * full + [last] * (last > 0)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 808, k, block]))
             worlds = Worlds(*random_world(rng, k, n))
             models = TabularModel(*random_model(rng, k, n))
             e = eps_terms(worlds, models)
@@ -587,7 +613,7 @@ def test_sweep_checks_stacks_of_one_k_below_two_blocks(monkeypatch):
 
     monkeypatch.setattr(Worlds, "validate", recording_validate)
     run_world_sweep(16 * theory.WORLD_BLOCK, seed=9)
-    assert all(shape[0] < 2 * theory.WORLD_BLOCK for shape in stacks)
+    assert all(shape[0] <= theory.WORLD_BLOCK for shape in stacks)
     assert sum(shape[0] for shape in stacks) == 16 * theory.WORLD_BLOCK
     assert len(stacks) < 16 * (theory.MAX_POINTS - 1)  # fewer than one per (block, K)
 
