@@ -9,9 +9,8 @@ Usage:
 """
 
 import argparse
+import statistics
 import sys
-
-import numpy as np
 
 from mtcate.harness import sweep_m, write_sweep
 from mtcate.trend import trend_config
@@ -42,7 +41,7 @@ def main():
         gaps = [v["tarnet_del"] - v["mtrnet"] for v in by_run.values()]
         wins = sum(g >= 0 for g in gaps)
         print(f"m={m:g}: balanced representation wins {wins}/{len(gaps)} seeds "
-              f"on the missing domain, median gap {np.median(gaps):+.3f}")
+              f"on the missing domain, median gap {statistics.median(gaps):+.3f}")
     print(f"wrote {args.out}")
     return 0
 

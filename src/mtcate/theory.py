@@ -12,9 +12,11 @@ the exact absolute-difference sum, maximized by the sign function).
 
 Every check below takes one world and model, or a stack of worlds of
 equal K and their models with a leading world axis, and gives each stacked
-world the same floats as that world alone, bit for bit. Random worlds and
-models are drawn as such stacks, one Generator call per field of a stack,
-and a sweep checks each drawn stack, of one K and one seed, as it comes.
+world the same floats as that world alone, bit for bit: a reduction over a
+world's support or points is a fold, elementwise across worlds at any K,
+but for the (K, 2) points-table sums, left to numpy as a fold would move
+their bits at 2K >= 8 (numpy adds 8 or more pairwise). Random stacks are
+drawn one Generator call per field, and a sweep checks each as it comes.
 
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
@@ -38,10 +40,21 @@ TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
 WORLD_BLOCK = 256
 
 
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """`op` left to right over the slabs a[..., j], one whole-stack call each:
+    below 8 entries, `np.add` adds in `np.add.reduce`'s order (bar a -0.0 sum)."""
+    if a.ndim == 0 or a.shape[-1] < 2:
+        return op.reduce(a, axis=-1)
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = op(out, a[..., j])
+    return out
+
+
 def _is_probability(p: np.ndarray) -> np.ndarray:
     """Per vector along the last axis: nonnegative masses summing to 1
     (a NaN mass fails the sum)."""
-    return (np.abs(np.add.reduce(p, axis=-1) - 1.0) <= 1e-9) & (p >= 0).all(axis=-1)
+    return (np.abs(_fold(np.add, p) - 1.0) <= 1e-9) & _fold(np.logical_and, p >= 0)
 
 
 def _by_point(a: np.ndarray) -> np.ndarray:
@@ -85,7 +98,7 @@ class Worlds:
             raise ValueError("need one outcome law per covariate point")
         # per law (..., 2, K); a failure names the arm of its first bad law
         for field, lawful, why in (
-                ("values", np.isfinite(self.values).all(axis=-1), "must be finite"),
+                ("values", _fold(np.logical_and, np.isfinite(self.values)), "must be finite"),
                 ("probs", _is_probability(self.probs), "must hold a probability vector per point")):
             if not lawful.all():
                 raise ValueError(f"y{np.nonzero(~lawful)[-2][0]}_{field} {why}")
@@ -188,7 +201,7 @@ def eps_terms(world: Worlds, model: TabularModel) -> EpsTerms:
 
     # p(x | R=1, T=t)
     px_r1_t = p_x[..., None] * p_r1[..., None] * p_t  # joint over x for (R=1, T=t)
-    px_given_r1_t = px_r1_t / px_r1_t.sum(axis=-2, keepdims=True)
+    px_given_r1_t = px_r1_t / _fold(np.add, np.swapaxes(px_r1_t, -1, -2))[..., None, :]
     f_r1_t1 = np.vecdot(px_given_r1_t[..., 1], l[..., 1])
     f_r1_t0 = np.vecdot(px_given_r1_t[..., 0], l[..., 0])
     cf_r1_t1 = np.vecdot(px_given_r1_t[..., 0], l[..., 1])  # treated loss over the control population
@@ -218,7 +231,7 @@ def eps_terms(world: Worlds, model: TabularModel) -> EpsTerms:
         sigma2_y=sigma2_y, sigma2_y0=sigma2_y0, sigma2_y1=sigma2_y1,
         sigma2_parts=parts, mean_sq_f=mean_sq_f, mean_sq_cf=mean_sq_cf,
         v=world.v, u_observed=world.u_observed, u_marginal=world.u_marginal,
-        b=l.max(axis=points),
+        b=_fold(np.maximum, _fold(np.maximum, l)),
     )
 
 
@@ -228,7 +241,8 @@ def eps_terms(world: Worlds, model: TabularModel) -> EpsTerms:
 
 def ipm_supnorm(p1, p2) -> np.ndarray:
     """sup over |g| <= 1 of |sum g (p1 - p2)| == sum |p1 - p2|, per pair of
-    mass vectors along the last axis."""
+    mass vectors along the last axis, summed left to right (on 8 or more
+    points this can differ from `np.sum` in the last place)."""
     p1 = np.asarray(p1, dtype=np.float64)
     p2 = np.asarray(p2, dtype=np.float64)
     if p1.shape != p2.shape:
@@ -236,7 +250,7 @@ def ipm_supnorm(p1, p2) -> np.ndarray:
     for name, p in (("p1", p1), ("p2", p2)):
         if not np.all(_is_probability(p)):
             raise ValueError(f"{name} must hold probability vectors")
-    return np.abs(p1 - p2).sum(axis=-1)
+    return _fold(np.add, np.abs(p1 - p2))
 
 
 def representation_ipms(world: Worlds) -> dict:
@@ -250,8 +264,8 @@ def representation_ipms(world: Worlds) -> dict:
     joint_t1 = p_x * p_r1 * p_t1
     return {
         "missingness": ipm_supnorm(px_r0, px_r1),
-        "treatment": ipm_supnorm(joint_t0 / joint_t0.sum(axis=-1, keepdims=True),
-                                 joint_t1 / joint_t1.sum(axis=-1, keepdims=True)),
+        "treatment": ipm_supnorm(joint_t0 / _fold(np.add, joint_t0)[..., None],
+                                 joint_t1 / _fold(np.add, joint_t1)[..., None]),
     }
 
 
@@ -334,9 +348,9 @@ def check_bounds(world: Worlds, e: EpsTerms) -> BoundReport:
 
 
 def _normalized(g: np.ndarray) -> np.ndarray:
-    """Rows over their running sums: on standard exponentials, the numbers
+    """Rows over their left-to-right sums: on standard exponentials, the numbers
     `rng.dirichlet(np.ones(k), size=n)` draws from the same stream."""
-    return g * (1.0 / g.cumsum(axis=-1)[..., -1:])
+    return g * (1.0 / _fold(np.add, g)[..., None])
 
 
 def random_world(rng: np.random.Generator, k: int, n: int, max_support: int = 4) -> tuple:
@@ -415,8 +429,9 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     by three rules:
     - only worlds of equal K are stacked, since padding K would regroup
       numpy's pairwise sums over points;
-    - sums over points run over a world's trailing contiguous (K, 2) axes,
-      which sum as the one-world table does;
+    - sums over a (K, 2) points table run over its trailing contiguous
+      axes, as the one-world table's do; other reductions over a world's
+      support or points are folds, elementwise across worlds;
     - every dot product keeps its per-world stride: the loss, mean and
       variance tables are point-major (..., K, 2), because a ddot down a
       strided column rounds differently from one over a contiguous copy.

@@ -165,11 +165,18 @@ for name, cfg in (("cfrmmd_del", net), ("mtrnet", replace(
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def unpinned_env() -> dict:
+    """This process's environment without the BLAS thread variables, with
+    mtcate's source tree on PYTHONPATH."""
+    src = str(Path(mtcate.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.slow
 def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
-    src = str(Path(mtcate.__file__).parents[1])
-    base = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = unpinned_env()
     digests = []
     for pinned in ({}, dict.fromkeys(BLAS_THREAD_VARS, "1")):
         done = subprocess.run([sys.executable, "-c", BLAS_FITS], capture_output=True, text=True,
@@ -177,3 +184,22 @@ def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
         assert done.returncode == 0, done.stderr
         digests.append(done.stdout.split())
     assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+
+# Loads the trend script as a module (its `main` does not run) and prints
+# whether mtcate entered `sys.modules` before numpy.
+TREND_SCRIPT_IMPORTS = """
+import runpy, sys
+runpy.run_path(sys.argv[1], run_name="trend_script")
+names = list(sys.modules)
+print(names.index("mtcate") < names.index("numpy"))
+"""
+
+
+def test_trend_script_imports_mtcate_before_numpy():
+    # else numpy loads OpenBLAS before mtcate's import pins it to one thread
+    script = Path(__file__).parents[1] / "scripts" / "run_trend_experiment.py"
+    done = subprocess.run([sys.executable, "-c", TREND_SCRIPT_IMPORTS, str(script)],
+                          capture_output=True, text=True, env=unpinned_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"]

@@ -190,8 +190,14 @@ def test_ipm_rejects_non_probability_masses():
     ([np.inf, 0.0], False),
     ([-np.inf, 1.0], False),
     (np.zeros((3, 0)), [False, False, False]),
+    ([1.0], True),
+    ([0.5], False),
+    ([0.1] * 10, True),  # its left-to-right sum is 0.9999999999999999
+    ([0.1] * 8 + [0.3, -0.1], False),
+    ([0.1] * 9 + [np.nan], False),
 ], ids=["valid_stack", "nan", "negative_zero", "tiny_negative", "inf", "minus_inf",
-        "empty_last_axis"])
+        "empty_last_axis", "one_mass", "one_short_mass", "ten_masses", "ten_last_negative",
+        "ten_last_nan"])
 def test_is_probability_verdicts(p, verdict):
     p = np.asarray(p, dtype=np.float64)
     assert np.array_equal(theory._is_probability(p), np.asarray(verdict))
@@ -510,7 +516,7 @@ def test_block_draws_follow_their_laws(monkeypatch):
 
 def test_flat_dirichlet_draws_what_numpy_dirichlet_draws():
     for seed in range(200):
-        for k in (2, 3, 4, 5):
+        for k in (2, 3, 4, 5, 9):
             for n in (1, 3):
                 p_x = random_world(np.random.default_rng(seed), k, n)[0]
                 expected = np.random.default_rng(seed).dirichlet(np.ones(k), size=n)
@@ -641,24 +647,40 @@ def _world_values(e, dec, bnd, i=...):
 PINNED_WORLD_VALUES = "aebe41e75c6c0e26065a3ba7508f95a96f9939d5bda3e9093ec910baa454f62f"
 
 
+def _stack_values_equal_alone(rng, k, n):
+    """Checks `n` drawn worlds of `k` points as one stack and each alone,
+    asserts each world's floats agree bit for bit, and gives the stacked ones."""
+    fields = (*random_world(rng, k, n), *random_model(rng, k, n))
+    worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
+    e = eps_terms(worlds, models)
+    checks = (e, check_decompositions(e), check_bounds(worlds, e))
+    stacked = []
+    for i in range(n):
+        stacked.append(_world_values(*checks, i))
+        world = Worlds(*(f[i] for f in fields[:5]))
+        model = TabularModel(*(f[i] for f in fields[5:]))
+        e_alone = eps_terms(world, model)
+        alone = _world_values(e_alone, check_decompositions(e_alone),
+                              check_bounds(world, e_alone))
+        assert (_bits(stacked[-1]) == _bits(alone)).all(), (k, i)
+    return stacked, np.count_nonzero(fields[4], axis=-1)
+
+
 def test_stacked_worlds_equal_each_world_alone_bit_for_bit():
     rng = np.random.default_rng(11)
     stacked = []
     supports = set()
     for k in (2, 3, 4, 5):
-        fields = (*random_world(rng, k, 30), *random_model(rng, k, 30))
-        supports.update(np.count_nonzero(fields[4], axis=-1).ravel().tolist())
-        worlds, models = Worlds(*fields[:5]), TabularModel(*fields[5:])
-        e = eps_terms(worlds, models)
-        checks = (e, check_decompositions(e), check_bounds(worlds, e))
-        for i in range(30):
-            stacked.append(_world_values(*checks, i))
-            world = Worlds(*(f[i] for f in fields[:5]))
-            model = TabularModel(*(f[i] for f in fields[5:]))
-            e_alone = eps_terms(world, model)
-            alone = _world_values(e_alone, check_decompositions(e_alone),
-                                  check_bounds(world, e_alone))
-            assert (_bits(stacked[-1]) == _bits(alone)).all(), (k, i)
+        values, sizes = _stack_values_equal_alone(rng, k, 30)
+        stacked += values
+        supports.update(sizes.ravel().tolist())
     assert supports == {1, 2, 3, 4}
     digest = hashlib.sha256(b"".join(values.tobytes() for values in stacked)).hexdigest()
     assert digest == PINNED_WORLD_VALUES
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_stacked_worlds_past_eight_points_equal_each_world_alone(k):
+    # from 8 entries numpy sums pairwise and a fold left to right; both a
+    # stack and a world alone fold, so they still agree
+    _stack_values_equal_alone(np.random.default_rng(k), k, 20)
