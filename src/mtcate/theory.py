@@ -15,8 +15,9 @@ equal K and their models with a leading world axis, and gives each stacked
 world the same floats as that world alone, bit for bit: a reduction over a
 world's support or points is a fold, elementwise across worlds at any K,
 but for the (K, 2) points-table sums, left to numpy as a fold would move
-their bits at 2K >= 8 (numpy adds 8 or more pairwise). Random stacks are
-drawn one Generator call per field, and a sweep checks each as it comes.
+their bits at 2K >= 8 (numpy adds 8 or more pairwise). Random blocks of
+worlds are drawn one Generator call per field, and a sweep checks up to
+STACK_BLOCKS blocks of one K as one stack.
 
 One empirical note baked into the identities: the arm decompositions inside
 the observed domain are exact with the arm share measured *inside* that
@@ -35,9 +36,10 @@ from .errors import Spec, check_count
 VALUE_SCALE = 2.0  # outcome values and predictions are drawn from [-VALUE_SCALE, VALUE_SCALE]
 MAX_POINTS = 5  # a random world has 2 to MAX_POINTS covariate points
 TOLERANCE = 1e-10  # largest |residual| and most negative slack a sweep accepts
-# most worlds a sweep draws from one seed and checks as one stack, so its
-# memory does not grow with the number of worlds
-WORLD_BLOCK = 256
+WORLD_BLOCK = 256  # most worlds a sweep draws from one seed
+# most blocks of one K a sweep checks as one stack, so its memory does not
+# grow with the number of worlds
+STACK_BLOCKS = 4
 
 
 def _fold(op, a: np.ndarray) -> np.ndarray:
@@ -400,15 +402,25 @@ class SweepSummary(Spec):
 
 
 def _world_stacks(num_worlds: int, seed: int):
-    """The fields of `run_world_sweep`'s checked stacks, worlds' then models'."""
+    """The fields of `run_world_sweep`'s checked stacks, worlds' then models',
+    each block copied in as it is drawn."""
     ks = range(2, MAX_POINTS + 1)
     counts = np.random.default_rng(np.random.SeedSequence([seed, 808])).multinomial(
         num_worlds, [1 / len(ks)] * len(ks))
     for k, count in zip(ks, counts):
-        for block, start in enumerate(range(0, count, WORLD_BLOCK)):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 808, k, block]))
-            n = min(WORLD_BLOCK, count - start)
-            yield (*random_world(rng, k, n), *random_model(rng, k, n))
+        for start in range(0, count, STACK_BLOCKS * WORLD_BLOCK):
+            size = min(STACK_BLOCKS * WORLD_BLOCK, count - start)
+            stack = None
+            for at in range(0, size, WORLD_BLOCK):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([seed, 808, k, (start + at) // WORLD_BLOCK]))
+                n = min(WORLD_BLOCK, size - at)
+                block = (*random_world(rng, k, n), *random_model(rng, k, n))
+                if stack is None:
+                    stack = [np.empty((size, *a.shape[1:]), a.dtype) for a in block]
+                for a, b in zip(stack, block):
+                    a[at:at + n] = b
+            yield stack
 
 
 def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
@@ -420,9 +432,10 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
     for each K in increasing order, block j holds the K's next WORLD_BLOCK
     worlds (fewer in its last block), drawn with their models a field at a
     time (`random_world`, then `random_model`) from `SeedSequence([seed,
-    808, K, j])`, so a full block depends on (seed, K, j) alone. Each block
-    is checked as it is drawn, as one stack of at most WORLD_BLOCK worlds,
-    so memory does not grow with `num_worlds`. Each stack becomes one
+    808, K, j])`, so a full block depends on (seed, K, j) alone. Up to
+    STACK_BLOCKS consecutive blocks of one K are copied into one stack,
+    which is checked and released before the next stack is drawn, so
+    memory does not grow with `num_worlds`. Each stack becomes one
     `Worlds` and one `TabularModel`, which validate every world of it once,
     and goes through one `eps_terms`, `check_decompositions` and
     `check_bounds` pass. Each stacked world gets the floats it gets alone,
@@ -447,6 +460,7 @@ def run_world_sweep(num_worlds: int, seed: int = 0) -> SweepSummary:
         e = eps_terms(worlds, models)
         residual = check_decompositions(e).max_abs_residual
         slack = check_bounds(worlds, e).min_slack
+        del fields, worlds, models  # the stack goes before the next is drawn
         max_res = max(max_res, float(residual.max()))
         min_slack = min(min_slack, float(slack.min()))
         res_viol += int(np.count_nonzero(residual > TOLERANCE))

@@ -1,7 +1,8 @@
-import numpy as np
-import pytest
-
+# mtcate first: importing it pins BLAS to one thread only if numpy is not loaded yet
 from mtcate import mtrnet
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def finite_diff(f, x, step=1e-5):

@@ -186,20 +186,30 @@ def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
     assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
-# Loads the trend script as a module (its `main` does not run) and prints
+# Loads a file as a module (a script's `main` does not run) and prints
 # whether mtcate entered `sys.modules` before numpy.
-TREND_SCRIPT_IMPORTS = """
+IMPORTS_MTCATE_FIRST = """
 import runpy, sys
-runpy.run_path(sys.argv[1], run_name="trend_script")
+runpy.run_path(sys.argv[1], run_name="loaded_by_path")
 names = list(sys.modules)
 print(names.index("mtcate") < names.index("numpy"))
 """
 
 
-def test_trend_script_imports_mtcate_before_numpy():
-    # else numpy loads OpenBLAS before mtcate's import pins it to one thread
-    script = Path(__file__).parents[1] / "scripts" / "run_trend_experiment.py"
-    done = subprocess.run([sys.executable, "-c", TREND_SCRIPT_IMPORTS, str(script)],
+def imports_mtcate_first(path: Path) -> bool:
+    """Whether loading `path` in a fresh interpreter, with the BLAS thread
+    variables unset, imports mtcate before numpy."""
+    done = subprocess.run([sys.executable, "-c", IMPORTS_MTCATE_FIRST, str(path)],
                           capture_output=True, text=True, env=unpinned_env(), timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True"]
+    return done.stdout.split() == ["True"]
+
+
+def test_trend_script_imports_mtcate_before_numpy():
+    # else numpy loads OpenBLAS before mtcate's import pins it to one thread
+    assert imports_mtcate_first(Path(__file__).parents[1] / "scripts" / "run_trend_experiment.py")
+
+
+def test_conftest_imports_mtcate_before_numpy():
+    # else the whole test session runs with OpenBLAS's default thread count
+    assert imports_mtcate_first(Path(__file__).with_name("conftest.py"))

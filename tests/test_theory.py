@@ -600,7 +600,7 @@ def _per_block_sweep(num_worlds, seed):
     return num_worlds, float(max_res), float(min_slack), res_viol, slack_viol
 
 
-@pytest.mark.parametrize("num_worlds", [1, 255, 256, 257, 600, 3000])
+@pytest.mark.parametrize("num_worlds", [1, 255, 256, 257, 600, 3000, 5000])
 @pytest.mark.parametrize("seed", [0, 17])
 def test_sweep_equals_checking_each_drawn_group_alone(num_worlds, seed):
     summary = run_world_sweep(num_worlds, seed=seed)
@@ -609,7 +609,7 @@ def test_sweep_equals_checking_each_drawn_group_alone(num_worlds, seed):
         == _per_block_sweep(num_worlds, seed)
 
 
-def test_sweep_checks_stacks_of_one_k_below_two_blocks(monkeypatch):
+def test_sweep_checks_stacks_of_one_k_up_to_stack_blocks(monkeypatch):
     stacks = []
     validate = Worlds.validate
 
@@ -619,7 +619,8 @@ def test_sweep_checks_stacks_of_one_k_below_two_blocks(monkeypatch):
 
     monkeypatch.setattr(Worlds, "validate", recording_validate)
     run_world_sweep(16 * theory.WORLD_BLOCK, seed=9)
-    assert all(shape[0] <= theory.WORLD_BLOCK for shape in stacks)
+    assert all(shape[0] <= theory.STACK_BLOCKS * theory.WORLD_BLOCK for shape in stacks)
+    assert any(shape[0] > theory.WORLD_BLOCK for shape in stacks)
     assert sum(shape[0] for shape in stacks) == 16 * theory.WORLD_BLOCK
     assert len(stacks) < 16 * (theory.MAX_POINTS - 1)  # fewer than one per (block, K)
 
