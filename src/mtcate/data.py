@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -312,7 +313,7 @@ def _parse_float(cell: str, line: int, col: str) -> float:
         v = float(cell)
     except ValueError:
         raise CsvParseError(line, f"column {col!r}: not a number: {cell!r}")
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise CsvParseError(line, f"column {col!r}: non-finite value")
     return v
 
@@ -327,58 +328,53 @@ def _parse_binary(cell: str, line: int, col: str) -> float:
 def load_csv(path) -> Dataset:
     """Read what save_csv writes; every cell is checked on its own line,
     including that the `r` column agrees with `t`, and a header with no row
-    under it is an error at line 2."""
+    under it is an error at line 2. Each row is parsed as it is read, into
+    one growing float array per column (`x` row-major), so the text of the
+    file is never held whole."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(1, "empty file")
-        rows = list(reader)
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise CsvParseError(1, f"repeated columns {repeated}")
+        d = len([c for c in header if c.startswith("x")])
+        expected = ["y", "t", "r"] + [f"x{j + 1}" for j in range(d)]
+        if header[: 3 + d] != expected:
+            raise CsvParseError(1, f"header must start with {expected}, got {header[:3 + d]}")
+        opt = header[3 + d:]
+        unknown = [c for c in opt if c not in OPTIONAL_COLUMNS]
+        if unknown:
+            raise CsvParseError(1, f"unknown columns {unknown}")
 
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise CsvParseError(1, f"repeated columns {repeated}")
-    x_cols = [c for c in header if c.startswith("x")]
-    d = len(x_cols)
-    expected = ["y", "t", "r"] + [f"x{j + 1}" for j in range(d)]
-    if header[: 3 + d] != expected:
-        raise CsvParseError(1, f"header must start with {expected}, got {header[:3 + d]}")
-    opt = header[3 + d:]
-    unknown = [c for c in opt if c not in OPTIONAL_COLUMNS]
-    if unknown:
-        raise CsvParseError(1, f"unknown columns {unknown}")
-    if not rows:
+        x, t, y = array("d"), array("d"), array("d")
+        extra = {name: array("d") for name in opt}
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise CsvParseError(line, f"expected {len(header)} cells, got {len(row)}")
+            y.append(_parse_float(row[0], line, "y"))
+            observed = _parse_binary(row[2], line, "r") == 1.0
+            if row[1] == "":
+                if observed:
+                    raise CsvParseError(line, "t is empty but r=1")
+                t.append(math.nan)
+            else:
+                if not observed:
+                    raise CsvParseError(line, "t is present but r=0")
+                t.append(_parse_binary(row[1], line, "t"))
+            for j in range(d):
+                x.append(_parse_float(row[3 + j], line, f"x{j + 1}"))
+            for k, name in enumerate(opt):
+                parse = _parse_binary if name in BINARY_COLUMNS else _parse_float
+                extra[name].append(parse(row[3 + d + k], line, name))
+            if observed and "t_true" in extra and extra["t_true"][-1] != t[-1]:
+                raise CsvParseError(line, "t and t_true disagree on an observed row")
+    if not y:
         raise CsvParseError(2, "no data rows")
-
-    n = len(rows)
-    x = np.empty((n, d))
-    t = np.empty(n)
-    y = np.empty(n)
-    extra = {name: np.empty(n) for name in opt}
-    for i, row in enumerate(rows):
-        line = i + 2
-        if len(row) != len(header):
-            raise CsvParseError(line, f"expected {len(header)} cells, got {len(row)}")
-        y[i] = _parse_float(row[0], line, "y")
-        observed = _parse_binary(row[2], line, "r") == 1.0
-        if row[1] == "":
-            if observed:
-                raise CsvParseError(line, "t is empty but r=1")
-            t[i] = np.nan
-        else:
-            if not observed:
-                raise CsvParseError(line, "t is present but r=0")
-            t[i] = _parse_binary(row[1], line, "t")
-        for j in range(d):
-            x[i, j] = _parse_float(row[3 + j], line, f"x{j + 1}")
-        for k, name in enumerate(opt):
-            cell = row[3 + d + k]
-            parse = _parse_binary if name in BINARY_COLUMNS else _parse_float
-            extra[name][i] = parse(cell, line, name)
-        if observed and "t_true" in extra and extra["t_true"][i] != t[i]:
-            raise CsvParseError(line, "t and t_true disagree on an observed row")
-    return Dataset(x=x, t=t, y=y, **extra)
+    return Dataset(x=np.frombuffer(x).reshape(len(y), d), t=np.frombuffer(t), y=np.frombuffer(y),
+                   **{name: np.frombuffer(v) for name, v in extra.items()})
 
 
 # ---------------------------------------------------------------------------

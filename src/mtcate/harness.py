@@ -11,11 +11,12 @@ split alone.
 The unit of work is one fit. `run_experiment` queues a task per grid point
 of every multi-point (run, method) pair (fit on train, score on val) and,
 once a pair's points have returned, picks its point with `cross_validate`
-and queues its refit (on train+val, evaluated on test). A task returns its
-value or error and builds its run's data from the config and seeds unless
-its process already holds them (tasks of one run share one read-only copy),
-so it runs inline (`jobs=1`, which never loads the pool's modules) or on a
-process pool (`jobs>1`) to the same bytes."""
+and queues its refit (on train+val, evaluated on test). A task carries its
+run index, not data: each process is served the experiment once, and a task
+returns its value or error and builds its run's data from the served config
+and seeds unless its process already holds them (tasks of one run share one
+read-only copy), so it runs inline (`jobs=1`, which never loads the pool's
+modules) or on a process pool (`jobs>1`) to the same bytes."""
 
 from __future__ import annotations
 
@@ -316,45 +317,48 @@ def _run_spec(config: ExperimentConfig, run_index: int) -> DataSpec:
                                 derive_seed(ms, run_index, "missingness"))
 
 
-# The last run whose splits this process built: [(data spec, split seed),
-# CSV base, (train, val, test)]. `run_experiment` empties it when it ends.
-_shared_run: list = []
+# The experiment this process serves its tasks: its "config", its CSV "base"
+# (or None) and the last "run" built, as (run index, (train, val, test)).
+# `run_experiment` empties it when the experiment ends.
+_served: dict = {}
 
 
-def _run_splits(config: ExperimentConfig, run_index: int, method: MethodSpec,
-                base: Dataset | None):
-    """(train, val, test, method seed) of one run. The splits are built once
-    per run in each process, through the one loader from the run's spec and
-    split seed (`base` is the CSV, read once per experiment), and shared
+def _serve(config: ExperimentConfig, base: Dataset | None) -> None:
+    """Hold `config` and its CSV `base` for the tasks this process runs."""
+    _served.update(config=config, base=base, run=(None, ()))
+
+
+def _run_splits(run_index: int, method: MethodSpec):
+    """(train, val, test, method seed) of one run of the served experiment,
+    built once per run in each process through the one loader and shared
     read-only by the run's tasks until a task of another run, or the end of
     `run_experiment`, drops them."""
+    config = _served["config"]
     ms = config.master_seed
-    key = (_run_spec(config, run_index), derive_seed(ms, run_index, "split"))
-    # `base` is compared by identity and held, so its id cannot be reused
-    if not (_shared_run and _shared_run[0] == key and _shared_run[1] is base):
-        splits = datamod.split(datamod.load_dataset(key[0], base), seed=key[1])
+    if _served["run"][0] != run_index:
+        data = datamod.load_dataset(_run_spec(config, run_index), _served["base"])
+        splits = datamod.split(data, seed=derive_seed(ms, run_index, "split"))
         for part in splits:
             for column in (*part.columns().values(), part.r):
                 column.setflags(write=False)
-        _shared_run[:] = [key, base, splits]
-    return (*_shared_run[2], derive_seed(ms, run_index, method.name))
+        _served["run"] = (run_index, splits)
+    return (*_served["run"][1], derive_seed(ms, run_index, method.name))
 
 
-def _score_task(config: ExperimentConfig, run_index: int, method: MethodSpec,
-                base: Dataset | None, point: dict) -> float:
+def _score_task(run_index: int, method: MethodSpec, point: dict) -> float:
     """One grid point of a multi-point pair, fitted on train and scored on
     val."""
-    train, val, _, seed = _run_splits(config, run_index, method, base)
+    train, val, _, seed = _run_splits(run_index, method)
     model = fit_method(method.name, replace(method.base_config, **point, seed=seed), train)
     selection = metricsmod.selection_metric(metricsmod.carried_fields(train))
     return float(selection_score(model, val, selection))
 
 
-def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
-                 base: Dataset | None, point: dict) -> RunResult:
+def _execute_run(run_index: int, method: MethodSpec, point: dict) -> RunResult:
     """A pair's chosen point fitted on train+val and evaluated on test by the
     metrics test can give; when it can give none, the pair fails unfitted."""
-    train, val, test, seed = _run_splits(config, run_index, method, base)
+    config = _served["config"]
+    train, val, test, seed = _run_splits(run_index, method)
     wanted = metricsmod.resolve_metrics(config.metrics, metricsmod.carried_fields(test))
     final_config = replace(method.base_config, **point, seed=seed)
     model = fit_method(method.name, final_config, datamod.concat(train, val))
@@ -374,8 +378,8 @@ def _execute_run(config: ExperimentConfig, run_index: int, method: MethodSpec,
 
 
 def _run_task(task):
-    """A (step, config, run_index, method, base, point) task; returns the
-    step's value, or the ValueError/RuntimeError it raised."""
+    """A (step, run_index, method, point) task; returns the step's value, or
+    the ValueError/RuntimeError it raised."""
     step, *args = task
     try:
         return step(*args)
@@ -389,10 +393,12 @@ def _job(task):
 
 
 def _process_pool(jobs: int):
-    """A pool of `jobs` worker processes. Its modules, multiprocessing among
+    """A pool of `jobs` worker processes, each served this process's
+    experiment once by its initializer. Its modules, multiprocessing among
     them, are loaded here, so a run without workers never loads them."""
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_serve,
+                               initargs=(_served["config"], _served["base"]))
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
@@ -415,28 +421,29 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     fields = (metricsmod.carried_fields(base) if base is not None
               else {"y0", "y1", "tau"} | ({"e"} if config.dgp.rct else set()))
     metricsmod.resolve_metrics(config.metrics, fields)  # before the first fit
-    pairs = [(config, run, method, base)
-             for run in range(config.num_runs) for method in config.methods]
+    pairs = [(run, method) for run in range(config.num_runs) for method in config.methods]
     grids = [method.grid_points() for method in config.methods] * config.num_runs
 
-    if jobs == 1:  # a task runs as it is submitted, and what it returns is its outcome
-        pool, submit, outcome = None, _run_task, lambda task: task
-    else:
-        from concurrent.futures.process import BrokenProcessPool
-        pool = _process_pool(jobs)
-
-        def submit(task):  # a pool that broke before the task was queued is its error
-            try:
-                return pool.submit(_job, task)
-            except BrokenProcessPool as exc:
-                return exc
-
-        def outcome(task):  # a dead worker's BrokenProcessPool is the error of its task
-            try:
-                return task if isinstance(task, Exception) else task.result()
-            except BrokenProcessPool as exc:
-                return exc
+    _serve(config, base)  # this process's tasks, and each worker once, read it
+    pool = None
     try:
+        if jobs == 1:  # a task runs as it is submitted, and what it returns is its outcome
+            submit, outcome = _run_task, lambda task: task
+        else:
+            from concurrent.futures.process import BrokenProcessPool
+            pool = _process_pool(jobs)
+
+            def submit(task):  # a pool that broke before the task was queued is its error
+                try:
+                    return pool.submit(_job, task)
+                except BrokenProcessPool as exc:
+                    return exc
+
+            def outcome(task):  # a dead worker's BrokenProcessPool is the error of its task
+                try:
+                    return task if isinstance(task, Exception) else task.result()
+                except BrokenProcessPool as exc:
+                    return exc
         scored = ([submit((_score_task, *pair, point)) for point in points]
                   if len(points) > 1 else [] for pair, points in zip(pairs, grids))
         scored = scored if pool is None else list(scored)
@@ -452,10 +459,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, log=sys.stderr):
     finally:  # an escaping error leaves no queued task to wait for
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        _shared_run.clear()  # no later experiment sees this one's data
+        _served.clear()  # no later experiment sees this one's data
 
     failures = [{"method": method.name, "run_index": run, "error": str(outcome)}
-                for (_, run, method, _), outcome in zip(pairs, outcomes)
+                for (run, method), outcome in zip(pairs, outcomes)
                 if isinstance(outcome, Exception)]
     if failures and len(failures) * 2 >= len(pairs):
         raise ExperimentFailedError(f"{len(failures)} of {len(pairs)} runs failed; "

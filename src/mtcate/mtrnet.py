@@ -203,20 +203,6 @@ def _rep_forward(model: MTRNetModel, x) -> np.ndarray:
     return normalize_rows(_stack_forward(model.phi, x, 0.0, None, []))[0]
 
 
-@dataclass
-class StepCache:
-    """What `backward` reads from a training step's forward pass: the
-    encoder's layer cache, the normalized representation, and one branch per
-    consumer of it, (rows of the batch, layer cache, gradient of the
-    objective at the branch's output, reversed?). The rows are an index
-    array, or slice(None) for every row."""
-
-    encoder: list
-    rep: np.ndarray  # the normalized representation of the batch
-    rep_norm: tuple  # normalize_rows' (divisor, big)
-    branches: list
-
-
 def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Generator,
                   iteration: int = 0, mmd_weight: float | None = None,
                   mmd_bandwidth: float | None = None) -> dict:
@@ -283,14 +269,20 @@ def training_step(model: MTRNetModel, batch: TrainingBatch, *, rng: np.random.Ge
     if not np.isfinite(record["total"]):
         raise TrainingDivergedError(iteration)
 
-    backward(StepCache(encoder, rep, (divisor, big), branches), model)
+    backward(encoder, rep, (divisor, big), branches, model)
     adam_step(model.flat, model.grad, model.adam, cfg.learning_rate)
     return record
 
 
-def backward(step: StepCache, model: MTRNetModel) -> None:
-    """Write the gradient of the step's objective into `model.grad`, every
-    slice of it, so nothing from an earlier step survives.
+def backward(encoder: list, rep: np.ndarray, rep_norm: tuple, branches: list,
+             model: MTRNetModel) -> None:
+    """Write the gradient of a training step's objective into `model.grad`,
+    every slice of it, so nothing from an earlier step survives. The step's
+    forward pass gives the encoder's layer cache, the normalized
+    representation `rep` of the batch with normalize_rows' (divisor, big) as
+    `rep_norm`, and one branch per consumer of `rep`: (rows of the batch, an
+    index array or slice(None) for every row; layer cache; gradient of the
+    objective at the branch's output; reversed?).
 
     Each branch's input gradient is added into a zero-filled buffer at its
     rows: the unreversed branches share one buffer and the reversed ones
@@ -301,8 +293,8 @@ def backward(step: StepCache, model: MTRNetModel) -> None:
     before one subtraction), and no buffer row receives more than two
     contributions, whose sum into zeros does not depend on their order. So
     the bits are those of differentiating the objective on a general tape."""
-    grads = {False: np.zeros_like(step.rep), True: np.zeros_like(step.rep)}
-    for rows, cache, g, reversed_ in step.branches:
+    grads = {False: np.zeros_like(rep), True: np.zeros_like(rep)}
+    for rows, cache, g, reversed_ in branches:
         grads[reversed_][rows] += _stack_backward(cache, g)
     lam = model.config.l2_lambda
     if lam > 0:  # weight decay: lam * w added twice, as the two halves of w * w
@@ -312,8 +304,7 @@ def backward(step: StepCache, model: MTRNetModel) -> None:
             layer.weights_grad += decay
     rep_grad = grads[False]
     rep_grad -= grads[True]
-    _stack_backward(step.encoder, normalize_rows_backward(rep_grad, step.rep, *step.rep_norm),
-                    input_grad=False)
+    _stack_backward(encoder, normalize_rows_backward(rep_grad, rep, *rep_norm), input_grad=False)
 
 
 def _sample_batch_indices(rng, data: Dataset, batch_size: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -344,3 +345,26 @@ def test_csv_inconsistent_width_is_an_error(tmp_path):
     path.write_text("y,t,r,x1,x2\n1.0,1,1,0.5\n")
     with pytest.raises(CsvParseError):
         load_csv(path)
+
+
+def test_csv_header_errors_come_before_row_errors(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,t,r,x1,extra\n1.0,1,1\nnot a number,1,1,0.5,0.2\n")
+    with pytest.raises(CsvParseError, match="unknown columns") as err:
+        load_csv(path)
+    assert err.value.line == 1
+
+
+def test_csv_load_peak_memory_stays_near_its_columns(tmp_path):
+    d = apply_missingness(generate(linear_spec(n=2000, d=10, noise=0.2, seed=3, rct=True)),
+                          MissingnessSpec(m=0.3, q=0.7, seed=4))
+    path = tmp_path / "d.csv"
+    save_csv(d, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(v.nbytes for v in (*loaded.columns().values(), loaded.r))
+    assert peak <= 2 * columns

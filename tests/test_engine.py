@@ -156,7 +156,8 @@ from dataclasses import replace
 from mtcate import harness
 from mtcate.trend import trend_config
 config = trend_config(0.5, master_seed=1)
-train = harness._run_splits(config, 0, config.methods[0], None)[0]
+harness._serve(config, None)
+train = harness._run_splits(0, config.methods[0])[0]
 net = replace(config.methods[0].base_config, iterations=100, seed=3, alpha=1.0)
 for name, cfg in (("cfrmmd_del", net), ("mtrnet", replace(
         net, rep_layer_size=100, hyp_layer_size=100, batch_size=70, beta=8.0))):

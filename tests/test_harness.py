@@ -2,6 +2,8 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
@@ -415,7 +417,7 @@ def test_pooled_grid_points_match_serial_bytes_with_failures(tmp_path):
 
 def _logging_job(task):
     """harness._job that records each task it runs in a file of its own."""
-    step, _, run, method, _, point = task
+    step, run, method, point = task
     record = json.dumps([step.__name__, run, method.name, point], sort_keys=True)
     (Path(os.environ["JOB_LOG_DIR"]) / uuid.uuid4().hex).write_text(record)
     return harness._run_task(task)
@@ -448,7 +450,7 @@ def _flagging_job(task):
     """harness._job where run 0's refit touches a flag file as it starts, and
     run 1's last grid point waits up to 20 s for that flag, then records
     whether it appeared."""
-    step, _, run, _, _, point = task
+    step, run, _, point = task
     flags = Path(os.environ["JOB_LOG_DIR"])
     if step.__name__ == "_execute_run" and run == 0:
         (flags / "refit0").touch()
@@ -498,6 +500,109 @@ def test_csv_experiment_pooled_bytes_match_serial(tmp_path):
         assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
+def _recorded(fn, kind: str):
+    """`fn`, recording the process id of each call in a file of its own."""
+    def call(*args, **kwargs):
+        (Path(os.environ["JOB_LOG_DIR"]) / f"{kind}-{uuid.uuid4().hex}").write_text(
+            str(os.getpid()))
+        return fn(*args, **kwargs)
+
+    call.recorded = True
+    return call
+
+
+def _recording_job(task):
+    """harness._job that records each task's pickled size and part types,
+    and each CSV read and data build in its process, whatever the start
+    method."""
+    for name in ("load_csv", "split"):
+        if not getattr(getattr(dm, name), "recorded", False):
+            setattr(dm, name, _recorded(getattr(dm, name), name))
+    record = {"bytes": len(pickle.dumps(task)), "types": [type(part).__name__ for part in task]}
+    (Path(os.environ["JOB_LOG_DIR"]) / f"task-{uuid.uuid4().hex}").write_text(json.dumps(record))
+    return harness._run_task(task)
+
+
+def test_pooled_csv_tasks_carry_no_data_and_each_worker_builds_its_run_once(
+        tmp_path, monkeypatch):
+    d = dm.apply_missingness(dm.generate(linear_dgp(n=2000, seed=5)),
+                             MissingnessSpec(m=0.3, q=0.6, seed=2))
+    dm.save_csv(d, tmp_path / "data.csv")
+    points = tuple({"learning_rate": lr} for lr in (1e-2, 3e-3, 1e-3, 3e-4))
+    cfg = ExperimentConfig(
+        dgp=None, csv_path=str(tmp_path / "data.csv"),
+        methods=(MethodSpec("ols_rew"),
+                 MethodSpec("tarnet_del", grid=points, base_config=tiny_net_config())),
+        num_runs=1, master_seed=5,
+    )
+    log = tmp_path / "log"
+    log.mkdir()
+    monkeypatch.setenv("JOB_LOG_DIR", str(log))
+    monkeypatch.setattr(harness, "_job", _recording_job)
+    monkeypatch.setattr(dm, "load_csv", _recorded(dm.load_csv, "load_csv"))
+    results, failures = run_experiment(cfg, jobs=2, log=None)
+    assert failures == [] and len(results) == 2
+
+    def records(kind):
+        return [path.read_text() for path in log.glob(f"{kind}-*")]
+
+    assert records("load_csv") == [str(os.getpid())]  # once, in the parent
+    assert 1 <= len(records("split")) <= 2  # at most once per worker
+    tasks = [json.loads(text) for text in records("task")]
+    assert len(tasks) == 4 + 2
+    for task in tasks:
+        assert task["bytes"] < 1024
+        assert not {"Dataset", "ExperimentConfig"} & set(task["types"])
+    assert harness._served == {}
+
+
+# A CSV experiment, pooled then inline, in a fresh interpreter whose pool
+# workers start from a forkserver and so share no memory with the parent.
+FORKSERVER_EXPERIMENT = """
+import json, multiprocessing, sys
+from mtcate.harness import ExperimentConfig, run_experiment
+multiprocessing.set_start_method("forkserver")
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+print(json.dumps([[r.to_dict() for r in run_experiment(cfg, jobs=jobs, log=None)[0]]
+                  for jobs in (2, 1)]))
+"""
+
+
+def test_pool_workers_are_served_without_fork(tmp_path):
+    d = dm.apply_missingness(dm.generate(linear_dgp(seed=5)), MissingnessSpec(m=0.3, q=0.6, seed=2))
+    dm.save_csv(d, tmp_path / "data.csv")
+    cfg = ExperimentConfig(
+        dgp=None, csv_path=str(tmp_path / "data.csv"),
+        methods=(MethodSpec("ols_rew"),
+                 MethodSpec("tarnet_del", grid=({}, {"learning_rate": 3e-3}),
+                            base_config=tiny_net_config())),
+        num_runs=2, master_seed=5,
+    )
+    src = str(Path(harness.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", FORKSERVER_EXPERIMENT, json.dumps(cfg.to_dict())],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pooled, serial = json.loads(done.stdout)
+    assert len(pooled) == 4 and pooled == serial
+
+
+def test_served_state_is_emptied_however_an_experiment_ends(monkeypatch):
+    cfg = partial_failure_config()
+    results, failures = run_experiment(cfg, log=None)  # ols_del fails in every run
+    assert failures and results
+    assert harness._served == {}
+
+    def escaping_fit(name, config, train_data):
+        raise TypeError("not recorded as a failure")
+
+    monkeypatch.setattr(harness, "fit_method", escaping_fit)
+    with pytest.raises(TypeError):
+        run_experiment(cfg, log=None)
+    assert harness._served == {}
+
+
 ONE_POINT_OLS = tuple(MethodSpec(name) for name in ("ols_del", "ols_imp", "ols_rew"))
 
 
@@ -523,17 +628,18 @@ def test_inline_grid_points_share_their_runs_data(monkeypatch):
 
 def test_shared_data_is_dropped_when_an_experiment_ends():
     run_experiment(experiment_config(ONE_POINT_OLS, num_runs=1), log=None)
-    assert harness._shared_run == []
+    assert harness._served == {}
     cfg = replace(partial_failure_config(), methods=(MethodSpec("ols_del"),))
     with pytest.raises(ExperimentFailedError):
         run_experiment(cfg, log=None)
-    assert harness._shared_run == []
+    assert harness._served == {}
 
 
 def test_shared_columns_are_read_only(monkeypatch):
     cfg = experiment_config([MethodSpec("ols_del", grid=({}, {}))], num_runs=1)
-    splits = harness._run_splits(cfg, 0, cfg.methods[0], None)[:3]
-    harness._shared_run.clear()
+    harness._serve(cfg, None)
+    splits = harness._run_splits(0, cfg.methods[0])[:3]
+    harness._served.clear()
     for part in splits:
         assert not any(v.flags.writeable for v in (*part.columns().values(), part.r))
 
