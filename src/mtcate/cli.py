@@ -22,8 +22,11 @@ from .errors import check_keys, decode
 
 
 def _load_json(path) -> dict:
-    with open(path) as fh:
-        return decode(json.load(fh), dict, str(path))
+    try:
+        with open(path) as fh:
+            return decode(json.load(fh), dict, str(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _dump_json(obj, path) -> None:

@@ -147,12 +147,11 @@ class SyntheticDGPSpec(Spec):
     def validate(self) -> None:
         check_count("n", self.n, 1)
         check_count("d", self.d, 1)
-        numbers = {"propensity": self.propensity, "noise_sd": (self.noise_sd,),
+        numbers = {"propensity": self.propensity, "noise_sd": self.noise_sd,
                    "mixing": sum(self.mixing or (), ())}
-        numbers.update({f"{name}.{key}": value if isinstance(value, tuple) else (value,)
-                        for name in ("outcome0", "outcome1")
+        numbers.update({f"{name}.{key}": value for name in ("outcome0", "outcome1")
                         for key, value in vars(getattr(self, name)).items() if key != "kind"})
-        nonfinite = [key for key, value in numbers.items() if not all(map(math.isfinite, value))]
+        nonfinite = [key for key, value in numbers.items() if not np.isfinite(value).all()]
         if nonfinite:
             raise ValueError(f"{nonfinite} must be finite")
         if self.noise_sd < 0:
@@ -208,10 +207,9 @@ class MissingnessSpec(Spec):
     seed: int = 0
 
     def validate(self) -> None:
-        if not (0.0 < self.m < 1.0):
-            raise ValueError(f"m must be in (0,1), got {self.m}")
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must be in (0,1), got {self.q}")
+        for name in ("m", "q"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in (0,1), got {getattr(self, name)}")
         check_count("seed", self.seed, 0)
 
 

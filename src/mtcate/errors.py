@@ -1,15 +1,18 @@
 """Exception types and the config codec shared across the package: the key
-and count checks and the `Spec` base class of every config dataclass, which
-checks itself when it is built and loads from JSON through the codec.
+and count checks, the type rule `decode`, and the `Spec` base class of every
+config dataclass, which types and checks itself when it is built.
 
 An error whose __init__ formats its message from arguments pickles by those
 arguments (`__reduce__`), so one raised in a pool worker reaches the parent
 with the same message and attributes as one raised inline."""
 
 from dataclasses import MISSING, fields
+from functools import cache
 from numbers import Integral
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
+
+_hints = cache(get_type_hints)  # a Spec class's field types, by name
 
 
 def check_keys(keys, allowed, where: str, required=()) -> None:
@@ -25,40 +28,44 @@ def check_keys(keys, allowed, where: str, required=()) -> None:
 
 def check_count(name: str, value, least: int) -> int:
     """`value` as an int >= `least`, or a ValueError naming `name` (a bool is no count)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = decode(value, int, name)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
+    return value
 
 
 def decode(value, tp, where: str):
-    """`value`, read from JSON, as type `tp`: a Spec from an object, a tuple
-    from a list, a `dict[str, X]` from an object with each value decoded as
-    X, None for `X | None`, a float from an int, and otherwise exactly `tp`
-    (a bool is no number). A mismatch is a ValueError naming `where`."""
+    """`value` as type `tp`: the type rule of every Spec field, however the Spec
+    is built. A Spec comes from an object (an instance passes as it is), a tuple
+    from a list or tuple, a `dict[str, X]` from an object of Xs, None for
+    `X | None`, an int or a float from an integer, and otherwise `value` must be
+    a `tp` (a bool is no number). A mismatch is a ValueError naming `where`."""
+    if tp in (int, float) and isinstance(value, Integral) and not isinstance(value, bool):
+        return tp(value)
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType:
         return None if value is None else decode(value, args[0], where)
-    if isinstance(tp, type) and issubclass(tp, Spec):
+    if isinstance(tp, type) and issubclass(tp, Spec) and not isinstance(value, tp):
         return tp.from_dict(value, where)
     if origin is tuple and isinstance(value, (list, tuple)):
         return tuple(decode(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
     if origin is dict and isinstance(value, dict):
         return {k: decode(v, args[1], f"{where}.{k}") for k, v in value.items()}
-    if tp is float and type(value) is int:
-        return float(value)
-    if origin is None and isinstance(value, tp) and (tp is bool or type(value) is not bool):
+    if origin is None and tp is not int and isinstance(value, tp):
         return value
-    raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+    raise ValueError(f"{where} must be an integer, got {value!r}" if tp is int
+                     else f"{where}: expected {tp.__name__}, got {value!r}")
 
 
 class Spec:
-    """Base of the config dataclasses, which validate themselves when built
-    (directly, by from_dict or by dataclasses.replace), so no user checks one
-    again; the codec reads and writes them by their fields, defaults and types."""
+    """Base of the config dataclasses. Building one (directly, by from_dict or
+    by dataclasses.replace) types each field by its annotation with `decode`,
+    then validates it; the codec reads and writes them by their fields."""
 
     def __post_init__(self):
+        hints = _hints(type(self))
+        for f in fields(self):
+            object.__setattr__(self, f.name, decode(getattr(self, f.name), hints[f.name], f.name))
         self.validate()
 
     def validate(self) -> None:
@@ -68,16 +75,15 @@ class Spec:
         return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d, where: str | None = None):
-        """The inverse of to_dict: rejects unknown and missing keys and
-        coerces each value to its field's type (building validates it)."""
-        where = where or cls.__name__
+    def from_dict(cls, d, where: str = ""):
+        """The inverse of to_dict: rejects unknown and missing keys. `where`
+        names a nested object, and its fields by their path under it."""
         if not isinstance(d, dict):
-            raise ValueError(f"{where}: expected an object, got {d!r}")
+            raise ValueError(f"{where or cls.__name__}: expected an object, got {d!r}")
         required = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
-        check_keys(d, [f.name for f in fields(cls)], where, required)
-        hints = get_type_hints(cls)
-        return cls(**{k: decode(v, hints[k], f"{where}.{k}") for k, v in d.items()})
+        check_keys(d, [f.name for f in fields(cls)], where or cls.__name__, required)
+        hints = _hints(cls)
+        return cls(**{k: decode(v, hints[k], f"{where}.{k}") for k, v in d.items()} if where else d)
 
 
 def encode(value):

@@ -28,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,7 +180,7 @@ class MethodSpec:
 class ExperimentConfig(Spec):
     dgp: SyntheticDGPSpec | None
     csv_path: str | None
-    methods: tuple
+    methods: tuple[MethodSpec, ...]
     missingness: MissingnessSpec | None = None  # None keeps the data's own labels
     num_runs: int = 10
     master_seed: int = 0
@@ -194,15 +194,8 @@ class ExperimentConfig(Spec):
     def validate(self) -> None:
         self.data  # building the DataSpec checks the data block
         _preset_grids(self.preset)
-        for name in ("methods", "metrics"):  # with the load path's message
-            if not isinstance(getattr(self, name), tuple):
-                raise ValueError(f"{name}: expected tuple, got {getattr(self, name)!r}")
         if not self.methods:
             raise ValueError("at least one method is required")
-        for i, method in enumerate(self.methods):
-            if not isinstance(method, MethodSpec):
-                raise ValueError(f"methods[{i}]: expected MethodSpec, got "
-                                 f"{type(method).__name__} {method!r}")
         check_count("num_runs", self.num_runs, 1)
         check_keys(self.metrics, metricsmod.METRICS, "metric")
 
@@ -214,16 +207,15 @@ class ExperimentConfig(Spec):
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The `data` block holds the source; every other key but `methods`
-        is a field, read by the codec with the field's type and default."""
+        is a field, which building the config types by its annotation."""
         scalars = ("missingness", "num_runs", "master_seed", "metrics", "preset")
         check_keys(d, ("data", "methods", *scalars), "experiment config",
                    required=("data", "methods"))
         src = decode(d["data"], dict, "data")
         check_keys(src, ("synthetic", "csv"), "data")
         data = DataSpec.from_dict(src, "data")
-        hints = get_type_hints(cls)
-        given = {k: decode(d[k], hints[k], k) for k in scalars if k in d}
-        preset = given.get("preset", cls.preset)
+        given = {k: d[k] for k in scalars if k in d}
+        preset = decode(given.get("preset", cls.preset), str, "preset")
         methods = decode(d["methods"], tuple[dict, ...], "methods")
         return cls(dgp=data.synthetic, csv_path=data.csv,
                    methods=tuple(MethodSpec.from_dict(m, preset) for m in methods), **given)
@@ -306,8 +298,9 @@ class RunResult(Spec):
         return {**super().to_dict(), "method_label": METHODS[self.method].label}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunResult":
-        return super().from_dict({k: v for k, v in d.items() if k != "method_label"}, "result")
+    def from_dict(cls, d) -> "RunResult":  # a non-object fails in Spec.from_dict
+        return super().from_dict({k: v for k, v in d.items() if k != "method_label"}
+                                 if isinstance(d, dict) else d, "result")
 
 
 def _run_spec(config: ExperimentConfig, run_index: int) -> DataSpec:

@@ -578,6 +578,13 @@ def test_report_rejects_an_unknown_method_before_writing(tmp_path, capsys):
     bad.write_text(lines[0] + "\n{\n")
     error = cli_error(capsys, ["report", "--results", str(bad), "--out", str(tmp_path / "rollup")])
     assert error["type"] == "ValueError" and error["message"].startswith(f"{bad}:2: Expecting")
+    # so is a JSON line that is not an object
+    for line in ("[1, 2]", '"x"'):
+        bad.write_text(f"{lines[0]}\n{line}\n")
+        error = cli_error(capsys, ["report", "--results", str(bad),
+                                   "--out", str(tmp_path / "rollup")])
+        assert error == {"type": "ValueError",
+                         "message": f"{bad}:2: result: expected an object, got {json.loads(line)!r}"}
     result = json.loads(lines[1])
     result["report"]["metrics"]["sqrt_pehe"]["overall"] = "abc"
     bad.write_text("\n".join([lines[0], json.dumps(result)]))
@@ -600,6 +607,19 @@ def test_commands_reject_a_json_file_that_is_not_an_object(tmp_path, capsys, com
                                "--out", str(out)])
     assert error == {"type": "ValueError", "message":
                      f"{bad}: expected dict, got {json.loads(content)!r}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "train", "evaluate"])
+def test_commands_name_a_json_file_that_does_not_parse(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"data":\n')
+    given = (["--model", str(bad), "--data", str(tmp_path / "data.csv")] if command == "evaluate"
+             else ["--config", str(bad)])
+    out = tmp_path / "out"
+    error = cli_error(capsys, [command, *given, "--out", str(out)])
+    assert error == {"type": "ValueError",
+                     "message": f"{bad}: Expecting value: line 2 column 1 (char 9)"}
     assert not out.exists()
 
 

@@ -75,6 +75,10 @@ def test_ints_load_as_floats_and_defaults_come_from_the_dataclass():
     assert spec.outcome0 == OutcomeSpec(kind="linear", linear=(2.0,))
     assert (spec.noise_sd, spec.mixing, spec.rct, spec.seed) == (0.0, None, False, 0)
     assert MTRNetConfig.from_dict({}) == MTRNetConfig()
+    # a spec built in Python is typed alike
+    direct = OutcomeSpec(kind="linear", intercept=1, linear=[2, 3.5])
+    assert direct.linear == (2.0, 3.5) and type(direct.intercept) is float
+    assert all(type(v) is float for v in direct.linear)
 
 
 def dgp_dict():
@@ -224,6 +228,14 @@ BUILD_FAILURES = [
     (ExperimentConfig, experiment_dict(), "methods", "ols_del"),
     (RunResult, result_dict(), "method", "bogus"),
     (EvalReport, {}, "metrics", {"bogus": {}}),
+    # a value of the wrong type, named as its field
+    (OutcomeSpec, {"kind": "linear"}, "linear", (1.0, "a")),
+    (SyntheticDGPSpec, dgp_dict(), "rct", "no"),
+    (MissingnessSpec, {"m": 0.5, "q": 0.9}, "q", "0.9"),
+    (DataSpec, {"csv": "d.csv"}, "csv", 0),
+    (MTRNetConfig, {}, "alpha", None),
+    (MTRNetConfig, {}, "iterations", True),
+    (EvalReport, {}, "counts", [1]),
 ]
 
 
@@ -240,8 +252,8 @@ def test_a_spec_built_directly_fails_with_the_message_it_fails_with_at_load(cls,
 
 
 @pytest.mark.parametrize("methods, named", [
-    (({"name": "ols_del"},), "methods[0]: expected MethodSpec, got dict {'name': 'ols_del'}"),
-    ((MethodSpec("ols_del"), "tarnet_del"), "methods[1]: expected MethodSpec, got str"),
+    (({"name": "ols_del"},), "methods[0]: expected MethodSpec, got {'name': 'ols_del'}"),
+    ((MethodSpec("ols_del"), "tarnet_del"), "methods[1]: expected MethodSpec, got 'tarnet_del'"),
 ], ids=["dict", "str"])
 def test_an_experiment_built_directly_names_a_method_entry_that_is_no_method_spec(methods,
                                                                                    named):
@@ -250,6 +262,26 @@ def test_an_experiment_built_directly_names_a_method_entry_that_is_no_method_spe
     built = ExperimentConfig.from_dict(experiment_dict())
     with pytest.raises(ValueError, match=re.escape(named)):
         replace(built, methods=methods)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MissingnessSpec(m="0.5", q=0.9), "m: expected float, got '0.5'"),
+    (lambda: MTRNetConfig(alpha=None), "alpha: expected float, got None"),
+    (lambda: MTRNetConfig(learning_rate="x"), "learning_rate: expected float, got 'x'"),
+    (lambda: SyntheticDGPSpec(**{**vars(SyntheticDGPSpec.from_dict(dgp_dict())), "rct": "no"}),
+     "rct: expected bool, got 'no'"),
+    (lambda: OutcomeSpec(kind="linear", linear=(1.0, "a")), "linear[1]: expected float, got 'a'"),
+    (lambda: DataSpec(csv=0), "csv: expected str, got 0"),
+    (lambda: RunResult(method="ols_del", run_index="0", seed=1, hyperparameters={},
+                       report=EvalReport()), "run_index must be an integer, got '0'"),
+], ids=["missingness.m", "net.alpha", "net.learning_rate", "dgp.rct", "outcome.linear",
+        "data.csv", "result.run_index"])
+def test_a_spec_built_in_python_is_typed_by_its_annotations(build, message):
+    # the load path's type rule, applied to a direct build: no bare TypeError,
+    # and no value of another type stored
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_every_spec_with_a_validate_has_a_build_failure_row():
