@@ -4,10 +4,10 @@ impute labels, or reweight observed rows by inverse observedness
 probability. `harness.fit_method` pairs a strategy with an estimator.
 
 Imputation and reweighting each fit a logistic classifier, p(T=1|x,R=1) or
-p(R=1|x), on standardized covariates by full-batch Adam at learning rate
-0.1. The fit stops once the largest entry of the mean log-likelihood
-gradient is below 1e-6, and after at most 400 steps; predictions are
-clamped to [0.01, 0.99]."""
+p(R=1|x), on standardized covariates, laid out feature-major over a row of
+ones for the bias, by full-batch Adam at learning rate 0.1. The fit stops
+once the largest entry of the mean log-likelihood gradient is below 1e-6,
+and after at most 400 steps; predictions are clamped to [0.01, 0.99]."""
 
 from __future__ import annotations
 
@@ -49,8 +49,10 @@ class ObservednessModel:
 
 def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
     """Fit a logistic model on standardized covariates by full-batch Adam
-    (learning rate 0.1) on the mean log-likelihood. The loop stops once the
-    largest entry of the gradient (weights and bias) is below
+    (learning rate 0.1) on the mean log-likelihood, over a feature-major
+    (d + 1, n) design whose last row is ones: theta (the weights, then the
+    bias) meets it in one product, and a step's two products are n-long dot
+    products. The loop stops once the gradient's largest entry is below
     LOGISTIC_GRADIENT_TOLERANCE (1e-6), and after LOGISTIC_ITERATIONS (400)
     steps at most, so labels that never get there (separable ones) take
     every step. The model clamps its predictions to [0.01, 0.99]."""
@@ -64,29 +66,25 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray) -> ObservednessModel:
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale < 1e-12] = 1.0
-    z = (x - mean) / scale
-
-    # weights and bias share one buffer, so one (elementwise) Adam call
-    # steps both per iteration; a step fills preallocated n-sized buffers
-    n, d = z.shape
-    theta = np.zeros(d + 1)
-    w = theta[:d]
-    grad = np.empty(d + 1)
+    # one Adam call steps theta; a step fills preallocated n-sized buffers
+    n, d = x.shape
+    design = np.empty((d + 1, n))
+    np.divide(np.subtract(x.T, mean[:, None], out=design[:d]), scale[:, None], out=design[:d])
+    design[d] = 1.0
+    theta, grad = np.zeros(d + 1), np.empty(d + 1)
     state = AdamState.like(theta)
     logits, resid = np.empty(n), np.empty(n)
     work = (resid, np.empty(n), np.empty(n, dtype=bool))
     for _ in range(LOGISTIC_ITERATIONS):
-        np.matmul(z, w, out=logits)
-        logits += theta[d]
+        np.matmul(theta, design, out=logits)
         expit(logits, work)  # into resid
         resid -= labels
-        resid /= n
-        np.matmul(z.T, resid, out=grad[:d])
-        grad[d] = resid.sum()
+        np.matmul(design, resid, out=grad)
+        grad /= n
         if np.abs(grad).max() < LOGISTIC_GRADIENT_TOLERANCE:
             break
         adam_step(theta, grad, state, LOGISTIC_LEARNING_RATE)
-    return ObservednessModel(w.copy(), float(theta[d]), mean, scale)
+    return ObservednessModel(theta[:d].copy(), float(theta[d]), mean, scale)
 
 
 def fit_observedness(data: Dataset) -> ObservednessModel:

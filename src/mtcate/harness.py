@@ -130,8 +130,10 @@ class MethodSpec:
     grid: tuple = ({},)  # tuple of override dicts, or a {param: values} mapping
     base_config: MTRNetConfig = field(default_factory=MTRNetConfig)
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", canonical_method(self.name))
+    def __post_init__(self):  # typed as at load: a dict base_config builds the config
+        object.__setattr__(self, "name", canonical_method(decode(self.name, str, "name")))
+        object.__setattr__(self, "base_config",
+                           decode(self.base_config, MTRNetConfig, "base_config"))
         where = f"{self.name} grid"
         base = self.base_config.to_dict()
 
@@ -299,8 +301,13 @@ class RunResult(Spec):
 
     @classmethod
     def from_dict(cls, d) -> "RunResult":  # a non-object fails in Spec.from_dict
-        return super().from_dict({k: v for k, v in d.items() if k != "method_label"}
-                                 if isinstance(d, dict) else d, "result")
+        result = super().from_dict({k: v for k, v in d.items() if k != "method_label"}
+                                   if isinstance(d, dict) else d, "result")
+        label = METHODS[result.method].label
+        if d.get("method_label", label) != label:  # d is an object here
+            raise ValueError(f"result: method_label {d['method_label']!r} is not the label of "
+                             f"method {result.method!r}, {label!r}")
+        return result
 
 
 def _run_spec(config: ExperimentConfig, run_index: int) -> DataSpec:
@@ -504,18 +511,13 @@ def sweep_m(config: ExperimentConfig, m_values, jobs: int = 1, log=sys.stderr):
     m_values = [float(m) for m in m_values]
     if not m_values:
         raise ValueError("m_values must not be empty")
-    bad = [m for m in m_values if not (0.0 < m < 1.0)]
-    if bad:
-        raise ValueError(f"m values must lie in (0,1), got {bad}")
+    # every m's config is built, and so checked, before the first experiment
+    configs = [replace(config, missingness=replace(config.missingness, m=m)) for m in m_values]
     labels = [f"m_{m:g}" for m in m_values]  # each m's directory in write_sweep
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ValueError(f"m values must be distinct; repeated: {repeated}")
-    sweep = []
-    for m in m_values:
-        sub = replace(config, missingness=replace(config.missingness, m=m))
-        sweep.append((m, *run_experiment(sub, jobs=jobs, log=log)))
-    return sweep
+    return [(m, *run_experiment(sub, jobs=jobs, log=log)) for m, sub in zip(m_values, configs)]
 
 
 # ---------------------------------------------------------------------------

@@ -165,21 +165,45 @@ def standardized(x):
     return (x - mean) / scale
 
 
+def feature_major_design(x):
+    """The standardized covariates as the fit lays them out: one contiguous
+    row per feature, over a row of ones for the bias."""
+    return np.ascontiguousarray(np.vstack([standardized(x).T, np.ones(len(x))]))
+
+
 def separate_adam_logistic(x, labels, tolerance=LOGISTIC_GRADIENT_TOLERANCE):
-    """Reference logistic fit: weights and bias stepped by two Adam states,
-    stopping once every gradient entry is below `tolerance` (0: never)."""
-    z = standardized(x)
-    n, d = z.shape
+    """Reference logistic fit: the fit's two products over its feature-major
+    design, but the weights and the bias stepped by two Adam states, stopping
+    once every gradient entry is below `tolerance` (0: never)."""
+    design = feature_major_design(x)
+    d, n = design.shape[0] - 1, design.shape[1]
     w, b = np.zeros(d), np.zeros(1)
     state_w, state_b = AdamState.like(w), AdamState.like(b)
     for _ in range(LOGISTIC_ITERATIONS):
-        resid = (expit(z @ w + b[0]) - labels) / n
-        grad_w, grad_b = z.T @ resid, np.array([resid.sum()])
-        if max(np.abs(grad_w).max(), abs(grad_b[0])) < tolerance:
+        resid = expit(np.append(w, b) @ design) - labels
+        grad = design @ resid / n
+        if np.abs(grad).max() < tolerance:
             break
-        adam_step(w, grad_w, state_w, LOGISTIC_LEARNING_RATE)
-        adam_step(b, grad_b, state_b, LOGISTIC_LEARNING_RATE)
+        adam_step(w, grad[:d], state_w, LOGISTIC_LEARNING_RATE)
+        adam_step(b, grad[d:], state_b, LOGISTIC_LEARNING_RATE)
     return w, float(b[0])
+
+
+def row_major_logistic(x, labels):
+    """Reference logistic fit with the products over the row-major (n, d)
+    standardized covariates, the bias added and summed apart; returns
+    (weights, bias, Adam steps taken)."""
+    z = standardized(x)
+    n, d = z.shape
+    theta = np.zeros(d + 1)
+    state = AdamState.like(theta)
+    for step in range(LOGISTIC_ITERATIONS):
+        resid = (expit(z @ theta[:d] + theta[d]) - labels) / n
+        grad = np.append(z.T @ resid, resid.sum())
+        if np.abs(grad).max() < LOGISTIC_GRADIENT_TOLERANCE:
+            return theta[:d], theta[d], step
+        adam_step(theta, grad, state, LOGISTIC_LEARNING_RATE)
+    return theta[:d], theta[d], LOGISTIC_ITERATIONS
 
 
 def counting_adam_steps(monkeypatch):
@@ -194,19 +218,37 @@ def counting_adam_steps(monkeypatch):
     return steps
 
 
+def classifier_inputs(fit, data):
+    """The (x, labels) a strategy classifier is fit on."""
+    if fit is fit_treatment_classifier:  # the imputation classifier
+        obs = data.r == 1
+        return data.x[obs], data.t[obs]
+    return data.x, data.r.astype(np.float64)  # the reweighting classifier
+
+
 @pytest.mark.parametrize("fit", [fit_treatment_classifier, fit_observedness])
 def test_logistic_fit_matches_separate_adam_states_bitwise(fit):
     data = masked_dataset(n=300, d=4, seed=11)
-    obs = data.r == 1
-    if fit is fit_treatment_classifier:  # the imputation classifier
-        x, labels = data.x[obs], data.t[obs]
-    else:  # the reweighting classifier
-        x, labels = data.x, data.r.astype(np.float64)
-    weights, bias = separate_adam_logistic(x, labels)
+    weights, bias = separate_adam_logistic(*classifier_inputs(fit, data))
     model = fit(data)
     assert model.weights.tobytes() == weights.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
     assert model.weights.flags.owndata  # not a view into the training buffer
+
+
+@pytest.mark.parametrize("fit, n, d", [
+    (fit_treatment_classifier, 300, 4), (fit_observedness, 300, 4), (fit_observedness, 18000, 10),
+])
+def test_logistic_fit_follows_the_row_major_products(monkeypatch, fit, n, d):
+    """The feature-major design changes only the order in which the products
+    add: the fit takes the row-major reference's steps and lands within 1e-12."""
+    steps = counting_adam_steps(monkeypatch)
+    data = masked_dataset(n=n, d=d, seed=13)
+    weights, bias, taken = row_major_logistic(*classifier_inputs(fit, data))
+    model = fit(data)
+    assert 0 < len(steps) == taken < LOGISTIC_ITERATIONS
+    assert np.abs(model.weights - weights).max() <= 1e-12
+    assert abs(model.bias - bias) <= 1e-12
 
 
 def test_logistic_fit_stops_at_a_vanishing_gradient(monkeypatch):

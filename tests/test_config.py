@@ -284,6 +284,21 @@ def test_a_spec_built_in_python_is_typed_by_its_annotations(build, message):
     assert str(raised.value) == message
 
 
+def test_a_method_spec_built_in_python_types_its_name_and_config():
+    # MethodSpec is no Spec (its grid is a tuple of points or a mapping), so
+    # it types these two fields itself, as the load path types them
+    with pytest.raises(ValueError) as raised:
+        MethodSpec(name=5)
+    assert str(raised.value) == "name: expected str, got 5"
+    assert MethodSpec("ols_del", base_config={}).base_config == MTRNetConfig()
+    assert MethodSpec("ols_del", base_config={"alpha": 2}).base_config.alpha == 2.0
+    for config, message in (({"alpha": "x"}, "base_config.alpha: expected float, got 'x'"),
+                            ([], "base_config: expected an object, got []")):
+        with pytest.raises(ValueError) as raised:
+            MethodSpec("ols_del", base_config=config)
+        assert str(raised.value) == message
+
+
 def test_every_spec_with_a_validate_has_a_build_failure_row():
     def subclasses(cls):
         return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))

@@ -55,15 +55,17 @@ FITS = {
                                                       replace(cfg, alpha=0.5)),
 }
 
-# sha256(model.flat.tobytes())[:16] after each step of the reference engine
+# sha256(model.flat.tobytes())[:16] after each step of the reference engine;
+# the reweight fits' row weights are those of the feature-major strategy
+# classifier (baselines._fit_logistic)
 PINNED = {
     "cfrmmd_delete": (
         "c9d467de14258a97", "4848966712abda50", "742019367ec19ebf",
         "520eade7998b6809", "c1f877122268398b", "35b2362514006b6c",
     ),
     "cfrmmd_reweight": (
-        "ddaf21e150cf134c", "5ecd6081bbcbd6d9", "1107e53b9265aba4",
-        "e3260a1628f064f7", "3dc061d4a441b353", "b44ad0edb46cd73d",
+        "dfe32319c8ee68f4", "de192a272b1635af", "20b6da4b572c8fc5",
+        "9ef82a929c451862", "c397aa9381c2e428", "dc0b3d0676a69d9c",
     ),
     "mtrnet": (
         "48061a50e9aaf9a4", "f4094c41d0760237", "0851a0d22c3debed",
@@ -86,8 +88,8 @@ PINNED = {
         "56695526fba08897", "504fb90e223a83a6", "097eda9fcb7fd0ed",
     ),
     "tarnet_reweight": (
-        "5aa725a228893953", "84d0e74a982e5477", "336c649f9fa73a37",
-        "c0f5b0c49b761496", "b07ef6cd7ad163b3", "d7c4711308f84052",
+        "95d0be84dce2cbb0", "f9b6071e69d7a9ce", "a77d5463cc7a712f",
+        "689db0b4ec3b3b9b", "e5d04338544cb1bd", "0f997fa75808e1b4",
     ),
 }
 
@@ -148,13 +150,14 @@ def test_load_fitted_writes_into_the_flat_buffer():
 
 # Two 100-step fits at shapes where a multi-threaded OpenBLAS rounds some
 # products differently: CFR-MMD at the trend shapes (its MMD's `x @ x.T` and
-# `K @ x`) and MTRNet at widths 100 and batch 70. mtcate is imported before
-# numpy, as the CLI and a pool worker import it.
+# `K @ x`) and MTRNet at widths 100 and batch 70. Then OLS with reweighting on
+# 20,000-row trend data, whose strategy classifier runs n-long products.
+# mtcate is imported before numpy, as the CLI and a pool worker import it.
 BLAS_FITS = """
 import hashlib
 from dataclasses import replace
 from mtcate import harness
-from mtcate.trend import trend_config
+from mtcate.trend import trend_config, trend_dgp
 config = trend_config(0.5, master_seed=1)
 harness._serve(config, None)
 train = harness._run_splits(0, config.methods[0])[0]
@@ -162,6 +165,9 @@ net = replace(config.methods[0].base_config, iterations=100, seed=3, alpha=1.0)
 for name, cfg in (("cfrmmd_del", net), ("mtrnet", replace(
         net, rep_layer_size=100, hyp_layer_size=100, batch_size=70, beta=8.0))):
     print(name, hashlib.sha256(harness.fit_method(name, cfg, train).flat).hexdigest())
+harness._serve(replace(config, dgp=trend_dgp(n=20000)), None)
+ols = harness.fit_method("ols_rew", net, harness._run_splits(0, config.methods[0])[0])
+print("ols_rew", hashlib.sha256(ols.beta0.tobytes() + ols.beta1.tobytes()).hexdigest())
 """
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -184,7 +190,7 @@ def test_fit_bytes_do_not_depend_on_the_blas_thread_count():
                               env={**base, **pinned}, timeout=300)
         assert done.returncode == 0, done.stderr
         digests.append(done.stdout.split())
-    assert len(digests[0]) == 4 and digests[0] == digests[1]
+    assert len(digests[0]) == 6 and digests[0] == digests[1]
 
 
 # Loads a file as a module (a script's `main` does not run) and prints

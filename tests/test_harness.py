@@ -808,6 +808,21 @@ def test_write_and_read_results_roundtrip(tmp_path):
     assert header == "method,dataset,metric,domain,mean,std,n_runs"
 
 
+def test_reading_a_result_checks_its_method_label(tmp_path):
+    cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
+    line = run_experiment(cfg, log=None)[0][0].to_dict()
+    assert line["method_label"] == "OLS_del"
+    assert RunResult.from_dict(line).to_dict() == line
+    unlabelled = {k: v for k, v in line.items() if k != "method_label"}
+    assert RunResult.from_dict(unlabelled).to_dict() == line
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps({**line, "method_label": "TARNet_del"}) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_results_jsonl(path)
+    assert str(raised.value) == (f"{path}:1: result: method_label 'TARNet_del' is not the "
+                                 "label of method 'ols_del', 'OLS_del'")
+
+
 def sweep_rows(sweep):
     """The long-format rows of sweep_m.csv, from each m's aggregate."""
     return [
@@ -866,7 +881,7 @@ def test_sweep_m_checks_every_fraction_before_running(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or ([], []))
     cfg = experiment_config([MethodSpec("ols_del", grid=({},))], num_runs=1)
-    with pytest.raises(ValueError, match=re.escape("[0.0]")):
+    with pytest.raises(ValueError, match=re.escape("m must be in (0,1), got 0.0")):
         sweep_m(cfg, [0.5, 0.0], log=None)
     assert calls == []
 
